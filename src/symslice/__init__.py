@@ -48,7 +48,6 @@ from .sl2 import NoTriple, Sl2Triple, complete_triple, verify_triple
 from .slice import (
     InvariantVector,
     KostantSlice,
-    NewtonConfig,
     NotFound,
     SliceDimensionError,
     invariant_length,

@@ -10,8 +10,9 @@ Certificates are deterministic given the seed: rationals serialize as
 "a/b" strings, keys are sorted, and per-case sub-seeds are derived by
 hashing, so reruns or different --jobs values are byte-identical.
 
-Exit codes: 0 pass, 1 some case failed, 2 input error, 3 solver
-incompleteness (never a wrong answer), 4 non-regular input.
+Exit codes: 0 pass, 1 some case failed, 2 input error, 3 no slice point
+has these invariants (decided exactly; also returned for the one case
+without a slice), 4 non-regular input.
 """
 
 from __future__ import annotations
@@ -269,7 +270,16 @@ def _error_json(kind: str, message: str, stream):
     _dump({"error": {"type": kind, "message": message}}, stream)
 
 
+def _bad_trials(args, out) -> bool:
+    if args.trials >= 0:
+        return False
+    _error_json("InputError", f"--trials must be non-negative, got {args.trials}", out)
+    return True
+
+
 def cmd_verify(args, out, err) -> int:
+    if _bad_trials(args, out):
+        return EXIT_INPUT_ERROR
     try:
         cert = make_certificate(args.family, args.p, args.q, args.seed, args.trials)
     except ConstraintViolation as exc:
@@ -305,6 +315,8 @@ def _report_worker(task):
 
 
 def cmd_report(args, out, err) -> int:
+    if _bad_trials(args, out):
+        return EXIT_INPUT_ERROR
     cases = report_cases(args.gl_max, args.o_max, args.sp_max)
     tasks = [(f, p, q, args.seed, args.trials) for f, p, q in cases]
     if args.jobs > 1 and tasks:

@@ -10,53 +10,73 @@ exactly there one extra coordinate is appended: the Pfaffian of X J,
 which is invariant under every Cayley-generated (determinant one) group
 element.  The Jacobian rank check below measures separation.
 
-Inverting the invariant map is the one place floating point appears:
-a damped Gauss-Newton iteration from several deterministic starts,
-followed by continued-fraction rational reconstruction at staged
-denominator bounds.  Every candidate is re-verified exactly; only
-exact matches are ever returned, so a NotFound is an incompleteness
-signal, never a wrong answer.
+Inversion is exact and direct (Kostant-Rallis).  ad h acts on the slice
+directions with even weights w; in an eigenbasis a coordinate of weight
+w scales with degree w + 2 and an invariant of degree k is weighted
+homogeneous of degree 2k.  So the invariants of degree (w + 2) / 2 are
+linear in the weight-w coordinates plus a polynomial in the lighter
+ones, and the coordinates follow class by class from small exact linear
+solves.  A final exact evaluation of every invariant decides the
+answer: a mismatch means no slice point has the target invariants.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from .exact import (
     RatMatrix,
     charpoly,
+    inverse,
+    kernel_basis,
     lincomb,
     pfaffian,
     rank as matrix_rank,
     solve,
+    vec,
 )
 from .nilpotent import centralizer
-from .pairs import Family, MembershipError, SymmetricPair, in_eigenspace
+from .pairs import Family, MembershipError, SymmetricPair, bracket, in_eigenspace
 from .sl2 import Sl2Triple
-
-log = logging.getLogger(__name__)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class SliceDimensionError(RuntimeError):
-    """The centralizer of e does not have dimension rank theta."""
+    """The slice does not have the shape the invariants need: the
+    centralizer of e does not have dimension rank theta, or a weight
+    class of the slice is not matched by as many independent invariants
+    of its degree."""
 
 
 class NotFound(RuntimeError):
-    """The slice inverter exhausted its starts and denominator bounds.
+    """No slice point has the requested invariants."""
 
-    This does not certify that the fiber is empty.
-    """
+
+@dataclass(frozen=True)
+class _Block:
+    """One weight class: its graded coordinates, the invariants paired
+    with it, the inverse of their linear part in those coordinates, and
+    per invariant the other terms as (coefficient, monomial) pairs over
+    lighter coordinates, a monomial being ((coordinate, exponent), ...)."""
+
+    coords: tuple
+    invariants: tuple
+    linear_inv: RatMatrix
+    rest: tuple
+
+
+@dataclass(frozen=True)
+class _GradedTables:
+    """Seed coordinates are to_seed times graded coordinates; blocks come
+    in ascending weight."""
+
+    to_seed: RatMatrix
+    blocks: tuple
 
 
 @dataclass(frozen=True)
@@ -65,6 +85,12 @@ class KostantSlice:
     triple: Sl2Triple
     slice_basis: tuple
     dim: int
+
+    @cached_property
+    def _tables(self) -> _GradedTables:
+        # Built by the first inversion, not by make_slice, so constructing
+        # a case costs what it did before.
+        return _graded_tables(self)
 
 
 @dataclass(frozen=True)
@@ -108,14 +134,11 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
-    vals = charpoly(x).coeffs[:-1]
-    if _needs_pfaffian(pair):
-        vals = vals + (pfaffian(x * pair.form),)
-    return InvariantVector(vals)
+    return InvariantVector(_invariant_values(pair, x))
 
 
 def _invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
-    # membership-free fast path used by the inverter's exact verification
+    # membership-free, for points the caller knows lie in g(-1)
     vals = charpoly(x).coeffs[:-1]
     if _needs_pfaffian(pair):
         vals = vals + (pfaffian(x * pair.form),)
@@ -137,189 +160,149 @@ def invariants_from_json(text: str) -> InvariantVector:
     return InvariantVector(tuple(vals))
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Solver schedule; constants are configuration, not contract."""
-
-    max_iter: int = 200
-    starts: int = 25
-    start_radius: float = 12.0
-    tol: float = 1e-11
-    attempt_tol: float = 1e-3
-    polish_iter: int = 3
-    denominator_bounds: tuple = (10**3, 10**6, 10**12)
+def _invariant_degree(pair: SymmetricPair, index: int) -> int:
+    # value k is the coefficient of t^k, of degree n - k; the Pfaffian
+    # of X J has degree n / 2
+    return pair.n - index if index < pair.n else pair.n // 2
 
 
-def _float_charpoly_tail(m: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients below the leading 1,
-    constant term first, by the Faddeev-LeVerrier recurrence."""
-    n = m.shape[0]
-    cs = np.zeros(n + 1, dtype=m.dtype)
-    cs[n] = 1.0
-    mk = m.copy()
-    ident = np.eye(n, dtype=m.dtype)
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = m @ (mk + cs[n - k + 1] * ident)
-        cs[n - k] = -np.trace(mk) / k
-    return cs[:-1]
+def _monomials(degrees, total: int) -> list[tuple]:
+    """Every monomial prod u_j^e_j with sum e_j * degrees[j] == total, as
+    ((j, e_j), ...) over the nonzero exponents, in a fixed order."""
+    out = []
+
+    def extend(j, left, acc):
+        if left == 0:
+            out.append(acc)
+        elif j < len(degrees):
+            for e in range(left // degrees[j], -1, -1):
+                extend(j + 1, left - e * degrees[j], acc + ((j, e),) if e else acc)
+
+    extend(0, total, ())
+    return out
 
 
-def _float_pfaffian(m: np.ndarray) -> float:
-    """Pfaffian of a skew-symmetric float matrix, with magnitude pivoting."""
-    n = m.shape[0]
-    a = m.copy()
-    pf = m.dtype.type(1.0)
-    for k in range(0, n, 2):
-        piv_j = k + 1 + int(np.argmax(np.abs(a[k, k + 1 :])))
-        if a[k, piv_j] == 0:
-            return m.dtype.type(0.0)
-        if piv_j != k + 1:
-            a[[k + 1, piv_j], :] = a[[piv_j, k + 1], :]
-            a[:, [k + 1, piv_j]] = a[:, [piv_j, k + 1]]
-            pf = -pf
-        pivot = a[k, k + 1]
-        pf *= pivot
-        for i in range(k + 2, n):
-            f = a[k, i] / pivot
-            if f:
-                a[i, :] -= f * a[k + 1, :]
-                a[:, i] -= f * a[:, k + 1]
-            g = a[k + 1, i] / pivot
-            if g:
-                a[i, :] += g * a[k, :]
-                a[:, i] += g * a[:, k]
-    return pf
+def _monomial_value(mono, u):
+    out = 1
+    for j, e in mono:
+        out *= u[j] ** e
+    return out
 
 
-def _target_seed(target: InvariantVector) -> int:
-    blob = ",".join(str(v) for v in target.values).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+def _matvec(m: RatMatrix, v) -> list[Fraction]:
+    return [sum((a * b for a, b in zip(m.row(i), v)), _ZERO) for i in range(m.rows)]
 
 
-def invert_on_slice(
-    slc: KostantSlice, target: InvariantVector, config: NewtonConfig | None = None
-) -> list[Fraction]:
+def _nodes(count: int, dim: int) -> list[list[int]]:
+    """Fixed interpolation nodes with entries in [-3, 3], drawn from the
+    Park-Miller minimal standard sequence."""
+    state = 1
+    out = []
+    for _ in range(count):
+        row = []
+        for _ in range(dim):
+            state = state * 48271 % 2147483647
+            row.append(state % 7 - 3)
+        out.append(row)
+    return out
+
+
+def _graded_tables(slc: KostantSlice) -> _GradedTables:
+    pair, n, d = slc.pair, slc.pair.n, slc.dim
+    basis = slc.slice_basis
+
+    # ad h on the slice directions and an eigenbasis of it, lightest first
+    stacked = RatMatrix([list(r) for r in zip(*(vec(b) for b in basis))], cols=d)
+    ad_cols = [solve(stacked, vec(bracket(slc.triple.h, b))) for b in basis]
+    if any(c is None for c in ad_cols):
+        raise SliceDimensionError("ad h does not preserve the slice directions")
+    ad = RatMatrix([[c[i] for c in ad_cols] for i in range(d)], cols=d)
+    weights, eigvecs = [], []
+    for w in range(0, 2 * n, 2):
+        for v in kernel_basis(ad - w * RatMatrix.identity(d)):
+            weights.append(w)
+            eigvecs.append([v[i, 0] for i in range(d)])
+    if len(eigvecs) != d:
+        raise SliceDimensionError("ad h has no even-weight eigenbasis on the slice")
+    to_seed = RatMatrix([[v[i] for v in eigvecs] for i in range(d)], cols=d)
+    graded = [lincomb(v, basis, n, n) for v in eigvecs]
+
+    # each invariant of a class's degree, interpolated on its weighted support
+    candidates = {
+        w: [
+            m
+            for m in range(invariant_length(pair))
+            if 2 * _invariant_degree(pair, m) == w + 2
+        ]
+        for w in sorted(set(weights))
+    }
+    supports = {
+        m: _monomials([w + 2 for w in weights], w + 2)
+        for w, ms in candidates.items()
+        for m in ms
+    }
+    nodes = _nodes(max(len(s) for s in supports.values()), d)
+    samples = [
+        _invariant_values(pair, slc.triple.f + lincomb(u, graded, n, n)) for u in nodes
+    ]
+    coeffs = {}
+    for m, support in supports.items():
+        vand = RatMatrix(
+            [[_monomial_value(mono, u) for mono in support] for u in nodes],
+            cols=len(support),
+        )
+        if matrix_rank(vand) != len(support):
+            raise AssertionError("interpolation nodes must be unisolvent")
+        got = solve(vand, [s[m] for s in samples])
+        if got is None:
+            raise AssertionError("invariant is not weighted homogeneous on the slice")
+        coeffs[m] = dict(zip(support, got))
+
+    blocks = []
+    for w, ms in candidates.items():
+        cls = [j for j in range(d) if weights[j] == w]
+        invs = [m for m in ms if any(coeffs[m].values())]
+        linear = [((j, 1),) for j in cls]
+        lin = RatMatrix(
+            [[coeffs[m][mono] for mono in linear] for m in invs], cols=len(cls)
+        )
+        if len(invs) != len(cls) or matrix_rank(lin) != len(cls):
+            raise SliceDimensionError(
+                f"weight class {w} has {len(cls)} coordinates but its "
+                f"{len(invs)} invariants of degree {(w + 2) // 2} do not solve for them"
+            )
+        rest = tuple(
+            tuple((c, mono) for mono, c in coeffs[m].items() if c and mono not in linear)
+            for m in invs
+        )
+        blocks.append(_Block(tuple(cls), tuple(invs), inverse(lin), rest))
+    return _GradedTables(to_seed=to_seed, blocks=tuple(blocks))
+
+
+def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     """Coordinates a with invariants(slice_point(a)) equal to the target, exactly.
 
-    Damped Gauss-Newton in floating point from deterministic
-    pseudo-random starts seeded by the target hash, then
-    continued-fraction reconstruction at staged denominator bounds and
-    exact re-verification.  Raises NotFound when every start and bound
-    is exhausted.
+    Solves the graded coordinates class by class in ascending weight,
+    maps them to the slice basis and checks every invariant exactly.
+    Raises NotFound when no slice point has the target invariants.
     """
-    cfg = config or NewtonConfig()
     pair = slc.pair
-    n = pair.n
     expect = invariant_length(pair)
     if len(target.values) != expect:
         raise ValueError(f"expected {expect} invariant values, got {len(target.values)}")
-    d = slc.dim
-    with_pf = _needs_pfaffian(pair)
-
-    f0 = np.array([[float(x) for x in slc.triple.f.row(i)] for i in range(n)])
-    basis = [
-        np.array([[float(x) for x in b.row(i)] for i in range(n)])
-        for b in slc.slice_basis
-    ]
-    jform = (
-        np.array([[float(x) for x in pair.form.row(i)] for i in range(n)])
-        if with_pf
-        else None
-    )
-    tvals = np.array([float(v) for v in target.values])
-    # Each invariant is homogeneous of known degree in the element
-    # (coefficient k has degree n - k, the Pfaffian degree n / 2), so an
-    # element-size estimate s sets the natural scale s^deg per component.
-    # Structurally zero components then sit at their float noise level
-    # instead of poisoning the residual norm.
-    degrees = [n - k for k in range(n)] + ([n // 2] if with_pf else [])
-    size_est = 1.0
-    for dg, tv in zip(degrees, np.abs(tvals)):
-        if tv > 0 and dg > 0:
-            size_est = max(size_est, float(tv) ** (1.0 / dg))
-    scale = np.array(
-        [max(1.0, size_est**dg, abs(tv)) for dg, tv in zip(degrees, tvals)]
-    )
-
-    def residual(a, dtype=np.float64):
-        m = f0.astype(dtype).copy()
-        for ai, bi in zip(a, basis):
-            m += dtype(ai) * bi.astype(dtype)
-        vals = _float_charpoly_tail(m)
-        if with_pf:
-            vals = np.append(vals, _float_pfaffian(m @ jform.astype(dtype)))
-        return (vals - tvals.astype(dtype)) / scale.astype(dtype)
-
-    def jacobian(a, r0, dtype=np.float64):
-        cols = []
-        for i in range(d):
-            h = 1e-6 * max(1.0, abs(float(a[i])))
-            ah = a.copy()
-            ah[i] += h
-            cols.append((residual(ah, dtype) - r0) / dtype(h))
-        return np.stack(cols, axis=1)
-
-    def gauss_newton(a, iters, dtype=np.float64):
-        a = a.astype(dtype)
-        r = residual(a, dtype)
-        if not np.all(np.isfinite(np.asarray(r, dtype=np.float64))):
-            return a, np.inf
-        best = np.max(np.abs(r))
-        for _ in range(iters):
-            if best < cfg.tol:
-                break
-            jac = jacobian(a, r, dtype)
-            if not np.all(np.isfinite(np.asarray(jac, dtype=np.float64))):
-                break
-            step, *_ = np.linalg.lstsq(
-                jac.astype(np.float64), -r.astype(np.float64), rcond=None
-            )
-            step = step.astype(dtype)
-            lam = 1.0
-            improved = False
-            while lam > 2.0**-24:
-                cand = a + dtype(lam) * step
-                rc = residual(cand, dtype)
-                nc = np.max(np.abs(rc))
-                if np.isfinite(nc) and nc < best:
-                    a, r, best = cand, rc, nc
-                    improved = True
-                    break
-                lam /= 2.0
-            if not improved:
-                break
-        return a, best
-
-    def reconstruct(a):
-        for bound in cfg.denominator_bounds:
-            cand = [Fraction(float(x)).limit_denominator(bound) for x in a]
-            point = slice_point(slc, cand)
-            if _invariant_values(pair, point) == target.values:
-                return cand
-        return None
-
-    rng = random.Random(_target_seed(target))
-    for attempt in range(cfg.starts):
-        if attempt == 0:
-            a0 = np.zeros(d)
-        else:
-            a0 = np.array(
-                [rng.uniform(-cfg.start_radius, cfg.start_radius) for _ in range(d)]
-            )
-        a, best = gauss_newton(a0, cfg.max_iter)
-        if best > cfg.attempt_tol:
-            continue
-        a_ld, _ = gauss_newton(a.astype(np.longdouble), cfg.polish_iter, np.longdouble)
-        for cand_vec in (a_ld, a):
-            got = reconstruct(np.asarray(cand_vec, dtype=np.float64))
-            if got is not None:
-                log.debug("slice inversion succeeded on start %d", attempt)
-                return got
-    raise NotFound(
-        "slice inversion exhausted all starts and denominator bounds; "
-        "this does not certify the fiber is empty"
-    )
+    tables = slc._tables
+    u = [_ZERO] * slc.dim
+    for block in tables.blocks:
+        rhs = [
+            target.values[m] - sum(c * _monomial_value(mono, u) for c, mono in rest)
+            for m, rest in zip(block.invariants, block.rest)
+        ]
+        for j, x in zip(block.coords, _matvec(block.linear_inv, rhs)):
+            u[j] = x
+    coords = _matvec(tables.to_seed, u)
+    if _invariant_values(pair, slice_point(slc, coords)) != target.values:
+        raise NotFound("no slice point has these invariants")
+    return coords
 
 
 @lru_cache(maxsize=None)

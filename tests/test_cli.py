@@ -194,3 +194,39 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passing"] is True
+
+
+def test_negative_trials_exit_2():
+    for argv in (
+        ["verify", "--family", "gl", "--p", "1", "--q", "1", "--trials", "-1"],
+        ["report", "--gl-max", "1", "--trials", "-3"],
+    ):
+        code, out, _ = run_cli(argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InputError"
+
+
+def test_runs_without_numpy(tmp_path):
+    from symslice.cli import build_case
+    from symslice.slice import invariants, invariants_to_json, slice_point
+
+    case = build_case("gl", 2, 2)
+    x = slice_point(case.slc, [Fraction(3), Fraction(-7, 2)])
+    inv = tmp_path / "inv.json"
+    inv.write_text(invariants_to_json(invariants(case.core.pair, x)))
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import symslice\n"
+        "from symslice.cli import main\n"
+        "sys.exit(main(['slice-rep', '--family', 'gl', '--p', '2', '--q', '2',"
+        " '--invariants', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(inv)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert matrix_from_text(proc.stdout) == x

@@ -100,16 +100,28 @@ def test_invert_base_point_roundtrip():
 
 
 def test_invert_random_roundtrips():
+    # o(3,3), o(4,4) and o(5,5) cover the odd and even Pfaffian classes,
+    # o(4,4) with its 2 x 2 block
     rng = random.Random(8)
-    for fam, p, q in [(Family.GL, 3, 2), (Family.ORTH, 3, 3), (Family.SP, 4, 4)]:
+    cases = [
+        (Family.GL, 3, 2),
+        (Family.GL, 2, 2),
+        (Family.GL, 4, 4),
+        (Family.ORTH, 3, 3),
+        (Family.ORTH, 4, 4),
+        (Family.ORTH, 5, 5),
+        (Family.SP, 4, 4),
+    ]
+    for fam, p, q in cases:
         pair, slc = build(fam, p, q)
-        for _ in range(5):
-            coords = [
-                Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-                for _ in range(slc.dim)
-            ]
-            target = invariants(pair, slice_point(slc, coords))
-            assert invert_on_slice(slc, target) == coords
+        for height in (10, 10**3, 10**7, 10**9):
+            for _ in range(5):
+                coords = [
+                    Fraction(rng.randint(-height, height), rng.randint(1, 10))
+                    for _ in range(slc.dim)
+                ]
+                target = invariants(pair, slice_point(slc, coords))
+                assert invert_on_slice(slc, target) == coords
 
 
 def test_invert_unreachable_target_raises_not_found():
@@ -118,6 +130,13 @@ def test_invert_unreachable_target_raises_not_found():
     # has invariants (0, 1)
     with pytest.raises(NotFound):
         invert_on_slice(slc, InvariantVector((Fraction(0), Fraction(1))))
+    # o(4,4) pairs its degree-4 class with the Pfaffian, so the determinant
+    # is never solved for: raising it by 1 leaves only the final check
+    pair, slc = build(Family.ORTH, 4, 4)
+    values = list(invariants(pair, slice_point(slc, [1, -2, 3, Fraction(1, 2)])).values)
+    values[0] += 1
+    with pytest.raises(NotFound):
+        invert_on_slice(slc, InvariantVector(values))
 
 
 def test_jacobian_rank_gl11_everywhere():
