@@ -29,6 +29,7 @@ from .pairs import (
     Family,
     MembershipError,
     SymmetricPair,
+    adjoint,
     apply_theta,
     bracket,
     eigenspace_basis,
@@ -70,6 +71,5 @@ from .matspace import (
     random_group_element,
     to_matrix_space,
 )
-from .cli import build_case, make_certificate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -171,11 +171,11 @@ def _check_invariant_conjugation(
         coords = _random_coords(rng, slc.dim)
         x = slice_point(slc, coords)
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
-        y = act(pair, g, x)
-        if invariants(pair, y) != invariants(pair, x):
+        inv_y = invariants(pair, act(pair, g, x))
+        if inv_y != invariants(pair, x):
             return False
         try:
-            got = invert_on_slice(slc, invariants(pair, y))
+            got = invert_on_slice(slc, inv_y)
         except NotFound:
             return False
         if got != coords:
@@ -319,9 +319,11 @@ def cmd_report(args, out, err) -> int:
         return EXIT_INPUT_ERROR
     cases = report_cases(args.gl_max, args.o_max, args.sp_max)
     tasks = [(f, p, q, args.seed, args.trials) for f, p, q in cases]
-    if args.jobs > 1 and tasks:
+    # the fork start method launches every worker up front
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         try:
-            with futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 certs = list(pool.map(_report_worker, tasks))
         except (OSError, PermissionError) as exc:
             err.write(f"process pool unavailable ({exc}); running sequentially\n")
@@ -455,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("slice-rep", help="slice representative for an invariant vector")
     add_case_args(s)
-    s.add_argument("--invariants", required=True, help="JSON array of 'a/b' strings")
+    s.add_argument("--invariants", required=True, help="JSON array of exact rationals")
 
     c = sub.add_parser("canonicalize", help="slice coordinates of an element of g(-1)")
     add_case_args(c)

@@ -1,11 +1,12 @@
 """The correspondence between g(-1) and p x q matrices, with the group action.
 
 For the orthogonal and symplectic pairs the lower-left block of an
-element of g(-1) is pinned to the upper-right block by the form, so
-projection to the upper-right block is a linear isomorphism onto
-M_{p,q}, equivariant for the block-diagonal group acting by conjugation
-on one side and by (g1, g2) . A = g1 A g2^{-1} on the other.  For GL
-both blocks are free and the correspondence takes the pair (A, B).
+element of g(-1) is pinned to the upper-right block y by the form (the
+element is y - adjoint(y)), so projection to the upper-right block is a
+linear isomorphism onto M_{p,q}, equivariant for the block-diagonal
+group acting by conjugation on one side and by (g1, g2) . A = g1 A
+g2^{-1} on the other.  For GL both blocks are free and the
+correspondence takes the pair (A, B).
 
 Rational group elements are generated exactly: products of elementary
 matrices for GL, Cayley transforms of form-skew block-diagonal elements
@@ -23,9 +24,9 @@ from .pairs import (
     Family,
     MembershipError,
     SymmetricPair,
-    exchange,
+    adjoint,
+    apply_theta,
     in_eigenspace,
-    signed_exchange,
 )
 
 _ONE = Fraction(1)
@@ -55,11 +56,10 @@ def _check_group_element(pair: SymmetricPair, ge: GroupElement):
     g = ge.g
     if g.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {g.shape}")
-    if pair.invol * g != g * pair.invol:
+    if apply_theta(pair, g) != g:
         raise ValueError("group element must be block diagonal")
-    if pair.form is not None:
-        if pair.form * ge.g_inv.transpose() * pair.form_inv != g:
-            raise ValueError("group element fails the form condition")
+    if pair.form is not None and adjoint(pair, ge.g_inv) != g:
+        raise ValueError("group element fails the form condition")
 
 
 def to_matrix_space(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
@@ -75,7 +75,8 @@ def from_matrix_space(
     """Assemble the element of g(-1) with upper-right block a.
 
     The lower-left block is pinned by the form for the orthogonal and
-    symplectic families; for GL it is free and must be passed as b.
+    symplectic families, as minus the adjoint of the upper-right part;
+    for GL it is free and must be passed as b.
     """
     p, q = pair.p, pair.q
     if a.shape != (p, q):
@@ -88,11 +89,8 @@ def from_matrix_space(
         return block_antidiag(a, b)
     if b is not None:
         raise ValueError("the lower-left block is determined by the form")
-    if pair.family is Family.ORTH:
-        y = exchange(q) * a.transpose() * exchange(p)
-    else:
-        y = signed_exchange(q) * a.transpose() * signed_exchange(p)
-    return block_antidiag(a, y)
+    y = block_antidiag(a, RatMatrix.zeros(q, p))
+    return y - adjoint(pair, y)
 
 
 def act(pair: SymmetricPair, ge: GroupElement, x: RatMatrix) -> RatMatrix:

@@ -24,6 +24,7 @@ from .exact import (
     vec,
     vstack,
 )
+from .matspace import from_matrix_space
 from .pairs import (
     Family,
     MembershipError,
@@ -66,8 +67,9 @@ def regular_nilpotent(pair: SymmetricPair) -> RatMatrix:
     """The explicit banded nilpotent representative for the pair.
 
     Block shapes: A is p x q in the upper right, B is q x p in the lower
-    left, with B pinned to A by the family (for GL the two are chosen
-    independently).
+    left.  For GL the two are chosen independently; for the orthogonal
+    and symplectic families only A is chosen and B is pinned to it by
+    the form (`from_matrix_space`).
     """
     p, q = pair.p, pair.q
     if pair.family is Family.GL:
@@ -86,22 +88,13 @@ def regular_nilpotent(pair: SymmetricPair) -> RatMatrix:
             a = vstack(
                 [RatMatrix.zeros(r - 1, q), RatMatrix.identity(q), RatMatrix.zeros(r + 1, q)]
             )
-            mid = RatMatrix.identity(q) if r % 2 == 0 else -_ONE * RatMatrix.identity(q)
-            b = hstack([RatMatrix.zeros(q, r + 1), mid, RatMatrix.zeros(q, r - 1)])
         else:
             a = shift_power(q, 1)
-            b = shift_power(q, 1)
-        return block_antidiag(a, b)
-    # orthogonal family
-    if p == q + 1:
+    elif p == q + 1:
         a = vstack([RatMatrix.identity(q), RatMatrix.zeros(1, q)])
-        b = hstack([RatMatrix.zeros(q, 1), RatMatrix.identity(q)])
     else:
-        jq = exchange(q)
-        estar = _e_star(q)
-        a = estar
-        b = jq * estar.transpose() * jq
-    return block_antidiag(a, b)
+        a = _e_star(q)
+    return from_matrix_space(pair, a)
 
 
 def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:

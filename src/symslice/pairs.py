@@ -1,12 +1,14 @@
 """Symmetric pairs (g, theta) for the three classical matrix families.
 
-A pair is determined by a family tag and block sizes p >= q.  The
-involution is conjugation by the signature matrix diag(1_p, -1_q); its
-eigenspaces are computed generically by solving the defining linear
-conditions (membership in g plus the theta eigenvalue) with the exact
-kernel machinery, never from hand-coded per-family formulas.  The
-closed-form descriptions elsewhere in the package then serve as
-independent cross-checks.
+A pair is determined by a family tag and block sizes p >= q.  This is
+the one module that knows the form J and the involution theta; both act
+on matrix entries as signed permutations.  theta negates the two
+off-diagonal blocks, and the monomial form is read once into index maps
+(`SymmetricPair.form_entries`) from which `adjoint` and the membership
+conditions are evaluated entrywise.  The eigenspaces are computed
+generically by solving the defining linear conditions with the exact
+kernel machinery, never from hand-coded per-family formulas; the
+closed-form descriptions elsewhere serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    RatMatrix,
-    block_diag,
-    inverse,
-    kernel_basis,
-)
+from .exact import RatMatrix, block_diag, kernel_basis
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,8 +68,7 @@ class SymmetricPair:
     q: int
     n: int
     form: RatMatrix | None
-    form_inv: RatMatrix | None
-    invol: RatMatrix
+    form_entries: tuple | None
     basis_g: tuple
     basis_plus: tuple
     basis_minus: tuple
@@ -82,54 +78,45 @@ class SymmetricPair:
         return f"SymmetricPair({self.family.value}, p={self.p}, q={self.q})"
 
 
-def _single_nonzero_by_row(m: RatMatrix):
+def _form_entries(form: RatMatrix) -> tuple:
+    """(kappa(i), v_i) for each row i of the monomial form: J[i, kappa(i)] = v_i."""
     out = []
-    for i in range(m.rows):
-        nz = [(j, m[i, j]) for j in range(m.cols) if m[i, j]]
+    for i in range(form.rows):
+        nz = [(j, form[i, j]) for j in range(form.cols) if form[i, j]]
         if len(nz) != 1:
             raise AssertionError("form matrix is not monomial")
         out.append(nz[0])
-    return out
+    if sorted(k for k, _ in out) != list(range(form.cols)):
+        raise AssertionError("form matrix is not monomial")
+    return tuple(out)
 
 
-def _single_nonzero_by_col(m: RatMatrix):
-    out = []
-    for j in range(m.cols):
-        nz = [(i, m[i, j]) for i in range(m.rows) if m[i, j]]
-        if len(nz) != 1:
-            raise AssertionError("form matrix is not monomial")
-        out.append(nz[0])
-    return out
-
-
-def _membership_rows(n, form, form_inv):
+def _membership_rows(n, entries):
     """Linear conditions J X^t J^-1 + X = 0, one row per matrix position.
 
-    J and J^-1 are monomial, so each row touches at most two unknowns.
+    (J X^t J^-1)[i, j] = v_i / v_j * X[kappa(j), kappa(i)], so each row
+    touches at most two unknowns.
     """
-    if form is None:
+    if entries is None:
         return []
-    by_row = _single_nonzero_by_row(form)        # J[i, kappa(i)] = v_i
-    by_col = _single_nonzero_by_col(form_inv)    # Jinv[lam(j), j] = w_j
     rows = []
     for i in range(n):
-        kap, v = by_row[i]
+        kap_i, v_i = entries[i]
         for j in range(n):
-            lam, w = by_col[j]
+            kap_j, v_j = entries[j]
             row = [_ZERO] * (n * n)
             row[i * n + j] += _ONE
-            row[lam * n + kap] += v * w
+            row[kap_j * n + kap_i] += v_i / v_j
             rows.append(row)
     return rows
 
 
 def _theta_rows(n, p, sign):
-    """Linear conditions I X I = sign * X; the system is diagonal."""
-    sig = [1] * p + [-1] * (n - p)
+    """Linear conditions theta(X) = sign * X; the system is diagonal."""
     rows = []
     for i in range(n):
         for j in range(n):
-            c = Fraction(sig[i] * sig[j] - sign)
+            c = Fraction((1 if (i < p) == (j < p) else -1) - sign)
             if c:
                 row = [_ZERO] * (n * n)
                 row[i * n + j] = c
@@ -166,18 +153,15 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         raise ConstraintViolation(family, p, q, "symplectic pairs need p and q even")
 
     n = p + q
-    invol = RatMatrix.diagonal([_ONE] * p + [-_ONE] * q)
     if family is Family.GL:
         form = None
-        form_inv = None
     elif family is Family.ORTH:
         form = block_diag(exchange(p), -_ONE * exchange(q))
-        form_inv = inverse(form)
     else:
         form = block_diag(signed_exchange(p), signed_exchange(q))
-        form_inv = inverse(form)
+    entries = None if form is None else _form_entries(form)
 
-    memb = _membership_rows(n, form, form_inv)
+    memb = _membership_rows(n, entries)
     basis_g = _solve_conditions(n, memb)
     basis_plus = _solve_conditions(n, memb + _theta_rows(n, p, +1))
     basis_minus = _solve_conditions(n, memb + _theta_rows(n, p, -1))
@@ -195,8 +179,7 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         q=q,
         n=n,
         form=form,
-        form_inv=form_inv,
-        invol=invol,
+        form_entries=entries,
         basis_g=basis_g,
         basis_plus=basis_plus,
         basis_minus=basis_minus,
@@ -210,17 +193,32 @@ def _require_ambient(pair: SymmetricPair, x: RatMatrix):
 
 
 def apply_theta(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
-    """Conjugation by the signature matrix; involutive by construction."""
+    """Conjugation by the signature matrix: negate the off-diagonal blocks."""
     _require_ambient(pair, x)
-    return pair.invol * x * pair.invol
+    p, n = pair.p, pair.n
+    rows = [[v if (i < p) == (j < p) else -v for j, v in enumerate(x.row(i))] for i in range(n)]
+    return RatMatrix(rows, cols=n)
+
+
+def adjoint(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
+    """The form adjoint J x^t J^-1, read entrywise from the form's index maps.
+
+    Raises ValueError for GL, which has no form.
+    """
+    _require_ambient(pair, x)
+    entries = pair.form_entries
+    if entries is None:
+        raise ValueError("the gl family has no form")
+    return RatMatrix(
+        [[v_i / v_j * x[k_j, k_i] for k_j, v_j in entries] for k_i, v_i in entries],
+        cols=pair.n,
+    )
 
 
 def in_algebra(pair: SymmetricPair, x: RatMatrix) -> bool:
     """Membership in g: vacuous for GL, the form condition otherwise."""
     _require_ambient(pair, x)
-    if pair.form is None:
-        return True
-    return pair.form * x.transpose() * pair.form_inv == -x
+    return pair.form_entries is None or adjoint(pair, x) == -x
 
 
 def in_eigenspace(pair: SymmetricPair, x: RatMatrix, sign: int) -> bool:

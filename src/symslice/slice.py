@@ -150,11 +150,12 @@ def invariants_to_json(v: InvariantVector) -> str:
 
 
 def invariants_from_json(text: str) -> InvariantVector:
-    data = json.loads(text)
+    """Parse a JSON array of rationals; bare numbers are read exactly, not as floats."""
+    data = json.loads(text, parse_float=Fraction)
     if not isinstance(data, list):
         raise ValueError("invariant vector must be a JSON array of rationals")
     try:
-        vals = [Fraction(str(x)) for x in data]
+        vals = [x if isinstance(x, Fraction) else Fraction(str(x)) for x in data]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational in invariant vector: {exc}") from exc
     return InvariantVector(tuple(vals))

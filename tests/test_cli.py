@@ -4,6 +4,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
+from symslice import cli
 from symslice.cli import main, make_certificate, report_cases
 from symslice.exact import matrix_from_text, matrix_to_text, RatMatrix
 
@@ -91,6 +94,35 @@ def test_report_runs_and_is_deterministic(tmp_path):
     assert "pass" in err1
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cores,expected", [(8, [3]), (2, [2]), (None, [])])
+def test_report_jobs_clamped_to_tasks_and_cores(monkeypatch, cores, expected):
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    code, out, _ = run_cli(["report", "--gl-max", "2", "--trials", "1", "--jobs", "64"])
+    assert code == 0
+    assert json.loads(out)["total"] == 3
+    assert _InProcessPool.sizes == expected
+
+
 def test_report_empty_range_exits_0():
     code, out, _ = run_cli(["report"])
     assert code == 0
@@ -105,6 +137,28 @@ def test_slice_rep_gl11(tmp_path):
     )
     assert code == 0
     assert matrix_from_text(out) == RatMatrix([[0, 5], [1, 0]])
+
+
+def test_slice_rep_reads_bare_numbers_exactly(tmp_path):
+    inv = tmp_path / "inv.json"
+    inv.write_text("[-0.12345678901234567890, 0]")
+    code, out, _ = run_cli(
+        ["slice-rep", "--family", "gl", "--p", "1", "--q", "1", "--invariants", str(inv)]
+    )
+    assert code == 0
+    a = Fraction("0.12345678901234567890")
+    assert matrix_from_text(out) == RatMatrix([[0, a], [1, 0]])
+
+
+@pytest.mark.parametrize("text", ["[NaN, 0]", "[Infinity, 0]", '["nan", "0"]', '["-inf", "0"]'])
+def test_slice_rep_rejects_non_finite_exits_2(tmp_path, text):
+    inv = tmp_path / "inv.json"
+    inv.write_text(text)
+    code, out, _ = run_cli(
+        ["slice-rep", "--family", "gl", "--p", "1", "--q", "1", "--invariants", str(inv)]
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_slice_rep_length_mismatch_exits_2(tmp_path):
@@ -161,6 +215,17 @@ def test_canonicalize_rejects_garbage_file(tmp_path):
         ["canonicalize", "--family", "gl", "--p", "2", "--q", "1", "--matrix", str(mat)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_canonicalize_rejects_non_finite_entry(tmp_path, entry):
+    mat = tmp_path / "x.txt"
+    mat.write_text(f"2 2\n0 {entry}\n1 0\n")
+    code, out, _ = run_cli(
+        ["canonicalize", "--family", "gl", "--p", "1", "--q", "1", "--matrix", str(mat)]
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_canonicalize_rejects_non_member(tmp_path):

@@ -176,6 +176,14 @@ def test_matrix_text_rejects_bad_input():
         matrix_from_text("x y 1 2 3 4")
     with pytest.raises(ValueError):
         matrix_from_text("1 1 1/0")
+    for bad in ("nan", "inf", "-inf", "0x10"):
+        with pytest.raises(ValueError):
+            matrix_from_text(f"1 1 {bad}")
+
+
+def test_matrix_text_entries_are_exact_literals():
+    m = matrix_from_text("2 2\n3 -1/3\n0.1 2.5e-3\n")
+    assert m == RatMatrix([[F(3), F(-1, 3)], [F(1, 10), F(1, 400)]])
 
 
 def test_poly_must_be_monic():

@@ -1,11 +1,14 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from symslice.exact import RatMatrix, block_diag
+from symslice.exact import RatMatrix, block_diag, inverse, lincomb
 from symslice.pairs import (
     ConstraintViolation,
     Family,
+    adjoint,
     apply_theta,
     bracket,
     eigenspace_basis,
@@ -74,7 +77,10 @@ def test_forms_match_hand_built_blocks():
 def test_involution_squares_to_identity():
     for fam, p, q in SMALL:
         pr = make_pair(fam, p, q)
-        assert pr.invol * pr.invol == RatMatrix.identity(pr.n)
+        m = RatMatrix([[pr.n * i + j + 1 for j in range(pr.n)] for i in range(pr.n)])
+        assert apply_theta(pr, apply_theta(pr, m)) == m
+        if pr.form is not None:
+            assert adjoint(pr, adjoint(pr, m)) == m
 
 
 def test_apply_theta_block_structure():
@@ -83,7 +89,8 @@ def test_apply_theta_block_structure():
     anti = RatMatrix([[0, 0, 1], [0, 0, 2], [3, 4, 0]])
     assert apply_theta(pr, diag) == diag
     assert apply_theta(pr, anti) == -1 * anti
-    assert apply_theta(pr, pr.invol) == pr.invol
+    sig = RatMatrix.diagonal([1, 1, -1])
+    assert apply_theta(pr, sig) == sig
     assert apply_theta(pr, apply_theta(pr, anti)) == anti
 
 
@@ -96,6 +103,56 @@ def test_in_algebra_examples():
     assert in_algebra(pr, e)
     assert not in_algebra(pr, RatMatrix.identity(3))
     assert in_algebra(pr, RatMatrix.zeros(3, 3))
+
+
+# Every valid (family, p, q) with n = p + q <= 8.
+UP_TO_8 = [
+    (fam, p, q)
+    for fam in Family
+    for p in range(1, 8)
+    for q in range(1, p + 1)
+    if p + q <= 8
+    and not (fam is Family.ORTH and p - q > 1)
+    and not (fam is Family.SP and (p % 2 or q % 2))
+]
+
+
+def _random_matrix(rng, n):
+    return RatMatrix(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("family,p,q", UP_TO_8)
+def test_index_maps_match_dense_products(family, p, q):
+    """adjoint, apply_theta and in_eigenspace against their dense definitions."""
+    pr = make_pair(family, p, q)
+    n = pr.n
+    sig = RatMatrix.diagonal([1] * p + [-1] * q)
+    rng = random.Random(100 * p + q)
+    samples = [_random_matrix(rng, n) for _ in range(3)]
+    # theta-odd, but for o and sp not in g: only the form condition fails
+    samples.append(samples[0] - sig * samples[0] * sig)
+    for basis in (pr.basis_g, pr.basis_plus, pr.basis_minus):
+        coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+        samples.append(lincomb(coeffs, basis, n, n))
+    seen = set()
+    for x in samples:
+        assert apply_theta(pr, x) == sig * x * sig
+        if pr.form is None:
+            in_g = True
+            with pytest.raises(ValueError):
+                adjoint(pr, x)
+        else:
+            dense_adjoint = pr.form * x.transpose() * inverse(pr.form)
+            assert adjoint(pr, x) == dense_adjoint
+            in_g = dense_adjoint == -1 * x
+        for sign in (1, -1):
+            dense = in_g and sig * x * sig == sign * x
+            assert in_eigenspace(pr, x, sign) == dense
+            seen.add((sign, dense))
+    # members and non-members of both eigenspaces were exercised
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
 def test_eigenspace_dimensions():

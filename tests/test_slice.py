@@ -164,3 +164,14 @@ def test_invariants_json_roundtrip():
         invariants_from_json('{"not": "a list"}')
     with pytest.raises(ValueError):
         invariants_from_json('["1/0"]')
+
+
+def test_invariants_json_is_exact():
+    got = invariants_from_json('[0.12345678901234567890, 1e3, "2.5e-1", "-1/3", 7]')
+    want = (Fraction("0.12345678901234567890"), Fraction(1000), Fraction(1, 4),
+            Fraction(-1, 3), Fraction(7))
+    assert got.values == want
+    assert invariants_from_json("[1e5000]").values == (Fraction(10**5000),)
+    for bad in ("[NaN]", "[Infinity]", "[-Infinity]", '["nan"]', '["inf"]', "[true]", "[null]"):
+        with pytest.raises(ValueError):
+            invariants_from_json(bad)
