@@ -55,9 +55,11 @@ from .pairs import (
 )
 from .sl2 import NoTriple, Sl2Triple, complete_triple, verify_triple
 from .slice import (
+    InvariantVector,
     KostantSlice,
     NotFound,
     invariant_length,
+    invariant_values,
     invariants,
     invariants_from_json,
     invert_on_slice,
@@ -402,10 +404,14 @@ def cmd_canonicalize(args, out, err) -> int:
     except (OSError, ValueError) as exc:
         _error_json("InputError", str(exc), out)
         return EXIT_INPUT_ERROR
-    if x.shape != (pair.n, pair.n) or not in_eigenspace(pair, x, -1):
+    try:
+        if x.shape != (pair.n, pair.n):
+            raise MembershipError(f"expected a {pair.n} x {pair.n} matrix")
+        regular = is_relatively_regular(pair, x)
+    except MembershipError:
         _error_json("MembershipError", "input is not in g(-1) for this pair", out)
         return EXIT_INPUT_ERROR
-    if not is_relatively_regular(pair, x):
+    if not regular:
         _error_json("NotRegular", "input is not relatively regular", out)
         return EXIT_NOT_REGULAR
     if case.slc is None:
@@ -415,7 +421,8 @@ def cmd_canonicalize(args, out, err) -> int:
             out,
         )
         return EXIT_NOT_FOUND
-    target = invariants(pair, x)
+    # is_relatively_regular has checked membership
+    target = InvariantVector(invariant_values(pair, x))
     try:
         coords = invert_on_slice(case.slc, target)
     except NotFound as exc:

@@ -12,6 +12,7 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,11 @@ Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Largest |e| accepted in a decimal exponent such as 1e5: Fraction would
+# otherwise build 10**e digit by digit, tens of seconds for 1e10000000.
+MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 
 
 def _rat(x) -> Fraction:
@@ -304,6 +310,34 @@ def rank(m: RatMatrix) -> int:
     return len(_rref(rows, m.cols))
 
 
+def modular_rank(rows: list[list[int]], prime: int) -> int:
+    """Rank over GF(prime) of an integer matrix given by its rows.
+
+    Reduction mod a prime can only make minors vanish, so this is a
+    lower bound on the rank over Q.  Elimination runs column by column
+    and drops each column once it is cleared.
+    """
+    rows = [r for r in ([a % prime for a in row] for row in rows) if any(r)]
+    found = 0
+    while rows and rows[0]:
+        pick = next((i for i, r in enumerate(rows) if r[0]), None)
+        if pick is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(pick)
+        inv = pow(pivot[0], -1, prime)
+        tail = pivot[1:]
+        reduced = []
+        for r in rows:
+            f = r[0] * inv % prime
+            r = [(a - f * b) % prime for a, b in zip(r[1:], tail)] if f else r[1:]
+            if any(r):
+                reduced.append(r)
+        rows = reduced
+        found += 1
+    return found
+
+
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
@@ -371,6 +405,12 @@ class Poly:
         return " + ".join(terms) if terms else "0"
 
 
+def integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
+    """(d * m as integer rows, d) for the least common denominator d of m."""
+    den = math.lcm(*(x.denominator for row in m._e for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m._e], den
+
+
 def _matmul_int(a, b):
     n = len(a)
     m = len(b[0]) if b else 0
@@ -399,11 +439,7 @@ def charpoly(m: RatMatrix) -> Poly:
     n = m.rows
     if n == 0:
         return Poly((_ONE,))
-    den = 1
-    for row in m._e:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in m._e]
+    a, den = integer_rows(m)
     cs = [0] * (n + 1)
     cs[n] = 1
     mk = [row[:] for row in a]
@@ -489,6 +525,20 @@ def matrix_to_text(m: RatMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rational_from_text(token: str) -> Fraction:
+    """An exact Fraction literal: a, a/b, or a decimal such as 0.5 or 1e3.
+
+    A decimal exponent beyond MAX_EXPONENT in absolute value raises
+    ValueError before any digit of 10**e is built.
+    """
+    m = _EXPONENT.search(token)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT} in {token[:40]!r}")
+    return Fraction(token)
+
+
 def matrix_from_text(text: str) -> RatMatrix:
     toks = text.split()
     if len(toks) < 2:
@@ -503,7 +553,7 @@ def matrix_from_text(text: str) -> RatMatrix:
     if len(entries) != r * c:
         raise ValueError(f"expected {r * c} entries, found {len(entries)}")
     try:
-        vals = [Fraction(t) for t in entries]
+        vals = [rational_from_text(t) for t in entries]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational entry in matrix text: {exc}") from exc
     return RatMatrix([vals[i * c : (i + 1) * c] for i in range(r)], cols=c)

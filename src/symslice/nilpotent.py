@@ -3,13 +3,16 @@
 Each family carries an explicit banded nilpotent element in the odd
 part of the symmetric pair.  The centralizer inside g(-1) is computed
 generically as the kernel of the bracket map restricted to the g(-1)
-coordinates; the hand-parameterized banded solution families are kept
-alongside purely as an independent oracle and never feed the
-production path.
+coordinates, a system read entrywise from x and the integer support of
+each basis matrix; the hand-parameterized banded solution families are
+kept alongside purely as an independent oracle and never feed the
+production path.  Relative regularity is certified by the rank of the
+same system modulo a prime and falls back to the exact kernel.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +20,12 @@ from .exact import (
     RatMatrix,
     block_antidiag,
     hstack,
+    integer_rows,
     kernel_basis,
     lincomb,
+    modular_rank,
     nilpotency_index,
     shift_power,
-    vec,
     vstack,
 )
 from .matspace import from_matrix_space
@@ -29,13 +33,16 @@ from .pairs import (
     Family,
     MembershipError,
     SymmetricPair,
-    bracket,
     exchange,
     in_eigenspace,
 )
 
+log = logging.getLogger(__name__)
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Modulus of the regularity certificate, the Mersenne prime 2^61 - 1.
+_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,30 @@ def regular_nilpotent(pair: SymmetricPair) -> RatMatrix:
     return from_matrix_space(pair, a)
 
 
+def _ad_rows(pair: SymmetricPair, x_rows) -> list[list]:
+    """The nonzero rows of ad_x in the coordinates of the g(-1) basis.
+
+    Column j is vec([x, b_j]), read straight from the entries of x: for
+    b_j = sum c E_kl, x E_kl puts column k of x into column l and E_kl x
+    puts row l of x into row k.  Rows are in vec order, so the kernel is
+    the one of the full n^2-row system.  x_rows may hold Fractions or
+    integers.
+    """
+    n = pair.n
+    width = len(pair.minus_support)
+    system: dict[int, list] = {}
+    for col, support in enumerate(pair.minus_support):
+        for k, l, c in support:
+            for i in range(n):
+                a = x_rows[i][k]
+                if a:
+                    system.setdefault(i * n + l, [0] * width)[col] += c * a
+            for j, a in enumerate(x_rows[l]):
+                if a:
+                    system.setdefault(k * n + j, [0] * width)[col] -= c * a
+    return [system[idx] for idx in sorted(system) if any(system[idx])]
+
+
 def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     """Canonical basis of {z in g(-1) : [x, z] = 0}.
 
@@ -106,9 +137,7 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     if x.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {x.shape}")
     basis = pair.basis_minus
-    cols = [vec(bracket(x, b)) for b in basis]
-    nn = pair.n * pair.n
-    rows = [[cols[j][idx] for j in range(len(basis))] for idx in range(nn)]
+    rows = _ad_rows(pair, [x.row(i) for i in range(x.rows)])
     coeff_vectors = kernel_basis(RatMatrix(rows, cols=len(basis)))
     out = []
     for v in coeff_vectors:
@@ -118,10 +147,31 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
 
 
 def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
-    """Minimal-centralizer test: the centralizer in g(-1) has dimension rank theta."""
+    """Minimal-centralizer test: the centralizer in g(-1) has dimension rank theta.
+
+    dim z(x) >= rank theta for every x in g(-1) (Kostant-Rallis), and
+    the rank of ad_x mod _PRIME is at most its rank over Q.  So a mod-p
+    rank of dim g(-1) - rank theta certifies regularity; any other
+    result is decided by the exact kernel, the only source of False.
+    """
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
-    return len(centralizer(pair, x)) == pair.rank_theta
+    ints, _ = integer_rows(x)
+    rows = _ad_rows(pair, [[a % _PRIME for a in row] for row in ints])
+    dim = len(pair.basis_minus)
+    r = modular_rank(rows, _PRIME)
+    if dim - r == pair.rank_theta:
+        log.debug("regular by mod-p certificate: ad system %d x %d, rank %d", len(rows), dim, r)
+        return True
+    cdim = len(centralizer(pair, x))
+    log.debug(
+        "regularity by exact fallback: ad system %d x %d, mod-p rank %d, centralizer dim %d",
+        len(rows),
+        dim,
+        r,
+        cdim,
+    )
+    return cdim == pair.rank_theta
 
 
 def make_witness(pair: SymmetricPair) -> NilpotentWitness:

@@ -5,7 +5,9 @@ the one module that knows the form J and the involution theta; both act
 on matrix entries as signed permutations.  theta negates the two
 off-diagonal blocks, and the monomial form is read once into index maps
 (`SymmetricPair.form_entries`) from which `adjoint` and the membership
-conditions are evaluated entrywise.  The eigenspaces are computed
+conditions are evaluated entrywise.  Each g(-1) basis matrix is also
+kept as its integer support (`SymmetricPair.minus_support`), from which
+`nilpotent` reads the bracket system.  The eigenspaces are computed
 generically by solving the defining linear conditions with the exact
 kernel machinery, never from hand-coded per-family formulas; the
 closed-form descriptions elsewhere serve as independent cross-checks.
@@ -72,6 +74,7 @@ class SymmetricPair:
     basis_g: tuple
     basis_plus: tuple
     basis_minus: tuple
+    minus_support: tuple
     rank_theta: int
 
     def __repr__(self):
@@ -122,6 +125,18 @@ def _theta_rows(n, p, sign):
                 row[i * n + j] = c
                 rows.append(row)
     return rows
+
+
+def _integer_support(m: RatMatrix) -> tuple:
+    """(k, l, c) for each nonzero entry c = m[k, l]; every entry must be an integer."""
+    out = []
+    for k in range(m.rows):
+        for l, c in enumerate(m.row(k)):
+            if c:
+                if c.denominator != 1:
+                    raise AssertionError("eigenspace basis matrix is not integral")
+                out.append((k, l, c.numerator))
+    return tuple(out)
 
 
 def _solve_conditions(n, rows):
@@ -183,6 +198,7 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         basis_g=basis_g,
         basis_plus=basis_plus,
         basis_minus=basis_minus,
+        minus_support=tuple(_integer_support(b) for b in basis_minus),
         rank_theta=rank_theta,
     )
 

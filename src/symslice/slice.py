@@ -35,6 +35,7 @@ from .exact import (
     lincomb,
     pfaffian,
     rank as matrix_rank,
+    rational_from_text,
     solve,
     vec,
 )
@@ -134,11 +135,12 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
-    return InvariantVector(_invariant_values(pair, x))
+    return InvariantVector(invariant_values(pair, x))
 
 
-def _invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
-    # membership-free, for points the caller knows lie in g(-1)
+def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
+    """The values of `invariants` without the membership check, for
+    points the caller already knows lie in g(-1)."""
     vals = charpoly(x).coeffs[:-1]
     if _needs_pfaffian(pair):
         vals = vals + (pfaffian(x * pair.form),)
@@ -151,11 +153,11 @@ def invariants_to_json(v: InvariantVector) -> str:
 
 def invariants_from_json(text: str) -> InvariantVector:
     """Parse a JSON array of rationals; bare numbers are read exactly, not as floats."""
-    data = json.loads(text, parse_float=Fraction)
+    data = json.loads(text, parse_float=rational_from_text)
     if not isinstance(data, list):
         raise ValueError("invariant vector must be a JSON array of rationals")
     try:
-        vals = [x if isinstance(x, Fraction) else Fraction(str(x)) for x in data]
+        vals = [x if isinstance(x, Fraction) else rational_from_text(str(x)) for x in data]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational in invariant vector: {exc}") from exc
     return InvariantVector(tuple(vals))
@@ -244,7 +246,7 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
     }
     nodes = _nodes(max(len(s) for s in supports.values()), d)
     samples = [
-        _invariant_values(pair, slc.triple.f + lincomb(u, graded, n, n)) for u in nodes
+        invariant_values(pair, slc.triple.f + lincomb(u, graded, n, n)) for u in nodes
     ]
     coeffs = {}
     for m, support in supports.items():
@@ -301,7 +303,7 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
         for j, x in zip(block.coords, _matvec(block.linear_inv, rhs)):
             u[j] = x
     coords = _matvec(tables.to_seed, u)
-    if _invariant_values(pair, slice_point(slc, coords)) != target.values:
+    if invariant_values(pair, slice_point(slc, coords)) != target.values:
         raise NotFound("no slice point has these invariants")
     return coords
 
@@ -343,7 +345,7 @@ def jacobian_rank_at(slc: KostantSlice, coords) -> int:
         for t in range(n + 1):
             shifted = list(coords)
             shifted[i] += t
-            samples.append(_invariant_values(pair, slice_point(slc, shifted)))
+            samples.append(invariant_values(pair, slice_point(slc, shifted)))
         col = [
             sum((w * s[k] for w, s in zip(weights, samples)), _ZERO)
             for k in range(nvals)

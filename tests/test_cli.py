@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -198,6 +199,23 @@ def test_canonicalize_slice_point_returns_own_coords(tmp_path):
     assert matrix_from_text(rest) == x
 
 
+def test_canonicalize_checks_membership_once(tmp_path, monkeypatch):
+    from symslice import pairs
+    from symslice.cli import build_case
+    from symslice.slice import slice_point
+
+    case = build_case("o", 3, 2)
+    mat = tmp_path / "x.txt"
+    mat.write_text(matrix_to_text(slice_point(case.slc, [Fraction(5), Fraction(1, 2)])))
+    argv = ["canonicalize", "--family", "o", "--p", "3", "--q", "2", "--matrix", str(mat)]
+    assert run_cli(argv)[0] == 0  # builds the slice's inversion tables
+    calls = []
+    in_algebra = pairs.in_algebra
+    monkeypatch.setattr(pairs, "in_algebra", lambda *a: calls.append(1) or in_algebra(*a))
+    assert run_cli(argv)[0] == 0
+    assert len(calls) == 1
+
+
 def test_canonicalize_rejects_non_regular(tmp_path):
     mat = tmp_path / "zero.txt"
     mat.write_text(matrix_to_text(RatMatrix.zeros(3, 3)))
@@ -226,6 +244,32 @@ def test_canonicalize_rejects_non_finite_entry(tmp_path, entry):
     )
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "-1E+10000000", "1e-10000000", "1e10001"])
+def test_canonicalize_rejects_huge_exponent(tmp_path, entry):
+    mat = tmp_path / "x.txt"
+    mat.write_text(f"2 2\n0 {entry}\n1 0\n")
+    code, out, _ = run_cli(
+        ["canonicalize", "--family", "gl", "--p", "1", "--q", "1", "--matrix", str(mat)]
+    )
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "InputError" and "exponent" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "text", ['[1e10000000, "0"]', '["1e10000000", "0"]', '[0, "-1e-10000000"]', '[1E10001, 0]']
+)
+def test_slice_rep_rejects_huge_exponent(tmp_path, text):
+    inv = tmp_path / "inv.json"
+    inv.write_text(text)
+    code, out, _ = run_cli(
+        ["slice-rep", "--family", "gl", "--p", "1", "--q", "1", "--invariants", str(inv)]
+    )
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "InputError" and "exponent" in err["message"]
 
 
 def test_canonicalize_rejects_non_member(tmp_path):
@@ -259,6 +303,19 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passing"] is True
+
+
+def test_debug_log_names_the_regularity_path_and_leaves_certificates_unchanged():
+    argv = [sys.executable, "-m", "symslice", "verify", "--family", "o",
+            "--p", "3", "--q", "3", "--trials", "2"]
+    runs = {}
+    for level in ("error", "debug"):
+        env = dict(os.environ, KS_LOG=level)
+        runs[level] = subprocess.run(argv, capture_output=True, timeout=300, env=env)
+        assert runs[level].returncode == 0, runs[level].stderr
+    assert runs["debug"].stdout == runs["error"].stdout
+    assert b"regular by mod-p certificate: ad system" in runs["debug"].stderr
+    assert runs["error"].stderr == b""
 
 
 def test_negative_trials_exit_2():

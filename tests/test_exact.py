@@ -4,16 +4,20 @@ from fractions import Fraction
 import pytest
 
 from symslice.exact import (
+    MAX_EXPONENT,
     Poly,
     RatMatrix,
     charpoly,
+    integer_rows,
     inverse,
     kernel_basis,
     matrix_from_text,
     matrix_to_text,
+    modular_rank,
     nilpotency_index,
     pfaffian,
     rank,
+    rational_from_text,
     solve,
     spans_equal,
 )
@@ -184,6 +188,37 @@ def test_matrix_text_rejects_bad_input():
 def test_matrix_text_entries_are_exact_literals():
     m = matrix_from_text("2 2\n3 -1/3\n0.1 2.5e-3\n")
     assert m == RatMatrix([[F(3), F(-1, 3)], [F(1, 10), F(1, 400)]])
+
+
+def test_exponent_literals_are_bounded():
+    assert MAX_EXPONENT == 10_000
+    assert rational_from_text("1e10000") == 10**10000
+    assert rational_from_text("-2.5E-1_0000") == F(-25, 10**10001)
+    assert rational_from_text("1e+0010000") == 10**10000
+    for bad in ("1e10001", "1e-10001", "1E+10000000", "1e" + "9" * 5000, "0.5e1_0001"):
+        with pytest.raises(ValueError, match="exponent"):
+            rational_from_text(bad)
+        with pytest.raises(ValueError, match="exponent"):
+            matrix_from_text(f"1 1 {bad}")
+
+
+def test_integer_rows_clear_the_least_common_denominator():
+    ints, den = integer_rows(RatMatrix([[F(1, 2), F(-1, 3)], [F(0), F(5)]]))
+    assert (ints, den) == ([[3, -2], [0, 30]], 6)
+
+
+def test_modular_rank_is_a_lower_bound_equal_for_a_large_prime():
+    big = 2**61 - 1
+    rng = random.Random(17)
+    for _ in range(40):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
+        assert modular_rank(rows, big) == rank(RatMatrix(rows))
+        assert modular_rank(rows, 3) <= rank(RatMatrix(rows))
+    assert modular_rank([[big, 0], [0, 2 * big]], big) == 0
+    assert modular_rank([[1, 1], [1, 1 + big]], big) == 1
+    assert modular_rank([[1, 1], [1, 4]], 3) == 1 < rank(RatMatrix([[1, 1], [1, 4]]))
+    assert modular_rank([], big) == 0
 
 
 def test_poly_must_be_monic():
