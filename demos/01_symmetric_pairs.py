@@ -1,7 +1,7 @@
 """Build symmetric pairs for the three families and look around.
 
-Each pair carries the ambient algebra, the involution, and cached bases
-of both eigenspaces, all over exact rationals.
+Each pair carries the form, the involution, and cached bases of both
+eigenspaces, all over exact rationals; together they are a basis of g.
 """
 
 from symslice import Family, apply_theta, bracket, in_algebra, make_pair
@@ -9,7 +9,8 @@ from symslice import Family, apply_theta, bracket, in_algebra, make_pair
 for family, p, q in [(Family.GL, 3, 2), (Family.ORTH, 3, 2), (Family.SP, 4, 2)]:
     pair = make_pair(family, p, q)
     print(f"{family.name} pair with blocks ({p}, {q}):")
-    print(f"  ambient dimension  dim g     = {len(pair.basis_g)}")
+    dim_g = len(pair.basis_plus) + len(pair.basis_minus)
+    print(f"  ambient dimension  dim g     = {dim_g}")
     print(f"  fixed part         dim g(+1) = {len(pair.basis_plus)}")
     print(f"  odd part           dim g(-1) = {len(pair.basis_minus)}")
     print(f"  rank of the involution       = {pair.rank_theta}")

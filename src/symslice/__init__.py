@@ -25,6 +25,7 @@ from .exact import (
     spans_equal,
 )
 from .pairs import (
+    MAX_SIZE,
     ConstraintViolation,
     Family,
     MembershipError,

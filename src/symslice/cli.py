@@ -46,10 +46,12 @@ from .nilpotent import (
     make_witness,
 )
 from .pairs import (
+    MAX_SIZE,
     ConstraintViolation,
     Family,
     MembershipError,
     SymmetricPair,
+    check_constraints,
     in_eigenspace,
     make_pair,
 )
@@ -96,35 +98,26 @@ class CasePipeline:
 
 
 @lru_cache(maxsize=None)
-def _case_core(family_value: str, p: int, q: int) -> CaseCore:
+def _case(family_value: str, p: int, q: int) -> CasePipeline:
     pair = make_pair(Family(family_value), p, q)
     witness = make_witness(pair)
-    closed = tuple(closed_form_centralizer(pair))
-    return CaseCore(pair=pair, witness=witness, closed_form=closed)
-
-
-@lru_cache(maxsize=None)
-def _case_pipeline(family_value: str, p: int, q: int) -> CasePipeline:
-    core = _case_core(family_value, p, q)
+    core = CaseCore(pair=pair, witness=witness, closed_form=tuple(closed_form_centralizer(pair)))
     try:
-        triple = complete_triple(core.pair, core.witness.e)
-        slc = make_slice(core.pair, triple)
+        triple = complete_triple(pair, witness.e)
+        slc = make_slice(pair, triple)
         return CasePipeline(core=core, triple=triple, slc=slc, triple_error=None)
     except NoTriple as exc:
         log.info("no sl2 completion for (%s, %d, %d): %s", family_value, p, q, exc)
         return CasePipeline(core=core, triple=None, slc=None, triple_error=str(exc))
 
 
-def build_case(family, p: int, q: int, with_triple: bool = True):
+def build_case(family, p: int, q: int) -> CasePipeline:
     """Construct (and cache) the per-case pipeline.
 
-    Raises ConstraintViolation for invalid parameters.  With
-    with_triple=False only the constructions are computed.
+    Raises ConstraintViolation for invalid parameters.
     """
     family = Family(family) if not isinstance(family, Family) else family
-    if with_triple:
-        return _case_pipeline(family.value, p, q)
-    return _case_core(family.value, p, q)
+    return _case(family.value, p, q)
 
 
 def _sub_rng(seed: int, family: Family, p: int, q: int, tag: str) -> random.Random:
@@ -319,7 +312,14 @@ def _report_worker(task):
 def cmd_report(args, out, err) -> int:
     if _bad_trials(args, out):
         return EXIT_INPUT_ERROR
-    cases = report_cases(args.gl_max, args.o_max, args.sp_max)
+    # a maximum above MAX_SIZE + 1 already yields a case with p + q > MAX_SIZE
+    cases = report_cases(*(min(m, MAX_SIZE + 1) for m in (args.gl_max, args.o_max, args.sp_max)))
+    try:
+        for case in cases:
+            check_constraints(*case)
+    except ConstraintViolation as exc:
+        _error_json("ConstraintViolation", str(exc), out)
+        return EXIT_INPUT_ERROR
     tasks = [(f, p, q, args.seed, args.trials) for f, p, q in cases]
     # the fork start method launches every worker up front
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)

@@ -2,10 +2,10 @@
 
 Each family carries an explicit banded nilpotent element in the odd
 part of the symmetric pair.  The centralizer inside g(-1) is computed
-generically as the kernel of the bracket map restricted to the g(-1)
-coordinates, a system read entrywise from x and the integer support of
-each basis matrix; the hand-parameterized banded solution families are
-kept alongside purely as an independent oracle and never feed the
+generically as the kernel of ad_x in the g(-1) coordinates, the system
+`pairs.ad_rows` reads from x and the integer support of each basis
+matrix; the hand-parameterized banded solution families are kept
+alongside purely as an independent oracle and never feed the
 production path.  Relative regularity is certified by the rank of the
 same system modulo a prime and falls back to the exact kernel.
 """
@@ -33,6 +33,7 @@ from .pairs import (
     Family,
     MembershipError,
     SymmetricPair,
+    ad_rows,
     exchange,
     in_eigenspace,
 )
@@ -104,30 +105,6 @@ def regular_nilpotent(pair: SymmetricPair) -> RatMatrix:
     return from_matrix_space(pair, a)
 
 
-def _ad_rows(pair: SymmetricPair, x_rows) -> list[list]:
-    """The nonzero rows of ad_x in the coordinates of the g(-1) basis.
-
-    Column j is vec([x, b_j]), read straight from the entries of x: for
-    b_j = sum c E_kl, x E_kl puts column k of x into column l and E_kl x
-    puts row l of x into row k.  Rows are in vec order, so the kernel is
-    the one of the full n^2-row system.  x_rows may hold Fractions or
-    integers.
-    """
-    n = pair.n
-    width = len(pair.minus_support)
-    system: dict[int, list] = {}
-    for col, support in enumerate(pair.minus_support):
-        for k, l, c in support:
-            for i in range(n):
-                a = x_rows[i][k]
-                if a:
-                    system.setdefault(i * n + l, [0] * width)[col] += c * a
-            for j, a in enumerate(x_rows[l]):
-                if a:
-                    system.setdefault(k * n + j, [0] * width)[col] -= c * a
-    return [system[idx] for idx in sorted(system) if any(system[idx])]
-
-
 def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     """Canonical basis of {z in g(-1) : [x, z] = 0}.
 
@@ -137,13 +114,9 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     if x.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {x.shape}")
     basis = pair.basis_minus
-    rows = _ad_rows(pair, [x.row(i) for i in range(x.rows)])
-    coeff_vectors = kernel_basis(RatMatrix(rows, cols=len(basis)))
-    out = []
-    for v in coeff_vectors:
-        coeffs = [v[j, 0] for j in range(len(basis))]
-        out.append(lincomb(coeffs, basis, pair.n, pair.n))
-    return out
+    rows = list(ad_rows(pair, [x.row(i) for i in range(x.rows)], pair.minus_support).values())
+    vectors = kernel_basis(RatMatrix(rows, cols=len(basis)))
+    return [lincomb([v[j, 0] for j in range(v.rows)], basis, pair.n, pair.n) for v in vectors]
 
 
 def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
@@ -157,7 +130,8 @@ def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
     ints, _ = integer_rows(x)
-    rows = _ad_rows(pair, [[a % _PRIME for a in row] for row in ints])
+    reduced = [[a % _PRIME for a in row] for row in ints]
+    rows = list(ad_rows(pair, reduced, pair.minus_support).values())
     dim = len(pair.basis_minus)
     r = modular_rank(rows, _PRIME)
     if dim - r == pair.rank_theta:

@@ -5,12 +5,12 @@ the one module that knows the form J and the involution theta; both act
 on matrix entries as signed permutations.  theta negates the two
 off-diagonal blocks, and the monomial form is read once into index maps
 (`SymmetricPair.form_entries`) from which `adjoint` and the membership
-conditions are evaluated entrywise.  Each g(-1) basis matrix is also
-kept as its integer support (`SymmetricPair.minus_support`), from which
-`nilpotent` reads the bracket system.  The eigenspaces are computed
-generically by solving the defining linear conditions with the exact
-kernel machinery, never from hand-coded per-family formulas; the
-closed-form descriptions elsewhere serve as independent cross-checks.
+conditions are evaluated entrywise.  The eigenspaces g(1) and g(-1)
+are computed generically by solving the defining linear conditions with
+the exact kernel machinery, never from hand-coded per-family formulas.
+Each basis matrix is also kept as its integer support (`plus_support`,
+`minus_support`), from which `ad_rows` writes z -> [x, z]: every bracket
+equation of `nilpotent` and `sl2` is a system built by it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .exact import RatMatrix, block_diag, kernel_basis
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Largest p + q accepted: the eigenspaces are solved in (p + q)^2 unknowns.
+MAX_SIZE = 32
 
 
 class Family(enum.Enum):
@@ -71,9 +73,9 @@ class SymmetricPair:
     n: int
     form: RatMatrix | None
     form_entries: tuple | None
-    basis_g: tuple
     basis_plus: tuple
     basis_minus: tuple
+    plus_support: tuple
     minus_support: tuple
     rank_theta: int
 
@@ -148,12 +150,12 @@ def _solve_conditions(n, rows):
     return tuple(out)
 
 
-def make_pair(family, p: int, q: int) -> SymmetricPair:
-    """Build the symmetric pair for (family, p, q), validating the constraints.
+def check_constraints(family, p: int, q: int) -> Family:
+    """Validate (family, p, q) without building anything; returns the Family.
 
     p < q is rejected rather than swapped: all constructions assume
     p >= q and the symmetry of the setup makes the swap a caller-side
-    relabeling.
+    relabeling.  p + q is capped at MAX_SIZE.
     """
     family = Family(family) if not isinstance(family, Family) else family
     if not isinstance(p, int) or not isinstance(q, int):
@@ -162,11 +164,18 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         raise ConstraintViolation(family, p, q, "q must be at least 1")
     if p < q:
         raise ConstraintViolation(family, p, q, "p < q is rejected; swap the blocks")
+    if p + q > MAX_SIZE:
+        raise ConstraintViolation(family, p, q, f"p + q must be at most {MAX_SIZE}")
     if family is Family.ORTH and p - q > 1:
         raise ConstraintViolation(family, p, q, "orthogonal pairs need |p - q| <= 1")
     if family is Family.SP and (p % 2 or q % 2):
         raise ConstraintViolation(family, p, q, "symplectic pairs need p and q even")
+    return family
 
+
+def make_pair(family, p: int, q: int) -> SymmetricPair:
+    """Build the symmetric pair for (family, p, q), validating the constraints."""
+    family = check_constraints(family, p, q)
     n = p + q
     if family is Family.GL:
         form = None
@@ -177,7 +186,6 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
     entries = None if form is None else _form_entries(form)
 
     memb = _membership_rows(n, entries)
-    basis_g = _solve_conditions(n, memb)
     basis_plus = _solve_conditions(n, memb + _theta_rows(n, p, +1))
     basis_minus = _solve_conditions(n, memb + _theta_rows(n, p, -1))
 
@@ -195,9 +203,9 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         n=n,
         form=form,
         form_entries=entries,
-        basis_g=basis_g,
         basis_plus=basis_plus,
         basis_minus=basis_minus,
+        plus_support=tuple(_integer_support(b) for b in basis_plus),
         minus_support=tuple(_integer_support(b) for b in basis_minus),
         rank_theta=rank_theta,
     )
@@ -249,6 +257,29 @@ def eigenspace_basis(pair: SymmetricPair, sign: int) -> tuple:
     if sign == -1:
         return pair.basis_minus
     raise ValueError("sign must be +1 or -1")
+
+
+def ad_rows(pair: SymmetricPair, x_rows, support: tuple) -> dict[int, list]:
+    """The nonzero rows of z -> [x, z] on a basis given by its integer support.
+
+    Column j is vec([x, b_j]) for b_j = sum c E_kl over (k, l, c) in
+    support[j] (empty: a zero column): x E_kl puts column k of x into
+    column l, E_kl x puts row l of x into row k.  Rows are keyed by vec
+    index, ascending.  x_rows may hold Fractions or integers.
+    """
+    n = pair.n
+    width = len(support)
+    system: dict[int, list] = {}
+    for col, terms in enumerate(support):
+        for k, l, c in terms:
+            for i in range(n):
+                a = x_rows[i][k]
+                if a:
+                    system.setdefault(i * n + l, [0] * width)[col] += c * a
+            for j, a in enumerate(x_rows[l]):
+                if a:
+                    system.setdefault(k * n + j, [0] * width)[col] -= c * a
+    return {idx: system[idx] for idx in sorted(system) if any(system[idx])}
 
 
 def bracket(x: RatMatrix, y: RatMatrix) -> RatMatrix:

@@ -6,6 +6,10 @@ ad_e; then, with h fixed, f in g(-1) is pinned down by [e, f] = h and
 [h, f] = -2f.  Canonical particular solutions (zero in every non-pivot
 coordinate) keep the output deterministic; the second system has a
 unique solution anyway, which the tests check.
+
+In [e, y] = h, y ranges over g(-1) only: h lies in g(1), and ad_e maps
+g(1) into g(-1), so h is in [e, g] exactly when it is in [e, g(-1)].
+Every system is written by `pairs.ad_rows`.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ from fractions import Fraction
 
 from .exact import RatMatrix, lincomb, solve, vec
 from .nilpotent import is_relatively_regular
-from .pairs import MembershipError, SymmetricPair, bracket, in_eigenspace
-
-_ZERO = Fraction(0)
+from .pairs import MembershipError, SymmetricPair, ad_rows, bracket, in_eigenspace
 
 
 class NoTriple(RuntimeError):
@@ -29,6 +31,24 @@ class Sl2Triple:
     e: RatMatrix
     f: RatMatrix
     h: RatMatrix
+
+
+def _add_coordinates(system: dict, n: int, support: tuple, scale: int, width: int):
+    """Add scale * vec(b_j) to column j of a system keyed by vec index."""
+    for col, terms in enumerate(support):
+        for k, l, c in terms:
+            system.setdefault(k * n + l, [0] * width)[col] += scale * c
+
+
+def _solve(equations, width: int) -> list[Fraction] | None:
+    """Canonical solution of stacked (system keyed by vec index, right-hand matrix) pairs."""
+    rows, rhs = [], []
+    for system, target in equations:
+        for idx, b in enumerate(vec(target)):
+            if idx in system or b:
+                rows.append(system.get(idx, [0] * width))
+                rhs.append(b)
+    return solve(RatMatrix(rows, cols=width), rhs)
 
 
 def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
@@ -44,59 +64,31 @@ def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
         raise NoTriple("e = 0 cannot be part of an sl2 triple")
 
     n = pair.n
-    nn = n * n
-    plus = pair.basis_plus
-    amb = pair.basis_g
-    dp, dg = len(plus), len(amb)
+    plus, minus = pair.basis_plus, pair.basis_minus
+    dp, dm = len(plus), len(minus)
+    e_rows = [e.row(i) for i in range(n)]
 
-    # Joint system over (h, y): [h, e] = 2e and [e, y] = h.
-    cols_he = [vec(bracket(b, e)) for b in plus]
-    cols_ey = [vec(bracket(e, b)) for b in amb]
-    cols_p = [vec(b) for b in plus]
-    target = vec(2 * e)
-    rows = []
-    rhs = []
-    for idx in range(nn):
-        rows.append([cols_he[j][idx] for j in range(dp)] + [_ZERO] * dg)
-        rhs.append(target[idx])
-    for idx in range(nn):
-        rows.append(
-            [-cols_p[j][idx] for j in range(dp)]
-            + [cols_ey[j][idx] for j in range(dg)]
-        )
-        rhs.append(_ZERO)
-    sol = solve(RatMatrix(rows, cols=dp + dg), rhs)
+    # Joint system over (h, y) in g(1) x g(-1): [e, h] = -2e and [e, y] = h.
+    he = ad_rows(pair, e_rows, pair.plus_support + ((),) * dm)
+    ey = ad_rows(pair, e_rows, ((),) * dp + pair.minus_support)
+    _add_coordinates(ey, n, pair.plus_support, -1, dp + dm)
+    sol = _solve([(he, -2 * e), (ey, RatMatrix.zeros(n, n))], dp + dm)
     if sol is None:
         raise NoTriple("no h in g(1) with [h,e] = 2e lies in the image of ad_e")
     h = lincomb(sol[:dp], plus, n, n)
 
     # With h fixed: f in g(-1) with [e, f] = h and [h, f] = -2f.
-    minus = pair.basis_minus
-    dm = len(minus)
-    cols_ef = [vec(bracket(e, b)) for b in minus]
-    cols_hf = [vec(bracket(h, b) + 2 * b) for b in minus]
-    hvec = vec(h)
-    rows = []
-    rhs = []
-    for idx in range(nn):
-        rows.append([cols_ef[j][idx] for j in range(dm)])
-        rhs.append(hvec[idx])
-    for idx in range(nn):
-        rows.append([cols_hf[j][idx] for j in range(dm)])
-        rhs.append(_ZERO)
-    sol = solve(RatMatrix(rows, cols=dm), rhs)
+    ef = ad_rows(pair, e_rows, pair.minus_support)
+    hf = ad_rows(pair, [h.row(i) for i in range(n)], pair.minus_support)
+    _add_coordinates(hf, n, pair.minus_support, 2, dm)
+    sol = _solve([(ef, h), (hf, RatMatrix.zeros(n, n))], dm)
     if sol is None:
         raise NoTriple("the f system is inconsistent for this (e, h)")
     f = lincomb(sol, minus, n, n)
 
-    triple = Sl2Triple(e=e, f=f, h=h)
-    if not (
-        bracket(h, e) == 2 * e
-        and bracket(h, f) == -2 * f
-        and bracket(e, f) == h
-    ):
+    if bracket(h, e) != 2 * e or bracket(h, f) != -2 * f or bracket(e, f) != h:
         raise NoTriple("completion failed exact verification")
-    return triple
+    return Sl2Triple(e=e, f=f, h=h)
 
 
 def verify_triple(pair: SymmetricPair, t: Sl2Triple) -> list[tuple[str, bool]]:

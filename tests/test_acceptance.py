@@ -81,7 +81,7 @@ def test_criterion_1_construction_suite(capfd):
     t0 = time.time()
     failures = []
     for fam, p, q in CASES:
-        core = build_case(fam, p, q, with_triple=False)
+        core = build_case(fam, p, q).core
         wit = core.witness
         ok = (
             in_eigenspace(core.pair, wit.e, -1)
@@ -101,7 +101,7 @@ def test_criterion_1_construction_suite(capfd):
 def test_criterion_2_oracle_equivalence(capfd):
     failures = []
     for fam, p, q in CASES:
-        core = build_case(fam, p, q, with_triple=False)
+        core = build_case(fam, p, q).core
         if not spans_equal(core.witness.centralizer_basis, core.closed_form):
             failures.append((fam, p, q))
     report_line(capfd, 2, "closed-form oracle equivalence", failures, f"{len(CASES)} cases")
@@ -201,7 +201,7 @@ def test_criterion_6_equivariance(capfd):
     failures = []
     draws = 20
     for fam, p, q in CASES:
-        core = build_case(fam, p, q, with_triple=False)
+        core = build_case(fam, p, q).core
         pair = core.pair
         rng = case_rng("equiv", fam, p, q)
         for t in range(draws):

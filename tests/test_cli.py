@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from symslice import cli
 from symslice.cli import main, make_certificate, report_cases
 from symslice.exact import matrix_from_text, matrix_to_text, RatMatrix
+from symslice.pairs import MAX_SIZE
 
 
 def run_cli(argv):
@@ -48,6 +50,27 @@ def test_verify_bad_parity_exits_2():
     code, out, _ = run_cli(["verify", "--family", "sp", "--p", "3", "--q", "2"])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ConstraintViolation"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "gl", "--p", "1000", "--q", "1000"],
+        ["report", "--gl-max", "17", "--trials", "0"],
+        ["report", "--o-max", "33", "--trials", "0"],
+        ["report", "--sp-max", "10000000000", "--trials", "0"],
+        ["slice-rep", "--family", "o", "--p", "17", "--q", "16", "--invariants", "missing.json"],
+        ["canonicalize", "--family", "sp", "--p", "18", "--q", "16", "--matrix", "missing.txt"],
+    ],
+)
+def test_oversized_pair_exits_2_at_once(argv):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(argv)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConstraintViolation"
+    assert f"p + q must be at most {MAX_SIZE}" in error["message"]
 
 
 def test_verify_orth33_passes():

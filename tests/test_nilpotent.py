@@ -197,7 +197,7 @@ def test_regularity_matches_exact_kernel_and_sympy():
 
 def test_sparse_system_matches_bracket_reference_on_grid_witnesses():
     for fam, p, q in GRID:
-        core = build_case(fam, p, q, with_triple=False)
+        core = build_case(fam, p, q).core
         expected = _reference_centralizer(core.pair, core.witness.e)
         assert list(core.witness.centralizer_basis) == expected, (fam, p, q)
 

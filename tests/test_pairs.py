@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from symslice.exact import RatMatrix, block_diag, inverse, lincomb
+from symslice.exact import RatMatrix, block_diag, inverse, lincomb, rank, vec
+from symslice.nilpotent import regular_nilpotent
 from symslice.pairs import (
+    MAX_SIZE,
     ConstraintViolation,
     Family,
+    ad_rows,
     adjoint,
     apply_theta,
     bracket,
+    check_constraints,
     eigenspace_basis,
     exchange,
     in_algebra,
@@ -52,6 +56,26 @@ def test_make_pair_examples():
 def test_make_pair_rejects(family, p, q):
     with pytest.raises(ConstraintViolation):
         make_pair(family, p, q)
+
+
+@pytest.mark.parametrize(
+    "family,p,q",
+    [
+        (Family.GL, 1000, 1000),
+        (Family.GL, MAX_SIZE // 2 + 1, MAX_SIZE // 2),
+        (Family.ORTH, MAX_SIZE // 2 + 1, MAX_SIZE // 2),
+        (Family.SP, MAX_SIZE // 2 + 2, MAX_SIZE // 2),
+    ],
+)
+def test_make_pair_rejects_oversized(family, p, q):
+    with pytest.raises(ConstraintViolation, match=f"p \\+ q must be at most {MAX_SIZE}"):
+        make_pair(family, p, q)
+
+
+def test_size_bound_admits_the_largest_pairs():
+    half = MAX_SIZE // 2
+    for fam, p, q in [(Family.GL, half, half), (Family.ORTH, half, half), (Family.SP, half, half)]:
+        assert check_constraints(fam, p, q) is fam
 
 
 def test_family_accepts_cli_tags():
@@ -133,7 +157,7 @@ def test_index_maps_match_dense_products(family, p, q):
     samples = [_random_matrix(rng, n) for _ in range(3)]
     # theta-odd, but for o and sp not in g: only the form condition fails
     samples.append(samples[0] - sig * samples[0] * sig)
-    for basis in (pr.basis_g, pr.basis_plus, pr.basis_minus):
+    for basis in (pr.basis_plus + pr.basis_minus, pr.basis_plus, pr.basis_minus):
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
         samples.append(lincomb(coeffs, basis, n, n))
     seen = set()
@@ -173,15 +197,24 @@ def test_eigenspace_bases_have_right_eigenvalue():
 
 
 def test_eigenspace_dims_add_up():
+    dim_g = {
+        Family.GL: lambda n: n * n,
+        Family.ORTH: lambda n: n * (n - 1) // 2,
+        Family.SP: lambda n: n * (n + 1) // 2,
+    }
     for fam, p, q in SMALL:
         pr = make_pair(fam, p, q)
-        assert len(pr.basis_plus) + len(pr.basis_minus) == len(pr.basis_g)
+        both = pr.basis_plus + pr.basis_minus
+        assert len(both) == dim_g[fam](pr.n)
+        # independent, so together a basis of g
+        assert rank(RatMatrix([list(vec(b)) for b in both])) == len(both)
 
 
 def test_theta_preserves_algebra():
     for fam, p, q in SMALL:
         pr = make_pair(fam, p, q)
-        assert all(in_algebra(pr, apply_theta(pr, b)) for b in pr.basis_g)
+        basis_g = pr.basis_plus + pr.basis_minus
+        assert all(in_algebra(pr, apply_theta(pr, b)) for b in basis_g)
 
 
 def test_grading_of_bracket():
@@ -212,3 +245,39 @@ def test_bracket_basics():
     assert bracket(RatMatrix.identity(2), x).is_zero()
     with pytest.raises(ValueError):
         bracket(x, RatMatrix.identity(3))
+
+
+def _dense_ad_rows(x, basis):
+    """vec([x, b_j]) as column j, one dense bracket per basis matrix."""
+    cols = [vec(bracket(x, b)) for b in basis]
+    rows = {i: [col[i] for col in cols] for i in range(x.rows * x.cols)}
+    return {i: row for i, row in rows.items() if any(row)}
+
+
+@pytest.mark.parametrize("family,p,q", UP_TO_8)
+def test_ad_rows_match_dense_brackets(family, p, q):
+    pr = make_pair(family, p, q)
+    n = pr.n
+    rng = random.Random(7 * p + q)
+    xs = [regular_nilpotent(pr), _random_matrix(rng, n)]
+    for basis in (pr.basis_plus, pr.basis_minus):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in basis]
+        xs.append(lincomb(coeffs, basis, n, n))
+    for basis, support in ((pr.basis_plus, pr.plus_support), (pr.basis_minus, pr.minus_support)):
+        # the support is the basis matrix
+        for b, terms in zip(basis, support):
+            assert {(k, l): c for k, l, c in terms} == {
+                (k, l): b[k, l] for k in range(n) for l in range(n) if b[k, l]
+            }
+        for x in xs:
+            rows = ad_rows(pr, [x.row(i) for i in range(n)], support)
+            assert rows == _dense_ad_rows(x, basis)
+            assert list(rows) == sorted(rows)
+        # integer entries, as the mod-p regularity certificate passes them
+        e = regular_nilpotent(pr)
+        int_rows = [[int(a) for a in e.row(i)] for i in range(n)]
+        assert ad_rows(pr, int_rows, support) == _dense_ad_rows(e, basis)
+    # an empty support gives a zero column
+    padded = ad_rows(pr, [xs[1].row(i) for i in range(n)], ((),) + pr.minus_support)
+    assert all(row[0] == 0 for row in padded.values())
+    assert {i: row[1:] for i, row in padded.items()} == _dense_ad_rows(xs[1], pr.basis_minus)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from symslice.exact import RatMatrix, kernel_basis, solve, vec
+from symslice.cli import report_cases
+from symslice.exact import RatMatrix, kernel_basis, lincomb, solve, vec
 from symslice.nilpotent import is_relatively_regular, regular_nilpotent
 from symslice.pairs import Family, MembershipError, bracket, make_pair
 from symslice.sl2 import NoTriple, Sl2Triple, complete_triple, verify_triple
@@ -84,6 +85,55 @@ def test_f_is_unique_given_e_and_h():
         rev = list(reversed(minus))
         rhs = list(vec(t.h)) + [Fraction(0)] * nn
         sol = solve(build_rows(rev), rhs)
-        from symslice.exact import lincomb
-
         assert lincomb(sol, rev, pair.n, pair.n) == t.f
+
+
+def _stacked(column_blocks, nn):
+    """Rows of the system whose columns are the concatenated column lists."""
+    cols = [c for block in column_blocks for c in block]
+    return [[c[i] for c in cols] for i in range(nn)]
+
+
+def _dense_reference_triple(pair, e):
+    """Both solves with one dense bracket per basis matrix, y over all of g.
+
+    None where complete_triple must raise NoTriple.
+    """
+    if e.is_zero():
+        return None
+    n, nn = pair.n, pair.n * pair.n
+    plus, minus = pair.basis_plus, pair.basis_minus
+    amb = plus + minus
+    zeros = [(Fraction(0),) * nn]
+    # [h, e] = 2e and [e, y] - h = 0 over (h, y)
+    rows = _stacked([[vec(bracket(b, e)) for b in plus], zeros * len(amb)], nn)
+    rows += _stacked([[vec(-1 * b) for b in plus], [vec(bracket(e, b)) for b in amb]], nn)
+    sol = solve(RatMatrix(rows, cols=len(plus) + len(amb)), list(vec(2 * e)) + [0] * nn)
+    if sol is None:
+        return None
+    h = lincomb(sol[: len(plus)], plus, n, n)
+    # [e, f] = h and [h, f] + 2f = 0 over f in g(-1)
+    rows = _stacked([[vec(bracket(e, b)) for b in minus]], nn)
+    rows += _stacked([[vec(bracket(h, b) + 2 * b) for b in minus]], nn)
+    sol = solve(RatMatrix(rows, cols=len(minus)), list(vec(h)) + [0] * nn)
+    if sol is None:
+        return None
+    return h, lincomb(sol, minus, n, n)
+
+
+SMALL_GRID = [(f, p, q) for f, p, q in report_cases(8, 16, 8) if p + q <= 8]
+
+
+@pytest.mark.parametrize("family,p,q", SMALL_GRID)
+def test_completion_matches_dense_reference_with_y_over_all_of_g(family, p, q):
+    """y in g(-1) gives the same (h, f) as a joint system with y over all of g."""
+    pair = make_pair(family, p, q)
+    e = regular_nilpotent(pair)
+    expected = _dense_reference_triple(pair, e)
+    if expected is None:
+        assert (family, p, q) == ("o", 1, 1)
+        with pytest.raises(NoTriple):
+            complete_triple(pair, e)
+        return
+    t = complete_triple(pair, e)
+    assert (t.h, t.f) == expected
