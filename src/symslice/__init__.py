@@ -12,6 +12,7 @@ from .exact import (
     Poly,
     Rat,
     RatMatrix,
+    adjugate_coefficients,
     charpoly,
     inverse,
     kernel_basis,

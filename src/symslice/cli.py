@@ -116,8 +116,7 @@ def build_case(family, p: int, q: int) -> CasePipeline:
 
     Raises ConstraintViolation for invalid parameters.
     """
-    family = Family(family) if not isinstance(family, Family) else family
-    return _case(family.value, p, q)
+    return _case(Family(family).value, p, q)
 
 
 def _sub_rng(seed: int, family: Family, p: int, q: int, tag: str) -> random.Random:
@@ -196,7 +195,7 @@ def _roundtrip(slc: KostantSlice | None, trials: int, rng: random.Random) -> int
 
 def make_certificate(family, p: int, q: int, seed: int = 0, trials: int = 50) -> dict:
     """Run the full pipeline for one case and collect every check result."""
-    family = Family(family) if not isinstance(family, Family) else family
+    family = Family(family)
     case = build_case(family, p, q)
     core = case.core
     pair = core.pair
@@ -209,20 +208,12 @@ def make_certificate(family, p: int, q: int, seed: int = 0, trials: int = 50) ->
     checks.append(
         ("closed_form_match", spans_equal(wit.centralizer_basis, core.closed_form))
     )
-    if case.triple is not None:
-        vt = dict(verify_triple(pair, case.triple))
-        checks.append(
-            (
-                "triple_relations",
-                vt["bracket_he"] and vt["bracket_hf"] and vt["bracket_ef"],
-            )
-        )
-        checks.append(("f_regular", vt["f_regular"]))
-        checks.append(("h_in_g_plus", vt["h_in_g_plus"]))
-    else:
-        checks.append(("triple_relations", False))
-        checks.append(("f_regular", False))
-        checks.append(("h_in_g_plus", False))
+    # a case without a triple fails the three triple checks
+    vt = dict(verify_triple(pair, case.triple)) if case.triple is not None else {}
+    relations = ("bracket_he", "bracket_hf", "bracket_ef")
+    checks.append(("triple_relations", all(vt.get(name, False) for name in relations)))
+    checks.append(("f_regular", vt.get("f_regular", False)))
+    checks.append(("h_in_g_plus", vt.get("h_in_g_plus", False)))
     checks.append(
         ("equivariance", _check_equivariance(pair, _sub_rng(seed, family, p, q, "equiv")))
     )
@@ -257,35 +248,44 @@ def make_certificate(family, p: int, q: int, seed: int = 0, trials: int = 50) ->
     }
 
 
-def _dump(obj, stream):
-    stream.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _error_json(kind: str, message: str, stream):
-    _dump({"error": {"type": kind, "message": message}}, stream)
-
-
-def _bad_trials(args, out) -> bool:
-    if args.trials >= 0:
-        return False
-    _error_json("InputError", f"--trials must be non-negative, got {args.trials}", out)
-    return True
-
-
-def cmd_verify(args, out, err) -> int:
-    if _bad_trials(args, out):
-        return EXIT_INPUT_ERROR
-    try:
-        cert = make_certificate(args.family, args.p, args.q, args.seed, args.trials)
-    except ConstraintViolation as exc:
-        _error_json("ConstraintViolation", str(exc), out)
-        return EXIT_INPUT_ERROR
-    text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write_json(obj, out, path=None):
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         out.write(text)
+
+
+class _Refused(Exception):
+    """(exit code, error type, message): ends a command with an error
+    object on stdout."""
+
+
+def _check_trials(args):
+    if args.trials < 0:
+        raise _Refused(
+            EXIT_INPUT_ERROR, "InputError", f"--trials must be non-negative, got {args.trials}"
+        )
+
+
+def _slice_coords(case: CasePipeline, target: InvariantVector) -> list[Fraction]:
+    if case.slc is None:
+        raise _Refused(
+            EXIT_NOT_FOUND,
+            "NotFound",
+            f"no slice for this case ({case.triple_error}); not certifying emptiness",
+        )
+    try:
+        return invert_on_slice(case.slc, target)
+    except NotFound as exc:
+        raise _Refused(EXIT_NOT_FOUND, "NotFound", str(exc)) from None
+
+
+def cmd_verify(args, out, err) -> int:
+    _check_trials(args)
+    cert = make_certificate(args.family, args.p, args.q, args.seed, args.trials)
+    _write_json(cert, out, args.out)
     return EXIT_PASS if cert["passing"] else EXIT_CASE_FAILED
 
 
@@ -305,21 +305,15 @@ def report_cases(gl_max: int, o_max: int, sp_max: int) -> list[tuple[str, int, i
 
 
 def _report_worker(task):
-    family, p, q, seed, trials = task
-    return make_certificate(family, p, q, seed, trials)
+    return make_certificate(*task)
 
 
 def cmd_report(args, out, err) -> int:
-    if _bad_trials(args, out):
-        return EXIT_INPUT_ERROR
+    _check_trials(args)
     # a maximum above MAX_SIZE + 1 already yields a case with p + q > MAX_SIZE
     cases = report_cases(*(min(m, MAX_SIZE + 1) for m in (args.gl_max, args.o_max, args.sp_max)))
-    try:
-        for case in cases:
-            check_constraints(*case)
-    except ConstraintViolation as exc:
-        _error_json("ConstraintViolation", str(exc), out)
-        return EXIT_INPUT_ERROR
+    for case in cases:
+        check_constraints(*case)
     tasks = [(f, p, q, args.seed, args.trials) for f, p, q in cases]
     # the fork start method launches every worker up front
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
@@ -346,88 +340,49 @@ def cmd_report(args, out, err) -> int:
         status = "pass" if c["passing"] else "FAIL"
         err.write(f"{c['family']:<3} p={c['p']:<2} q={c['q']:<2} {status}\n")
     err.write(f"{summary['passed']}/{summary['total']} cases passing\n")
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write_json(summary, out, args.out)
     return EXIT_PASS if not failed else EXIT_CASE_FAILED
 
 
+def _read_input(path: str, parse):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise _Refused(EXIT_INPUT_ERROR, "InputError", str(exc)) from None
+
+
 def cmd_slice_rep(args, out, err) -> int:
-    try:
-        case = build_case(args.family, args.p, args.q)
-    except ConstraintViolation as exc:
-        _error_json("ConstraintViolation", str(exc), out)
-        return EXIT_INPUT_ERROR
-    try:
-        with open(args.invariants, encoding="utf-8") as fh:
-            target = invariants_from_json(fh.read())
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        _error_json("InputError", str(exc), out)
-        return EXIT_INPUT_ERROR
+    case = build_case(args.family, args.p, args.q)
+    target = _read_input(args.invariants, invariants_from_json)
     expect = invariant_length(case.core.pair)
     if len(target.values) != expect:
-        _error_json(
+        raise _Refused(
+            EXIT_INPUT_ERROR,
             "InputError",
             f"expected {expect} invariant values, got {len(target.values)}",
-            out,
         )
-        return EXIT_INPUT_ERROR
-    if case.slc is None:
-        _error_json(
-            "NotFound",
-            f"no slice for this case ({case.triple_error}); not certifying emptiness",
-            out,
-        )
-        return EXIT_NOT_FOUND
-    try:
-        coords = invert_on_slice(case.slc, target)
-    except NotFound as exc:
-        _error_json("NotFound", str(exc), out)
-        return EXIT_NOT_FOUND
+    coords = _slice_coords(case, target)
     out.write(matrix_to_text(slice_point(case.slc, coords)))
     return EXIT_PASS
 
 
 def cmd_canonicalize(args, out, err) -> int:
-    try:
-        case = build_case(args.family, args.p, args.q)
-    except ConstraintViolation as exc:
-        _error_json("ConstraintViolation", str(exc), out)
-        return EXIT_INPUT_ERROR
+    case = build_case(args.family, args.p, args.q)
     pair = case.core.pair
-    try:
-        with open(args.matrix, encoding="utf-8") as fh:
-            x = matrix_from_text(fh.read())
-    except (OSError, ValueError) as exc:
-        _error_json("InputError", str(exc), out)
-        return EXIT_INPUT_ERROR
+    x = _read_input(args.matrix, matrix_from_text)
     try:
         if x.shape != (pair.n, pair.n):
             raise MembershipError(f"expected a {pair.n} x {pair.n} matrix")
         regular = is_relatively_regular(pair, x)
     except MembershipError:
-        _error_json("MembershipError", "input is not in g(-1) for this pair", out)
-        return EXIT_INPUT_ERROR
+        raise _Refused(
+            EXIT_INPUT_ERROR, "MembershipError", "input is not in g(-1) for this pair"
+        ) from None
     if not regular:
-        _error_json("NotRegular", "input is not relatively regular", out)
-        return EXIT_NOT_REGULAR
-    if case.slc is None:
-        _error_json(
-            "NotFound",
-            f"no slice for this case ({case.triple_error}); not certifying emptiness",
-            out,
-        )
-        return EXIT_NOT_FOUND
+        raise _Refused(EXIT_NOT_REGULAR, "NotRegular", "input is not relatively regular")
     # is_relatively_regular has checked membership
-    target = InvariantVector(invariant_values(pair, x))
-    try:
-        coords = invert_on_slice(case.slc, target)
-    except NotFound as exc:
-        _error_json("NotFound", str(exc), out)
-        return EXIT_NOT_FOUND
+    coords = _slice_coords(case, InvariantVector(invariant_values(pair, x)))
     out.write(json.dumps([str(c) for c in coords]) + "\n")
     out.write(matrix_to_text(slice_point(case.slc, coords)))
     return EXIT_PASS
@@ -490,7 +445,14 @@ def main(argv=None, out=None, err=None) -> int:
         "slice-rep": cmd_slice_rep,
         "canonicalize": cmd_canonicalize,
     }
-    return handlers[args.command](args, out, err)
+    try:
+        return handlers[args.command](args, out, err)
+    except ConstraintViolation as exc:
+        code, kind, message = EXIT_INPUT_ERROR, "ConstraintViolation", str(exc)
+    except _Refused as exc:
+        code, kind, message = exc.args
+    _write_json({"error": {"type": kind, "message": message}}, out)
+    return code
 
 
 def console_main():

@@ -4,9 +4,9 @@ Every downstream computation (eigenspace bases, centralizers, sl2
 completions, slice inversions) reduces to the primitives in this module,
 and all of them are exact: reduced row echelon form over Fraction
 entries, kernel bases with unit free coordinates, and characteristic
-polynomials via an integer Faddeev-LeVerrier recurrence after clearing
-denominators.  Outputs are canonical so that certificates built on top
-are reproducible byte for byte.
+polynomials and adjugates via an integer Faddeev-LeVerrier recurrence
+after clearing denominators.  Outputs are canonical so that
+certificates built on top are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ _ONE = Fraction(1)
 # Largest |e| accepted in a decimal exponent such as 1e5: Fraction would
 # otherwise build 10**e digit by digit, tens of seconds for 1e10000000.
 MAX_EXPONENT = 10_000
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
+# Most digits written in one integer part of a literal: CPython's default
+# int-from-text limit, kept whatever PYTHONINTMAXSTRDIGITS says.
+MAX_DIGITS = 4300
+# \d as in Fraction's own parser, which accepts every Unicode decimal digit
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def _rat(x) -> Fraction:
@@ -427,35 +432,58 @@ def _matmul_int(a, b):
     return out
 
 
-def charpoly(m: RatMatrix) -> Poly:
-    """Characteristic polynomial det(tI - m), exactly.
-
-    Denominators are cleared first and the Faddeev-LeVerrier recurrence
-    runs over the integers (its divisions are exact), so no rational
-    arithmetic happens in the hot loop.
-    """
+def _faddeev_leverrier(m: RatMatrix, keep: bool):
+    """(cs, den, kept) with m = a / den, a integral, and cs the charpoly
+    coefficients of a, ascending.  If keep, kept holds M_1 = I, ...,
+    M_k = a M_(k-1) + cs[n-k+1] I, ..., M_n, with adj(tI - a) =
+    sum_k t^(n-k) M_k.  Each step is one integer matrix product."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Poly((_ONE,))
     a, den = integer_rows(m)
     cs = [0] * (n + 1)
     cs[n] = 1
-    mk = [row[:] for row in a]
+    kept = [[[int(i == j) for j in range(n)] for i in range(n)]] if keep and n else []
+    mk = [row[:] for row in a]  # a M_k
     for k in range(1, n + 1):
         if k > 1:
             c = cs[n - k + 1]
             for i in range(n):
                 mk[i][i] += c
+            if keep:
+                kept.append(mk)
             mk = _matmul_int(a, mk)
         tr = sum(mk[i][i] for i in range(n))
         q, rem = divmod(tr, k)
         if rem:
             raise AssertionError("Faddeev-LeVerrier division not exact")
         cs[n - k] = -q
-    coeffs = tuple(Fraction(cs[k], den ** (n - k)) for k in range(n)) + (_ONE,)
-    return Poly(coeffs)
+    return cs, den, kept
+
+
+def charpoly(m: RatMatrix) -> Poly:
+    """Characteristic polynomial det(tI - m), exactly; the recurrence
+    runs on integers, with denominators cleared first."""
+    cs, den, _ = _faddeev_leverrier(m, keep=False)
+    n = m.rows
+    return Poly(tuple(Fraction(cs[k], den ** (n - k)) for k in range(n)) + (_ONE,))
+
+
+def adjugate_coefficients(m: RatMatrix) -> tuple:
+    """(N_0, ..., N_(n-1)) with adj(tI - m) = sum_k t^k N_k, exactly.
+
+    They are the Faddeev-LeVerrier matrices that `charpoly` runs through,
+    and they give its derivatives: the coefficient c_k of t^k in
+    det(tI - m) has derivative -tr(N_k b) in the direction b.
+    """
+    _, den, kept = _faddeev_leverrier(m, keep=True)
+    out = []
+    for k, mk in enumerate(kept, start=1):
+        # m = a / den, and M_k is homogeneous of degree k - 1 in a
+        scale = den ** (k - 1)
+        rows = [[Fraction(x, scale) if x else _ZERO for x in row] for row in mk]
+        out.append(RatMatrix(rows, cols=m.cols))
+    return tuple(reversed(out))
 
 
 def pfaffian(m: RatMatrix) -> Fraction:
@@ -528,14 +556,19 @@ def matrix_to_text(m: RatMatrix) -> str:
 def rational_from_text(token: str) -> Fraction:
     """An exact Fraction literal: a, a/b, or a decimal such as 0.5 or 1e3.
 
-    A decimal exponent beyond MAX_EXPONENT in absolute value raises
-    ValueError before any digit of 10**e is built.
+    A decimal exponent beyond MAX_EXPONENT in absolute value, or an
+    integer part of more than MAX_DIGITS digits, raises ValueError
+    before any number is built.
     """
     m = _EXPONENT.search(token)
     if m:
         digits = m.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond {MAX_EXPONENT} in {token[:40]!r}")
+    if len(token) > MAX_DIGITS and any(
+        len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(token)
+    ):
+        raise ValueError(f"more than {MAX_DIGITS} digits in a number in {token[:40]!r}")
     return Fraction(token)
 
 
@@ -543,6 +576,8 @@ def matrix_from_text(text: str) -> RatMatrix:
     toks = text.split()
     if len(toks) < 2:
         raise ValueError("matrix text must start with 'rows cols'")
+    if any(len(t) > MAX_DIGITS for t in toks[:2]):
+        raise ValueError(f"matrix dimensions of more than {MAX_DIGITS} digits")
     try:
         r, c = int(toks[0]), int(toks[1])
     except ValueError as exc:

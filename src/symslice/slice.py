@@ -8,7 +8,8 @@ p = q family the characteristic polynomial only sees the square of the
 degree-q product invariant and its fibers on the slice are +- pairs, so
 exactly there one extra coordinate is appended: the Pfaffian of X J,
 which is invariant under every Cayley-generated (determinant one) group
-element.  The Jacobian rank check below measures separation.
+element.  The Jacobian rank check below measures separation, with
+exact derivatives from the adjugate of tI - X (see jacobian_rank_at).
 
 Inversion is exact and direct (Kostant-Rallis).  ad h acts on the slice
 directions with even weights w; in an eigenbasis a coordinate of weight
@@ -23,12 +24,14 @@ answer: a mismatch means no slice point has the target invariants.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .exact import (
     RatMatrix,
+    adjugate_coefficients,
     charpoly,
     inverse,
     kernel_basis,
@@ -44,7 +47,6 @@ from .pairs import Family, MembershipError, SymmetricPair, bracket, in_eigenspac
 from .sl2 import Sl2Triple
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SliceDimensionError(RuntimeError):
@@ -153,7 +155,7 @@ def invariants_to_json(v: InvariantVector) -> str:
 
 def invariants_from_json(text: str) -> InvariantVector:
     """Parse a JSON array of rationals; bare numbers are read exactly, not as floats."""
-    data = json.loads(text, parse_float=rational_from_text)
+    data = json.loads(text, parse_float=rational_from_text, parse_int=rational_from_text)
     if not isinstance(data, list):
         raise ValueError("invariant vector must be a JSON array of rationals")
     try:
@@ -308,50 +310,50 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
     return coords
 
 
-@lru_cache(maxsize=None)
-def _derivative_weights(n: int) -> tuple:
-    """Weights w with sum_j w_j * t_j^m = delta_{m,1} over nodes t_j = 0..n.
+def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
+    """The Jacobian of the invariant map at a slice point, one row per
+    invariant and one column per slice coordinate, exactly."""
+    x = slice_point(slc, coords)
+    n = slc.pair.n
+    directions = [
+        [(i, j, v) for i in range(n) for j, v in enumerate(b.row(i)) if v]
+        for b in slc.slice_basis
+    ]
+    # the charpoly coefficient c_k has derivative -tr(N_k b) along b
+    rows = [
+        [-sum((nk[j, i] * v for i, j, v in entries), _ZERO) for entries in directions]
+        for nk in adjugate_coefficients(x)
+    ]
+    if _needs_pfaffian(slc.pair):
+        rows.append(_pfaffian_row(slc, x, rows[0]))
+    return RatMatrix(rows, cols=slc.dim)
 
-    Applying them to exact samples of a degree <= n polynomial curve
-    yields its exact derivative at 0.
-    """
-    vt = RatMatrix(
-        [[Fraction(t) ** m for t in range(n + 1)] for m in range(n + 1)], cols=n + 1
-    )
-    rhs = [_ONE if m == 1 else _ZERO for m in range(n + 1)]
-    w = solve(vt, rhs)
-    if w is None:
-        raise AssertionError("Vandermonde system must be solvable")
-    return tuple(w)
+
+def _pfaffian_row(slc: KostantSlice, x: RatMatrix, c0_row) -> list[Fraction]:
+    form = slc.pair.form
+    pf = pfaffian(x * form)
+    if pf:
+        # Pf(X J)^2 = (-1)^n det J c_0, so dPf = Pf / (2 c_0) dc_0
+        return [pf / (2 * charpoly(x).coeffs[0]) * d for d in c0_row]
+    # along a line Pf has degree h = n/2, and its derivative at 0 is
+    # sum_t w_t Pf(t), t = 0..h, w_0 = -H_h, w_t = (-1)^(t+1) C(h, t) / t
+    # (here the t = 0 term vanishes)
+    h = slc.pair.n // 2
+    weights = [Fraction((-1) ** (t + 1) * math.comb(h, t), t) for t in range(1, h + 1)]
+    return [
+        sum((w * pfaffian((x + t * b) * form) for t, w in enumerate(weights, 1)), _ZERO)
+        for b in slc.slice_basis
+    ]
 
 
 def jacobian_rank_at(slc: KostantSlice, coords) -> int:
     """Exact rank of the Jacobian of the invariant map at the given point.
 
-    Each partial derivative comes from exact polynomial interpolation of
-    the invariants along a coordinate line (the map is polynomial of
-    degree at most n), so no floating point is involved.
+    adj(tI - X) = sum_k t^k N_k from one Faddeev-LeVerrier pass gives
+    the derivative -tr(N_k b) of the charpoly coefficient c_k along a
+    slice direction b.  The Pfaffian row (orthogonal p = q) follows from
+    Pf(X J)^2 = (-1)^n det J c_0 where Pf != 0, and from Pf(X J) at
+    n/2 + 1 points of each coordinate line where Pf = 0.  The graded
+    tables are never read, so this checks their premise independently.
     """
-    coords = [Fraction(c) for c in coords]
-    if len(coords) != slc.dim:
-        raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
-    pair = slc.pair
-    n = pair.n
-    nvals = invariant_length(pair)
-    weights = _derivative_weights(n)
-    cols = []
-    for i in range(slc.dim):
-        samples = []
-        for t in range(n + 1):
-            shifted = list(coords)
-            shifted[i] += t
-            samples.append(invariant_values(pair, slice_point(slc, shifted)))
-        col = [
-            sum((w * s[k] for w, s in zip(weights, samples)), _ZERO)
-            for k in range(nvals)
-        ]
-        cols.append(col)
-    jac = RatMatrix(
-        [[cols[i][k] for i in range(slc.dim)] for k in range(nvals)], cols=slc.dim
-    )
-    return matrix_rank(jac)
+    return matrix_rank(_jacobian(slc, coords))

@@ -10,7 +10,7 @@ import pytest
 
 from symslice import cli
 from symslice.cli import main, make_certificate, report_cases
-from symslice.exact import matrix_from_text, matrix_to_text, RatMatrix
+from symslice.exact import MAX_DIGITS, matrix_from_text, matrix_to_text, RatMatrix
 from symslice.pairs import MAX_SIZE
 
 
@@ -293,6 +293,33 @@ def test_slice_rep_rejects_huge_exponent(tmp_path, text):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "InputError" and "exponent" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("canonicalize", "2 2\n0 {big}\n1 0\n"),
+        ("canonicalize", "2 2\n0 1/{big}\n1 0\n"),
+        ("slice-rep", "[{big}, 0]"),
+        ("slice-rep", '["{big}", 0]'),
+    ],
+)
+def test_digit_bound_holds_without_the_interpreter_limit(tmp_path, command, text):
+    # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own limit on int-from-text
+    path = tmp_path / "input"
+    path.write_text(text.format(big="9" * 300_000))
+    flag = "--matrix" if command == "canonicalize" else "--invariants"
+    proc = subprocess.run(
+        [sys.executable, "-m", "symslice", command, "--family", "gl", "--p", "1", "--q", "1",
+         flag, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="0"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InputError" and f"more than {MAX_DIGITS} digits" in err["message"]
 
 
 def test_canonicalize_rejects_non_member(tmp_path):

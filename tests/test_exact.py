@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symslice.exact import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     Poly,
     RatMatrix,
@@ -200,6 +201,36 @@ def test_exponent_literals_are_bounded():
             rational_from_text(bad)
         with pytest.raises(ValueError, match="exponent"):
             matrix_from_text(f"1 1 {bad}")
+
+
+def test_unicode_digit_exponents_are_bounded():
+    # Fraction reads every Unicode decimal digit, so the bound must too
+    assert rational_from_text("1e\u0661\u0660") == 10**10
+    with pytest.raises(ValueError, match="exponent"):
+        rational_from_text("1e\u0661" + "\u0660" * 7)
+
+
+def test_digit_literals_are_bounded():
+    assert MAX_DIGITS == 4300
+    most = "9" * MAX_DIGITS
+    assert rational_from_text(most) == 10**MAX_DIGITS - 1
+    assert rational_from_text(f"-{most}/{most}") == -1
+    assert rational_from_text(f"{most}.{most}") == F(10 ** (2 * MAX_DIGITS) - 1, 10**MAX_DIGITS)
+    one_more = "1" + "_0" * MAX_DIGITS
+    assert rational_from_text(one_more[:-2]) == 10 ** (MAX_DIGITS - 1)
+    for bad in (
+        "9" * (MAX_DIGITS + 1),
+        f"-1/{'3' * (MAX_DIGITS + 1)}",
+        f"0.{'1' * (MAX_DIGITS + 1)}",
+        one_more,
+        "\u0661" * (MAX_DIGITS + 1),
+    ):
+        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+            rational_from_text(bad)
+        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+            matrix_from_text(f"1 1 {bad}")
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        matrix_from_text(f"{'0' * MAX_DIGITS}1 1 5")
 
 
 def test_integer_rows_clear_the_least_common_denominator():

@@ -5,8 +5,18 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from symslice.exact import RatMatrix, charpoly, inverse, kernel_basis, pfaffian, rank, solve
+from symslice.exact import (
+    RatMatrix,
+    adjugate_coefficients,
+    charpoly,
+    inverse,
+    kernel_basis,
+    pfaffian,
+    rank,
+    solve,
+)
 
 # derandomized, so every tier-1 run draws the same examples
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -44,6 +54,25 @@ def test_charpoly_matches_sympy(m):
     t = sympy.Symbol("t")
     expected = [from_sympy(c) for c in to_sympy(m).charpoly(t).all_coeffs()]
     assert list(charpoly(m).coeffs) == expected[::-1]
+
+
+@SETTINGS
+@given(square_matrices())
+def test_adjugate_coefficients_match_sympy(m):
+    t = sympy.Symbol("t")
+    n = m.rows
+
+    def over_qq_t(x):
+        return DomainMatrix.from_Matrix(x).convert_to(sympy.QQ[t])
+
+    shifted = over_qq_t(t * sympy.eye(n) - to_sympy(m))
+    adj = over_qq_t(
+        sum((to_sympy(c) * t**k for k, c in enumerate(adjugate_coefficients(m))), sympy.zeros(n, n))
+    )
+    assert adj == shifted.adjugate()
+    char = sum(sympy.Rational(c.numerator, c.denominator) * t**k
+               for k, c in enumerate(charpoly(m).coeffs))
+    assert shifted * adj == over_qq_t(char * sympy.eye(n))
 
 
 @SETTINGS

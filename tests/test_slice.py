@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from symslice.exact import RatMatrix
+from symslice.cli import build_case, report_cases
+from symslice.exact import MAX_DIGITS, RatMatrix, solve
 from symslice.matspace import act, random_group_element
 from symslice.nilpotent import regular_nilpotent
 from symslice.pairs import Family, MembershipError, make_pair
@@ -11,7 +12,9 @@ from symslice.sl2 import complete_triple
 from symslice.slice import (
     InvariantVector,
     NotFound,
+    _jacobian,
     invariant_length,
+    invariant_values,
     invariants,
     invariants_from_json,
     invariants_to_json,
@@ -157,6 +160,47 @@ def test_jacobian_rank_generic_points():
             assert jacobian_rank_at(slc, coords) == pair.rank_theta
 
 
+def _sampled_derivative_weights(n):
+    """Weights w with sum_j w_j * t_j^m = delta_{m,1} over nodes t_j = 0..n."""
+    vt = RatMatrix([[Fraction(t) ** m for t in range(n + 1)] for m in range(n + 1)])
+    return solve(vt, [Fraction(int(m == 1)) for m in range(n + 1)])
+
+
+def _sampled_jacobian(slc, coords):
+    """Reference: every invariant interpolated along each coordinate line
+    at n + 1 points and differentiated by Vandermonde weights."""
+    n = slc.pair.n
+    weights = _sampled_derivative_weights(n)
+    cols = []
+    for i in range(slc.dim):
+        samples = []
+        for t in range(n + 1):
+            shifted = list(coords)
+            shifted[i] += t
+            samples.append(invariant_values(slc.pair, slice_point(slc, shifted)))
+        values = zip(*samples)
+        cols.append([sum(w * s for w, s in zip(weights, vals)) for vals in values])
+    return RatMatrix([list(row) for row in zip(*cols)], cols=slc.dim)
+
+
+GRID_UP_TO_8 = [c for c in report_cases(8, 16, 8) if c[1] + c[2] <= 8 and c != ("o", 1, 1)]
+
+
+@pytest.mark.parametrize("case", GRID_UP_TO_8, ids=lambda c: "%s%d%d" % c)
+def test_jacobian_matches_line_sampling(case):
+    slc = build_case(*case).slc
+    rng = random.Random(repr(case))
+    points = [[Fraction(0)] * slc.dim] + [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(slc.dim)]
+        for _ in range(3)
+    ]
+    if case[0] == "o" and case[1] == case[2]:
+        # coordinates 0 give the nilpotent f, where the Pfaffian row is sampled
+        assert invariant_values(slc.pair, slice_point(slc, points[0]))[-1] == 0
+    for coords in points:
+        assert _jacobian(slc, coords) == _sampled_jacobian(slc, coords)
+
+
 def test_invariants_json_roundtrip():
     v = InvariantVector((Fraction(-5), Fraction(1, 3)))
     assert invariants_from_json(invariants_to_json(v)) == v
@@ -172,6 +216,9 @@ def test_invariants_json_is_exact():
             Fraction(-1, 3), Fraction(7))
     assert got.values == want
     assert invariants_from_json("[1e5000]").values == (Fraction(10**5000),)
+    # a bare integer meets symslice's digit bound, not the interpreter's
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        invariants_from_json("[1" + "0" * MAX_DIGITS + "]")
     for bad in ("[NaN]", "[Infinity]", "[-Infinity]", '["nan"]', '["inf"]', "[true]", "[null]"):
         with pytest.raises(ValueError):
             invariants_from_json(bad)
