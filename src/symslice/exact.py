@@ -136,18 +136,7 @@ class RatMatrix:
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            out = [[_ZERO] * other.cols for _ in range(self.rows)]
-            for i in range(self.rows):
-                ai = self._e[i]
-                oi = out[i]
-                for k in range(self.cols):
-                    aik = ai[k]
-                    if aik:
-                        bk = other._e[k]
-                        for j in range(other.cols):
-                            if bk[j]:
-                                oi[j] += aik * bk[j]
-            return RatMatrix(out, cols=other.cols)
+            return RatMatrix(_matmul(self._e, other._e, other.cols, _ZERO), cols=other.cols)
         if isinstance(other, (int, Fraction)):
             return self._scaled(_rat(other))
         return NotImplemented
@@ -416,10 +405,12 @@ def integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in m._e], den
 
 
-def _matmul_int(a, b):
+def _matmul(a, b, m, zero=0):
+    """Product of row lists a and b, b with m columns, skipping zero
+    entries; generic over ints and Fractions.  Untouched entries stay
+    `zero`, so a Fraction product needs no int-to-Fraction pass."""
     n = len(a)
-    m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
+    out = [[zero] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -452,7 +443,7 @@ def _faddeev_leverrier(m: RatMatrix, keep: bool):
                 mk[i][i] += c
             if keep:
                 kept.append(mk)
-            mk = _matmul_int(a, mk)
+            mk = _matmul(a, mk, n)
         tr = sum(mk[i][i] for i in range(n))
         q, rem = divmod(tr, k)
         if rem:

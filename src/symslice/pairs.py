@@ -5,12 +5,13 @@ the one module that knows the form J and the involution theta; both act
 on matrix entries as signed permutations.  theta negates the two
 off-diagonal blocks, and the monomial form is read once into index maps
 (`SymmetricPair.form_entries`) from which `adjoint` and the membership
-conditions are evaluated entrywise.  The eigenspaces g(1) and g(-1)
-are computed generically by solving the defining linear conditions with
-the exact kernel machinery, never from hand-coded per-family formulas.
-Each basis matrix is also kept as its integer support (`plus_support`,
-`minus_support`), from which `ad_rows` writes z -> [x, z]: every bracket
-equation of `nilpotent` and `sl2` is a system built by it.
+conditions are evaluated entrywise.  The same maps give the eigenspaces
+g(1) and g(-1) directly, by one rule for every family: theta keeps the
+positions of one block parity, and the form condition pairs position
+(i, j) with (kappa(j), kappa(i)).  Each basis is built as integer
+supports (`plus_support`, `minus_support`), the matrices are derived
+from them, and `ad_rows` writes z -> [x, z] from a support: every
+bracket equation of `nilpotent` and `sl2` is a system built by it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatMatrix, block_diag, kernel_basis
+from .exact import RatMatrix, block_diag
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# Largest p + q accepted: the eigenspaces are solved in (p + q)^2 unknowns.
+# Largest p + q accepted.  The eigenspaces are read off index maps, but
+# the centralizer and sl2 systems have dim g(-1) unknowns, and the graded
+# tables of slice inversion grow steeply with p + q.
 MAX_SIZE = 32
 
 
@@ -96,58 +99,41 @@ def _form_entries(form: RatMatrix) -> tuple:
     return tuple(out)
 
 
-def _membership_rows(n, entries):
-    """Linear conditions J X^t J^-1 + X = 0, one row per matrix position.
+def _eigenspace_support(n, p, entries, sign) -> tuple:
+    """(k, l, c) triples of each basis matrix of g(sign), in the order
+    `exact.kernel_basis` gives for the stacked linear conditions.
 
-    (J X^t J^-1)[i, j] = v_i / v_j * X[kappa(j), kappa(i)], so each row
-    touches at most two unknowns.
+    Positions theta scales by -sign are skipped.  For o and sp the form
+    condition reads X[i, j] = -v_i / v_j * X[kappa(j), kappa(i)]: the
+    later position of a pair is free and carries 1, its partner the
+    forced value; a self-paired position is free exactly when v_i = -v_j.
     """
-    if entries is None:
-        return []
-    rows = []
-    for i in range(n):
-        kap_i, v_i = entries[i]
-        for j in range(n):
-            kap_j, v_j = entries[j]
-            row = [_ZERO] * (n * n)
-            row[i * n + j] += _ONE
-            row[kap_j * n + kap_i] += v_i / v_j
-            rows.append(row)
-    return rows
-
-
-def _theta_rows(n, p, sign):
-    """Linear conditions theta(X) = sign * X; the system is diagonal."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            c = Fraction((1 if (i < p) == (j < p) else -1) - sign)
-            if c:
-                row = [_ZERO] * (n * n)
-                row[i * n + j] = c
-                rows.append(row)
-    return rows
-
-
-def _integer_support(m: RatMatrix) -> tuple:
-    """(k, l, c) for each nonzero entry c = m[k, l]; every entry must be an integer."""
     out = []
-    for k in range(m.rows):
-        for l, c in enumerate(m.row(k)):
-            if c:
+    for i in range(n):
+        for j in range(n):
+            if ((i < p) == (j < p)) != (sign == 1):
+                continue
+            if entries is None:
+                out.append(((i, j, 1),))
+                continue
+            (k_i, v_i), (k_j, v_j) = entries[i], entries[j]
+            partner = (k_j, k_i)
+            if partner == (i, j):
+                if v_i == -v_j:
+                    out.append(((i, j, 1),))
+            elif partner < (i, j):
+                c = -v_j / v_i
                 if c.denominator != 1:
                     raise AssertionError("eigenspace basis matrix is not integral")
-                out.append((k, l, c.numerator))
+                out.append(((k_j, k_i, c.numerator), (i, j, 1)))
     return tuple(out)
 
 
-def _solve_conditions(n, rows):
-    mat = RatMatrix(rows, cols=n * n)
-    vecs = kernel_basis(mat)
-    out = []
-    for v in vecs:
-        out.append(RatMatrix([[v[i * n + j, 0] for j in range(n)] for i in range(n)], cols=n))
-    return tuple(out)
+def _support_matrix(n, terms) -> RatMatrix:
+    rows = [[_ZERO] * n for _ in range(n)]
+    for k, l, c in terms:
+        rows[k][l] = Fraction(c)
+    return RatMatrix(rows, cols=n)
 
 
 def check_constraints(family, p: int, q: int) -> Family:
@@ -185,14 +171,13 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         form = block_diag(signed_exchange(p), signed_exchange(q))
     entries = None if form is None else _form_entries(form)
 
-    memb = _membership_rows(n, entries)
-    basis_plus = _solve_conditions(n, memb + _theta_rows(n, p, +1))
-    basis_minus = _solve_conditions(n, memb + _theta_rows(n, p, -1))
+    plus_support = _eigenspace_support(n, p, entries, +1)
+    minus_support = _eigenspace_support(n, p, entries, -1)
 
     expected_minus = 2 * p * q if family is Family.GL else p * q
-    if len(basis_minus) != expected_minus:
+    if len(minus_support) != expected_minus:
         raise AssertionError(
-            f"eigenspace dimension {len(basis_minus)} != expected {expected_minus}"
+            f"eigenspace dimension {len(minus_support)} != expected {expected_minus}"
         )
     rank_theta = q // 2 if family is Family.SP else q
 
@@ -203,10 +188,10 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         n=n,
         form=form,
         form_entries=entries,
-        basis_plus=basis_plus,
-        basis_minus=basis_minus,
-        plus_support=tuple(_integer_support(b) for b in basis_plus),
-        minus_support=tuple(_integer_support(b) for b in basis_minus),
+        basis_plus=tuple(_support_matrix(n, t) for t in plus_support),
+        basis_minus=tuple(_support_matrix(n, t) for t in minus_support),
+        plus_support=plus_support,
+        minus_support=minus_support,
         rank_theta=rank_theta,
     )
 
@@ -234,7 +219,8 @@ def adjoint(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
     if entries is None:
         raise ValueError("the gl family has no form")
     return RatMatrix(
-        [[v_i / v_j * x[k_j, k_i] for k_j, v_j in entries] for k_i, v_i in entries],
+        [[v_i / v_j * a if (a := x[k_j, k_i]) else _ZERO for k_j, v_j in entries]
+         for k_i, v_i in entries],
         cols=pair.n,
     )
 
@@ -246,9 +232,15 @@ def in_algebra(pair: SymmetricPair, x: RatMatrix) -> bool:
 
 
 def in_eigenspace(pair: SymmetricPair, x: RatMatrix, sign: int) -> bool:
+    """Membership in g(sign): x in g, zero on the block parity theta scales by -sign."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return in_algebra(pair, x) and apply_theta(pair, x) == sign * x
+    _require_ambient(pair, x)
+    p, keep = pair.p, sign == 1
+    for i in range(pair.n):
+        if any(v for j, v in enumerate(x.row(i)) if ((i < p) == (j < p)) != keep):
+            return False
+    return in_algebra(pair, x)
 
 
 def eigenspace_basis(pair: SymmetricPair, sign: int) -> tuple:

@@ -155,7 +155,10 @@ def invariants_to_json(v: InvariantVector) -> str:
 
 def invariants_from_json(text: str) -> InvariantVector:
     """Parse a JSON array of rationals; bare numbers are read exactly, not as floats."""
-    data = json.loads(text, parse_float=rational_from_text, parse_int=rational_from_text)
+    try:
+        data = json.loads(text, parse_float=rational_from_text, parse_int=rational_from_text)
+    except RecursionError:
+        raise ValueError("invariant vector is nested too deeply") from None
     if not isinstance(data, list):
         raise ValueError("invariant vector must be a JSON array of rationals")
     try:

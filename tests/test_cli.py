@@ -194,6 +194,17 @@ def test_slice_rep_length_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def test_slice_rep_deeply_nested_json_exits_2(tmp_path):
+    inv = tmp_path / "inv.json"
+    inv.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, _ = run_cli(
+        ["slice-rep", "--family", "gl", "--p", "1", "--q", "1", "--invariants", str(inv)]
+    )
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "InputError" and "nested" in err["message"]
+
+
 def test_slice_rep_unreachable_exits_3(tmp_path):
     inv = tmp_path / "inv.json"
     inv.write_text('["0", "1"]')

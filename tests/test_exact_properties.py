@@ -76,6 +76,20 @@ def test_adjugate_coefficients_match_sympy(m):
 
 
 @SETTINGS
+@given(st.integers(1, 5), st.integers(0, 5), st.integers(1, 5), st.data())
+def test_product_matches_sympy(r, k, c, data):
+    # k = 0 multiplies through an empty inner dimension
+    a = data.draw(matrices(rows=r, cols=k))
+    b = data.draw(matrices(rows=k, cols=c))
+    prod = a * b
+    assert prod.shape == (r, c)
+    expected = to_sympy(a) * to_sympy(b)
+    assert prod == RatMatrix(
+        [[from_sympy(expected[i, j]) for j in range(c)] for i in range(r)], cols=c
+    )
+
+
+@SETTINGS
 @given(matrices())
 def test_rank_and_kernel_match_sympy(m):
     s = to_sympy(m)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from symslice.exact import RatMatrix, block_diag, inverse, lincomb, rank, vec
+from symslice.cli import report_cases
+from symslice.exact import RatMatrix, block_diag, inverse, kernel_basis, lincomb, rank, vec
 from symslice.nilpotent import regular_nilpotent
 from symslice.pairs import (
     MAX_SIZE,
@@ -76,6 +77,22 @@ def test_size_bound_admits_the_largest_pairs():
     half = MAX_SIZE // 2
     for fam, p, q in [(Family.GL, half, half), (Family.ORTH, half, half), (Family.SP, half, half)]:
         assert check_constraints(fam, p, q) is fam
+
+
+def test_make_pair_at_the_size_bound():
+    h = MAX_SIZE // 2
+    # (dim g(1), dim g(-1)); g(1) is gl(p) + gl(q), o(p) + o(q) or sp(p) + sp(q)
+    dims = {
+        Family.GL: (2 * h * h, 2 * h * h),
+        Family.ORTH: (h * (h - 1), h * h),
+        Family.SP: (h * (h + 1), h * h),
+    }
+    for fam, (dim_plus, dim_minus) in dims.items():
+        pr = make_pair(fam, h, h)
+        assert len(pr.basis_plus) == dim_plus
+        assert len(pr.basis_minus) == dim_minus
+        assert all(in_eigenspace(pr, b, +1) for b in pr.basis_plus)
+        assert all(in_eigenspace(pr, b, -1) for b in pr.basis_minus)
 
 
 def test_family_accepts_cli_tags():
@@ -281,3 +298,52 @@ def test_ad_rows_match_dense_brackets(family, p, q):
     padded = ad_rows(pr, [xs[1].row(i) for i in range(n)], ((),) + pr.minus_support)
     assert all(row[0] == 0 for row in padded.values())
     assert {i: row[1:] for i, row in padded.items()} == _dense_ad_rows(xs[1], pr.basis_minus)
+
+
+def _dense_eigenspace_basis(pr, sign):
+    """The eigenspace as the kernel of the stacked dense conditions on
+    vec(X): X + J X^t J^-1 = 0 and theta(X) = sign * X."""
+    n, p = pr.n, pr.p
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if pr.form_entries is not None:
+                (k_i, v_i), (k_j, v_j) = pr.form_entries[i], pr.form_entries[j]
+                row = [Fraction(0)] * (n * n)
+                row[i * n + j] += 1
+                row[k_j * n + k_i] += v_i / v_j
+                rows.append(row)
+            c = (1 if (i < p) == (j < p) else -1) - sign
+            if c:
+                row = [Fraction(0)] * (n * n)
+                row[i * n + j] = Fraction(c)
+                rows.append(row)
+    vecs = kernel_basis(RatMatrix(rows, cols=n * n))
+    return tuple(
+        RatMatrix([[v[i * n + j, 0] for j in range(n)] for i in range(n)], cols=n) for v in vecs
+    )
+
+
+def _support(b):
+    return tuple((k, l, b[k, l]) for k in range(b.rows) for l in range(b.cols) if b[k, l])
+
+
+REFERENCE_CASES = [(Family(f), p, q) for f, p, q in report_cases(8, 16, 8)] + [
+    (Family.GL, 9, 1),
+    (Family.ORTH, 5, 4),
+    (Family.SP, 6, 2),
+]
+
+
+@pytest.mark.parametrize("family,p,q", REFERENCE_CASES)
+def test_eigenspace_bases_match_dense_kernel(family, p, q):
+    """The index-map bases are the canonical kernel bases of the dense solve."""
+    pr = make_pair(family, p, q)
+    for sign, basis, support in (
+        (1, pr.basis_plus, pr.plus_support),
+        (-1, pr.basis_minus, pr.minus_support),
+    ):
+        dense = _dense_eigenspace_basis(pr, sign)
+        assert basis == dense
+        assert support == tuple(_support(b) for b in dense)
+        assert all(type(c) is int for terms in support for _, _, c in terms)
