@@ -23,6 +23,7 @@ from .exact import (
     pfaffian,
     rank,
     solve,
+    solve_unique,
     spans_equal,
 )
 from .pairs import (

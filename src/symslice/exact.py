@@ -332,15 +332,24 @@ def modular_rank(rows: list[list[int]], prime: int) -> int:
     return found
 
 
+def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
+    """The solution X of a X = b from one elimination of [a | b], or None
+    unless it is unique: a of full column rank, every column consistent."""
+    if a.rows != b.rows:
+        raise ValueError(f"solve_unique: {a.rows} rows but {b.rows} right-hand rows")
+    rows = [list(ra) + list(rb) for ra, rb in zip(a._e, b._e)]
+    if _rref(rows, a.cols + b.cols) != list(range(a.cols)):
+        return None
+    return RatMatrix([row[a.cols:] for row in rows[: a.cols]], cols=b.cols)
+
+
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    rows = [list(r) + [_ONE if i == j else _ZERO for j in range(n)] for i, r in enumerate(m._e)]
-    pivots = _rref(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
+    out = solve_unique(m, RatMatrix.identity(m.rows))
+    if out is None:
         raise ValueError("matrix is singular")
-    return RatMatrix([row[n:] for row in rows], cols=n)
+    return out
 
 
 def spans_equal(mats_a, mats_b) -> bool:

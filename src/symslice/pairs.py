@@ -226,9 +226,17 @@ def adjoint(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
 
 
 def in_algebra(pair: SymmetricPair, x: RatMatrix) -> bool:
-    """Membership in g: vacuous for GL, the form condition otherwise."""
+    """Membership in g: vacuous for GL, otherwise the form condition
+    X[i, j] = -v_i / v_j * X[kappa(j), kappa(i)], entry by entry."""
     _require_ambient(pair, x)
-    return pair.form_entries is None or adjoint(pair, x) == -x
+    entries = pair.form_entries or ()
+    rows = [x.row(i) for i in range(x.rows)]
+    for (k_i, v_i), row in zip(entries, rows):
+        for (k_j, v_j), a in zip(entries, row):
+            b = rows[k_j][k_i]
+            if (a or b) and a * v_j != -v_i * b:
+                return False
+    return True
 
 
 def in_eigenspace(pair: SymmetricPair, x: RatMatrix, sign: int) -> bool:

@@ -97,35 +97,23 @@ def verify_triple(pair: SymmetricPair, t: Sl2Triple) -> list[tuple[str, bool]]:
     Returns (check name, result) pairs; the triple is valid for the pair
     exactly when all results are true.
     """
-    checks = []
-    shapes_ok = all(m.shape == (pair.n, pair.n) for m in (t.e, t.f, t.h))
-    if not shapes_ok:
-        names = [
-            "bracket_he",
-            "bracket_hf",
-            "bracket_ef",
-            "h_in_g_plus",
-            "e_in_g_minus",
-            "f_in_g_minus",
-            "nonzero",
+    # every check is False for a wrongly shaped triple
+    ok = all(m.shape == (pair.n, pair.n) for m in (t.e, t.f, t.h))
+    e_ok = ok and in_eigenspace(pair, t.e, -1)
+    f_ok = ok and in_eigenspace(pair, t.f, -1)
+    return [
+        ("bracket_he", ok and bracket(t.h, t.e) == 2 * t.e),
+        ("bracket_hf", ok and bracket(t.h, t.f) == -2 * t.f),
+        ("bracket_ef", ok and bracket(t.e, t.f) == t.h),
+        ("h_in_g_plus", ok and in_eigenspace(pair, t.h, +1)),
+        ("e_in_g_minus", e_ok),
+        ("f_in_g_minus", f_ok),
+        ("nonzero", ok and not (t.e.is_zero() or t.f.is_zero() or t.h.is_zero())),
+        # f inherits relative regularity from e; vacuous when e is not regular.
+        (
             "f_regular",
-        ]
-        return [(name, False) for name in names]
-    checks.append(("bracket_he", bracket(t.h, t.e) == 2 * t.e))
-    checks.append(("bracket_hf", bracket(t.h, t.f) == -2 * t.f))
-    checks.append(("bracket_ef", bracket(t.e, t.f) == t.h))
-    checks.append(("h_in_g_plus", in_eigenspace(pair, t.h, +1)))
-    e_ok = in_eigenspace(pair, t.e, -1)
-    f_ok = in_eigenspace(pair, t.f, -1)
-    checks.append(("e_in_g_minus", e_ok))
-    checks.append(("f_in_g_minus", f_ok))
-    checks.append(
-        ("nonzero", not (t.e.is_zero() or t.f.is_zero() or t.h.is_zero()))
-    )
-    # f inherits relative regularity from e; vacuous when e is not regular.
-    if e_ok and f_ok:
-        f_reg = (not is_relatively_regular(pair, t.e)) or is_relatively_regular(pair, t.f)
-    else:
-        f_reg = False
-    checks.append(("f_regular", f_reg))
-    return checks
+            e_ok
+            and f_ok
+            and (not is_relatively_regular(pair, t.e) or is_relatively_regular(pair, t.f)),
+        ),
+    ]

@@ -19,6 +19,11 @@ linear in the weight-w coordinates plus a polynomial in the lighter
 ones, and the coordinates follow class by class from small exact linear
 solves.  A final exact evaluation of every invariant decides the
 answer: a mismatch means no slice point has the target invariants.
+
+The tables for those solves are built on the first inversion, and each
+system in them is eliminated once: the slice directions against all
+their ad h images, per weight class the interpolation Vandermonde
+against the samples of all its invariants, and each class block.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .exact import (
     pfaffian,
     rank as matrix_rank,
     rational_from_text,
-    solve,
+    solve_unique,
     vec,
 )
 from .nilpotent import centralizer
@@ -51,9 +56,9 @@ _ZERO = Fraction(0)
 
 class SliceDimensionError(RuntimeError):
     """The slice does not have the shape the invariants need: the
-    centralizer of e does not have dimension rank theta, or a weight
-    class of the slice is not matched by as many independent invariants
-    of its degree."""
+    centralizer of e does not have dimension rank theta, ad h does not
+    preserve it, or a weight class of the slice is not matched by as
+    many independent invariants of its degree."""
 
 
 class NotFound(RuntimeError):
@@ -131,7 +136,7 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
     n = slc.pair.n
-    return slc.triple.f + lincomb(coords, slc.slice_basis, n, n)
+    return lincomb((1, *coords), (slc.triple.f, *slc.slice_basis), n, n)
 
 
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
@@ -221,10 +226,10 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
 
     # ad h on the slice directions and an eigenbasis of it, lightest first
     stacked = RatMatrix([list(r) for r in zip(*(vec(b) for b in basis))], cols=d)
-    ad_cols = [solve(stacked, vec(bracket(slc.triple.h, b))) for b in basis]
-    if any(c is None for c in ad_cols):
+    brackets = [vec(bracket(slc.triple.h, b)) for b in basis]
+    ad = solve_unique(stacked, RatMatrix([list(r) for r in zip(*brackets)], cols=d))
+    if ad is None:
         raise SliceDimensionError("ad h does not preserve the slice directions")
-    ad = RatMatrix([[c[i] for c in ad_cols] for i in range(d)], cols=d)
     weights, eigvecs = [], []
     for w in range(0, 2 * n, 2):
         for v in kernel_basis(ad - w * RatMatrix.identity(d)):
@@ -233,57 +238,45 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
     if len(eigvecs) != d:
         raise SliceDimensionError("ad h has no even-weight eigenbasis on the slice")
     to_seed = RatMatrix([[v[i] for v in eigvecs] for i in range(d)], cols=d)
-    graded = [lincomb(v, basis, n, n) for v in eigvecs]
+    graded = (slc.triple.f, *(lincomb(v, basis, n, n) for v in eigvecs))
 
-    # each invariant of a class's degree, interpolated on its weighted support
+    # the invariants of each class's degree, interpolated on its weighted support
     candidates = {
-        w: [
-            m
-            for m in range(invariant_length(pair))
-            if 2 * _invariant_degree(pair, m) == w + 2
-        ]
+        w: [m for m in range(invariant_length(pair)) if 2 * _invariant_degree(pair, m) == w + 2]
         for w in sorted(set(weights))
     }
-    supports = {
-        m: _monomials([w + 2 for w in weights], w + 2)
-        for w, ms in candidates.items()
-        for m in ms
-    }
+    supports = {w: _monomials([v + 2 for v in weights], w + 2) for w in candidates}
     nodes = _nodes(max(len(s) for s in supports.values()), d)
-    samples = [
-        invariant_values(pair, slc.triple.f + lincomb(u, graded, n, n)) for u in nodes
-    ]
-    coeffs = {}
-    for m, support in supports.items():
-        vand = RatMatrix(
-            [[_monomial_value(mono, u) for mono in support] for u in nodes],
-            cols=len(support),
-        )
-        if matrix_rank(vand) != len(support):
-            raise AssertionError("interpolation nodes must be unisolvent")
-        got = solve(vand, [s[m] for s in samples])
-        if got is None:
-            raise AssertionError("invariant is not weighted homogeneous on the slice")
-        coeffs[m] = dict(zip(support, got))
+    samples = [invariant_values(pair, lincomb((1, *u), graded, n, n)) for u in nodes]
 
     blocks = []
     for w, ms in candidates.items():
-        cls = [j for j in range(d) if weights[j] == w]
-        invs = [m for m in ms if any(coeffs[m].values())]
-        linear = [((j, 1),) for j in cls]
-        lin = RatMatrix(
-            [[coeffs[m][mono] for mono in linear] for m in invs], cols=len(cls)
+        support = supports[w]
+        got = solve_unique(
+            RatMatrix([[_monomial_value(mono, u) for mono in support] for u in nodes]),
+            RatMatrix([[s[m] for m in ms] for s in samples], cols=len(ms)),
         )
-        if len(invs) != len(cls) or matrix_rank(lin) != len(cls):
+        if got is None:
+            # pivots on exactly the support columns: unisolvent nodes and
+            # every invariant weighted homogeneous on the slice
+            raise AssertionError("invariants are not interpolated on their weighted support")
+        coeffs = [dict(zip(support, col)) for col in zip(*map(got.row, range(got.rows)))]
+        invs = tuple(m for m, c in zip(ms, coeffs) if any(c.values()))
+        coeffs = [c for c in coeffs if any(c.values())]
+        cls = [j for j in range(d) if weights[j] == w]
+        linear = [((j, 1),) for j in cls]
+        lin = RatMatrix([[c[mono] for mono in linear] for c in coeffs], cols=len(cls))
+        try:
+            lin_inv = inverse(lin)
+        except ValueError:
             raise SliceDimensionError(
                 f"weight class {w} has {len(cls)} coordinates but its "
                 f"{len(invs)} invariants of degree {(w + 2) // 2} do not solve for them"
-            )
+            ) from None
         rest = tuple(
-            tuple((c, mono) for mono, c in coeffs[m].items() if c and mono not in linear)
-            for m in invs
+            tuple((c, mono) for mono, c in t.items() if c and mono not in linear) for t in coeffs
         )
-        blocks.append(_Block(tuple(cls), tuple(invs), inverse(lin), rest))
+        blocks.append(_Block(tuple(cls), invs, lin_inv, rest))
     return _GradedTables(to_seed=to_seed, blocks=tuple(blocks))
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -16,6 +16,7 @@ from symslice.exact import (
     pfaffian,
     rank,
     solve,
+    solve_unique,
 )
 
 # derandomized, so every tier-1 run draws the same examples
@@ -118,6 +119,43 @@ def test_solve_matches_sympy(a, data):
     # the particular solution with every free parameter 0
     expected = [from_sympy(x) for x in sol.subs({p: 0 for p in params})]
     assert got == expected
+
+
+@st.composite
+def systems(draw):
+    """(a, b) for a x = b with 1 to 3 right-hand columns, half of them
+    consistent by construction."""
+    a = draw(matrices())
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        b = a * draw(matrices(rows=a.cols, cols=k))
+    else:
+        b = draw(matrices(rows=a.rows, cols=k))
+    return a, b
+
+
+@SETTINGS
+@given(systems())
+# a unique solution, a rank-deficient a, and an inconsistent second column
+@example((RatMatrix([[1, 2], [0, 1], [1, 0]]), RatMatrix([[3, 1], [1, 0], [1, 1]])))
+@example((RatMatrix([[1, 2], [2, 4], [0, 0]]), RatMatrix([[1], [2], [0]])))
+@example((RatMatrix([[1, 0], [0, 1], [1, 1]]), RatMatrix([[1, 1], [1, 1], [2, 3]])))
+def test_solve_unique_matches_sympy(system):
+    a, b = system
+    got = solve_unique(a, b)
+    s = to_sympy(a)
+    if s.rank() < a.cols:
+        assert got is None
+        return
+    try:
+        sol, params = s.gauss_jordan_solve(to_sympy(b))
+    except ValueError:
+        assert got is None
+        return
+    assert not params
+    assert got == RatMatrix(
+        [[from_sympy(sol[i, j]) for j in range(b.cols)] for i in range(a.cols)], cols=b.cols
+    )
 
 
 @SETTINGS

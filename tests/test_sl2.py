@@ -64,6 +64,16 @@ def test_verify_triple_flags_h_outside_plus():
     assert not dict(verify_triple(pair, bad))["h_in_g_plus"]
 
 
+def test_verify_triple_fails_every_check_on_a_wrongly_shaped_triple():
+    pair = make_pair(Family.GL, 1, 1)
+    t = complete_triple(pair, RatMatrix([[0, 1], [0, 0]]))
+    names = ["bracket_he", "bracket_hf", "bracket_ef", "h_in_g_plus",
+             "e_in_g_minus", "f_in_g_minus", "nonzero", "f_regular"]
+    big = RatMatrix.identity(3)
+    for bad in (Sl2Triple(e=t.e, f=big, h=t.h), Sl2Triple(e=big, f=big, h=big)):
+        assert verify_triple(pair, bad) == [(name, False) for name in names]
+
+
 def test_f_is_unique_given_e_and_h():
     # the homogeneous f system has trivial kernel, and re-solving with the
     # coordinate order reversed lands on the same f

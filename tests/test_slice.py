@@ -4,15 +4,23 @@ from fractions import Fraction
 import pytest
 
 from symslice.cli import build_case, report_cases
-from symslice.exact import MAX_DIGITS, RatMatrix, solve
+from symslice.exact import MAX_DIGITS, RatMatrix, inverse, kernel_basis, lincomb, rank, solve, vec
 from symslice.matspace import act, random_group_element
 from symslice.nilpotent import regular_nilpotent
-from symslice.pairs import Family, MembershipError, make_pair
+from symslice.pairs import Family, MembershipError, bracket, make_pair
 from symslice.sl2 import complete_triple
 from symslice.slice import (
     InvariantVector,
+    KostantSlice,
     NotFound,
+    SliceDimensionError,
+    _Block,
+    _GradedTables,
+    _invariant_degree,
     _jacobian,
+    _monomial_value,
+    _monomials,
+    _nodes,
     invariant_length,
     invariant_values,
     invariants,
@@ -199,6 +207,70 @@ def test_jacobian_matches_line_sampling(case):
         assert invariant_values(slc.pair, slice_point(slc, points[0]))[-1] == 0
     for coords in points:
         assert _jacobian(slc, coords) == _sampled_jacobian(slc, coords)
+
+
+def _reference_tables(slc):
+    """The graded tables built system by system: one solve per slice
+    direction for ad h, then per invariant a rank and a solve of its
+    class's Vandermonde, then per class block a rank and an inverse."""
+    pair, n, d = slc.pair, slc.pair.n, slc.dim
+    basis = slc.slice_basis
+    stacked = RatMatrix([list(r) for r in zip(*(vec(b) for b in basis))], cols=d)
+    ad_cols = [solve(stacked, vec(bracket(slc.triple.h, b))) for b in basis]
+    ad = RatMatrix([[c[i] for c in ad_cols] for i in range(d)], cols=d)
+    weights, eigvecs = [], []
+    for w in range(0, 2 * n, 2):
+        for v in kernel_basis(ad - w * RatMatrix.identity(d)):
+            weights.append(w)
+            eigvecs.append([v[i, 0] for i in range(d)])
+    assert len(eigvecs) == d
+    to_seed = RatMatrix([[v[i] for v in eigvecs] for i in range(d)], cols=d)
+    graded = [lincomb(v, basis, n, n) for v in eigvecs]
+    candidates = {
+        w: [m for m in range(invariant_length(pair)) if 2 * _invariant_degree(pair, m) == w + 2]
+        for w in sorted(set(weights))
+    }
+    supports = {m: _monomials([w + 2 for w in weights], w + 2)
+                for w, ms in candidates.items() for m in ms}
+    nodes = _nodes(max(len(s) for s in supports.values()), d)
+    samples = [invariant_values(pair, slc.triple.f + lincomb(u, graded, n, n)) for u in nodes]
+    coeffs = {}
+    for m, support in supports.items():
+        vand = RatMatrix([[_monomial_value(mono, u) for mono in support] for u in nodes])
+        assert rank(vand) == len(support)
+        got = solve(vand, [s[m] for s in samples])
+        assert got is not None
+        coeffs[m] = dict(zip(support, got))
+    blocks = []
+    for w, ms in candidates.items():
+        cls = [j for j in range(d) if weights[j] == w]
+        invs = [m for m in ms if any(coeffs[m].values())]
+        linear = [((j, 1),) for j in cls]
+        lin = RatMatrix([[coeffs[m][mono] for mono in linear] for m in invs], cols=len(cls))
+        assert len(invs) == len(cls) and rank(lin) == len(cls)
+        rest = tuple(
+            tuple((c, mono) for mono, c in coeffs[m].items() if c and mono not in linear)
+            for m in invs
+        )
+        blocks.append(_Block(tuple(cls), tuple(invs), inverse(lin), rest))
+    return _GradedTables(to_seed=to_seed, blocks=tuple(blocks))
+
+
+GRID_UP_TO_10 = [c for c in report_cases(8, 16, 8) if c[1] + c[2] <= 10 and c != ("o", 1, 1)]
+
+
+@pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
+def test_graded_tables_match_system_by_system_reference(case):
+    slc = build_case(*case).slc
+    assert slc._tables == _reference_tables(slc)
+
+
+def test_slice_directions_not_stable_under_ad_h_are_refused():
+    pair, slc = build(Family.GL, 1, 1)
+    # [h, e + f] = 2e - 2f leaves the span of e + f
+    bent = KostantSlice(pair, slc.triple, (slc.triple.e + slc.triple.f,), 1)
+    with pytest.raises(SliceDimensionError, match="ad h does not preserve"):
+        bent._tables
 
 
 def test_invariants_json_roundtrip():
