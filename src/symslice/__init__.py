@@ -9,8 +9,6 @@ orbits through it, with every check done in exact arithmetic.
 __version__ = "0.1.0"
 
 from .exact import (
-    Poly,
-    Rat,
     RatMatrix,
     adjugate_coefficients,
     charpoly,
@@ -35,7 +33,6 @@ from .pairs import (
     adjoint,
     apply_theta,
     bracket,
-    eigenspace_basis,
     in_algebra,
     in_eigenspace,
     make_pair,

@@ -83,35 +83,30 @@ _DRAW_HEIGHT = 3
 
 
 @dataclass(frozen=True)
-class CaseCore:
+class Case:
     pair: SymmetricPair
     witness: NilpotentWitness
     closed_form: tuple
-
-
-@dataclass(frozen=True)
-class CasePipeline:
-    core: CaseCore
     triple: Sl2Triple | None
     slc: KostantSlice | None
     triple_error: str | None
 
 
 @lru_cache(maxsize=None)
-def _case(family_value: str, p: int, q: int) -> CasePipeline:
+def _case(family_value: str, p: int, q: int) -> Case:
     pair = make_pair(Family(family_value), p, q)
     witness = make_witness(pair)
-    core = CaseCore(pair=pair, witness=witness, closed_form=tuple(closed_form_centralizer(pair)))
+    closed_form = tuple(closed_form_centralizer(pair))
     try:
         triple = complete_triple(pair, witness.e)
         slc = make_slice(pair, triple)
-        return CasePipeline(core=core, triple=triple, slc=slc, triple_error=None)
+        return Case(pair, witness, closed_form, triple=triple, slc=slc, triple_error=None)
     except NoTriple as exc:
         log.info("no sl2 completion for (%s, %d, %d): %s", family_value, p, q, exc)
-        return CasePipeline(core=core, triple=None, slc=None, triple_error=str(exc))
+        return Case(pair, witness, closed_form, triple=None, slc=None, triple_error=str(exc))
 
 
-def build_case(family, p: int, q: int) -> CasePipeline:
+def build_case(family, p: int, q: int) -> Case:
     """Construct (and cache) the per-case pipeline.
 
     Raises ConstraintViolation for invalid parameters.
@@ -197,16 +192,15 @@ def make_certificate(family, p: int, q: int, seed: int = 0, trials: int = 50) ->
     """Run the full pipeline for one case and collect every check result."""
     family = Family(family)
     case = build_case(family, p, q)
-    core = case.core
-    pair = core.pair
-    wit = core.witness
+    pair = case.pair
+    wit = case.witness
 
     checks: list[tuple[str, bool]] = []
     checks.append(("e_in_g_minus", in_eigenspace(pair, wit.e, -1)))
     checks.append(("e_nilpotent", wit.nilp_index is not None))
     checks.append(("centralizer_dim_eq_rank", wit.centralizer_dim == pair.rank_theta))
     checks.append(
-        ("closed_form_match", spans_equal(wit.centralizer_basis, core.closed_form))
+        ("closed_form_match", spans_equal(wit.centralizer_basis, case.closed_form))
     )
     # a case without a triple fails the three triple checks
     vt = dict(verify_triple(pair, case.triple)) if case.triple is not None else {}
@@ -228,7 +222,7 @@ def make_certificate(family, p: int, q: int, seed: int = 0, trials: int = 50) ->
     passes = _roundtrip(case.slc, trials, _sub_rng(seed, family, p, q, "roundtrip"))
     checks.append(("roundtrip", passes == trials))
 
-    passing = all(ok for _, ok in checks) and passes == trials
+    passing = all(ok for _, ok in checks)
     return {
         "family": family.value,
         "p": p,
@@ -269,7 +263,7 @@ def _check_trials(args):
         )
 
 
-def _slice_coords(case: CasePipeline, target: InvariantVector) -> list[Fraction]:
+def _slice_coords(case: Case, target: InvariantVector) -> list[Fraction]:
     if case.slc is None:
         raise _Refused(
             EXIT_NOT_FOUND,
@@ -321,7 +315,7 @@ def cmd_report(args, out, err) -> int:
         try:
             with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 certs = list(pool.map(_report_worker, tasks))
-        except (OSError, PermissionError) as exc:
+        except OSError as exc:
             err.write(f"process pool unavailable ({exc}); running sequentially\n")
             certs = [_report_worker(t) for t in tasks]
     else:
@@ -355,7 +349,7 @@ def _read_input(path: str, parse):
 def cmd_slice_rep(args, out, err) -> int:
     case = build_case(args.family, args.p, args.q)
     target = _read_input(args.invariants, invariants_from_json)
-    expect = invariant_length(case.core.pair)
+    expect = invariant_length(case.pair)
     if len(target.values) != expect:
         raise _Refused(
             EXIT_INPUT_ERROR,
@@ -369,7 +363,7 @@ def cmd_slice_rep(args, out, err) -> int:
 
 def cmd_canonicalize(args, out, err) -> int:
     case = build_case(args.family, args.p, args.q)
-    pair = case.core.pair
+    pair = case.pair
     x = _read_input(args.matrix, matrix_from_text)
     try:
         if x.shape != (pair.n, pair.n):

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-
-Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,12 +67,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def diagonal(cls, entries) -> "RatMatrix":
-        vals = [_rat(x) for x in entries]
-        n = len(vals)
-        return cls([[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -95,11 +86,6 @@ class RatMatrix:
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "RatMatrix":
         return RatMatrix([row[c0:c1] for row in self._e[r0:r1]], cols=c1 - c0)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self._e[i][i] for i in range(self.rows)), _ZERO)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._e for x in row)
@@ -372,42 +358,6 @@ def spans_equal(mats_a, mats_b) -> bool:
     return ra == rb == rab
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Monic polynomial over Q, coefficients in ascending degree order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_rat(c) for c in self.coeffs))
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self):
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*t" if c != 1 else "t")
-            else:
-                terms.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
-        return " + ".join(terms) if terms else "0"
-
-
 def integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
     """(d * m as integer rows, d) for the least common denominator d of m."""
     den = math.lcm(*(x.denominator for row in m._e for x in row))
@@ -461,20 +411,23 @@ def _faddeev_leverrier(m: RatMatrix, keep: bool):
     return cs, den, kept
 
 
-def charpoly(m: RatMatrix) -> Poly:
-    """Characteristic polynomial det(tI - m), exactly; the recurrence
-    runs on integers, with denominators cleared first."""
+def charpoly(m: RatMatrix) -> tuple[Fraction, ...]:
+    """Coefficients (c_0, ..., c_(n-1), 1) of det(tI - m) = sum_k c_k t^k,
+    constant term first, exactly; the recurrence runs on integers, with
+    denominators cleared first."""
     cs, den, _ = _faddeev_leverrier(m, keep=False)
     n = m.rows
-    return Poly(tuple(Fraction(cs[k], den ** (n - k)) for k in range(n)) + (_ONE,))
+    return tuple(Fraction(cs[k], den ** (n - k)) for k in range(n)) + (_ONE,)
 
 
 def adjugate_coefficients(m: RatMatrix) -> tuple:
-    """(N_0, ..., N_(n-1)) with adj(tI - m) = sum_k t^k N_k, exactly.
+    """The tuple (N_0, ..., N_(n-1)) with adj(tI - m) = sum_k t^k N_k,
+    exactly, lowest power first like `charpoly`.
 
     They are the Faddeev-LeVerrier matrices that `charpoly` runs through,
     and they give its derivatives: the coefficient c_k of t^k in
-    det(tI - m) has derivative -tr(N_k b) in the direction b.
+    det(tI - m), entry k of `charpoly(m)`, has derivative -tr(N_k b) in
+    the direction b.
     """
     _, den, kept = _faddeev_leverrier(m, keep=True)
     out = []

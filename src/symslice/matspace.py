@@ -30,6 +30,8 @@ from .pairs import (
 )
 
 _ONE = Fraction(1)
+# Singular Cayley draws before random_group_element gives up.
+_MAX_RETRIES = 64
 
 
 class RetryExhausted(RuntimeError):
@@ -143,9 +145,7 @@ def _unimodular(rng: random.Random, n: int, height: int) -> RatMatrix:
     return RatMatrix(m, cols=n)
 
 
-def random_group_element(
-    pair: SymmetricPair, seed: int, height: int = 5, max_retries: int = 64
-) -> GroupElement:
+def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> GroupElement:
     """Deterministic pseudo-random rational point of the fixed subgroup.
 
     GL: block-diagonal products of elementary integer matrices with
@@ -163,7 +163,7 @@ def random_group_element(
         ge = GroupElement(g=g, g_inv=inverse(g))
     else:
         basis = pair.basis_plus
-        for _ in range(max_retries):
+        for _ in range(_MAX_RETRIES):
             coeffs = [Fraction(rng.randint(-height, height)) for _ in basis]
             s = lincomb(coeffs, basis, pair.n, pair.n)
             try:
@@ -174,7 +174,7 @@ def random_group_element(
             break
         else:
             raise RetryExhausted(
-                f"no invertible I + S found in {max_retries} draws"
+                f"no invertible I + S found in {_MAX_RETRIES} draws"
             )
     _check_group_element(pair, ge)
     return ge

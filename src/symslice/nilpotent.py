@@ -7,7 +7,8 @@ generically as the kernel of ad_x in the g(-1) coordinates, the system
 matrix; the hand-parameterized banded solution families are kept
 alongside purely as an independent oracle and never feed the
 production path.  Relative regularity is certified by the rank of the
-same system modulo a prime and falls back to the exact kernel.
+same system modulo a prime and falls back to the exact rank of that
+integer system.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .exact import (
     lincomb,
     modular_rank,
     nilpotency_index,
+    rank,
     shift_power,
     vstack,
 )
@@ -105,6 +107,14 @@ def regular_nilpotent(pair: SymmetricPair) -> RatMatrix:
     return from_matrix_space(pair, a)
 
 
+def _ad_system(pair: SymmetricPair, x: RatMatrix) -> list[list[int]]:
+    """The nonzero rows of ad_x in the g(-1) coordinates, for d * x with d
+    the least common denominator of x: an integer system with the same
+    kernel."""
+    ints, _ = integer_rows(x)
+    return list(ad_rows(pair, ints, pair.minus_support).values())
+
+
 def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     """Canonical basis of {z in g(-1) : [x, z] = 0}.
 
@@ -114,8 +124,7 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     if x.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {x.shape}")
     basis = pair.basis_minus
-    rows = list(ad_rows(pair, [x.row(i) for i in range(x.rows)], pair.minus_support).values())
-    vectors = kernel_basis(RatMatrix(rows, cols=len(basis)))
+    vectors = kernel_basis(RatMatrix(_ad_system(pair, x), cols=len(basis)))
     return [lincomb([v[j, 0] for j in range(v.rows)], basis, pair.n, pair.n) for v in vectors]
 
 
@@ -125,19 +134,18 @@ def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
     dim z(x) >= rank theta for every x in g(-1) (Kostant-Rallis), and
     the rank of ad_x mod _PRIME is at most its rank over Q.  So a mod-p
     rank of dim g(-1) - rank theta certifies regularity; any other
-    result is decided by the exact kernel, the only source of False.
+    result is decided by the exact rank of the same integer system, the
+    only source of False.
     """
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
-    ints, _ = integer_rows(x)
-    reduced = [[a % _PRIME for a in row] for row in ints]
-    rows = list(ad_rows(pair, reduced, pair.minus_support).values())
+    rows = _ad_system(pair, x)
     dim = len(pair.basis_minus)
     r = modular_rank(rows, _PRIME)
     if dim - r == pair.rank_theta:
         log.debug("regular by mod-p certificate: ad system %d x %d, rank %d", len(rows), dim, r)
         return True
-    cdim = len(centralizer(pair, x))
+    cdim = dim - rank(RatMatrix(rows, cols=dim))
     log.debug(
         "regularity by exact fallback: ad system %d x %d, mod-p rank %d, centralizer dim %d",
         len(rows),

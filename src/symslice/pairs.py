@@ -251,14 +251,6 @@ def in_eigenspace(pair: SymmetricPair, x: RatMatrix, sign: int) -> bool:
     return in_algebra(pair, x)
 
 
-def eigenspace_basis(pair: SymmetricPair, sign: int) -> tuple:
-    if sign == 1:
-        return pair.basis_plus
-    if sign == -1:
-        return pair.basis_minus
-    raise ValueError("sign must be +1 or -1")
-
-
 def ad_rows(pair: SymmetricPair, x_rows, support: tuple) -> dict[int, list]:
     """The nonzero rows of z -> [x, z] on a basis given by its integer support.
 

@@ -148,7 +148,7 @@ def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
 def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
     """The values of `invariants` without the membership check, for
     points the caller already knows lie in g(-1)."""
-    vals = charpoly(x).coeffs[:-1]
+    vals = charpoly(x)[:-1]
     if _needs_pfaffian(pair):
         vals = vals + (pfaffian(x * pair.form),)
     return vals
@@ -330,7 +330,7 @@ def _pfaffian_row(slc: KostantSlice, x: RatMatrix, c0_row) -> list[Fraction]:
     pf = pfaffian(x * form)
     if pf:
         # Pf(X J)^2 = (-1)^n det J c_0, so dPf = Pf / (2 c_0) dc_0
-        return [pf / (2 * charpoly(x).coeffs[0]) * d for d in c0_row]
+        return [pf / (2 * charpoly(x)[0]) * d for d in c0_row]
     # along a line Pf has degree h = n/2, and its derivative at 0 is
     # sum_t w_t Pf(t), t = 0..h, w_0 = -H_h, w_t = (-1)^(t+1) C(h, t) / t
     # (here the t = 0 term vanishes)

@@ -81,14 +81,14 @@ def test_criterion_1_construction_suite(capfd):
     t0 = time.time()
     failures = []
     for fam, p, q in CASES:
-        core = build_case(fam, p, q).core
-        wit = core.witness
+        case = build_case(fam, p, q)
+        wit = case.witness
         ok = (
-            in_eigenspace(core.pair, wit.e, -1)
+            in_eigenspace(case.pair, wit.e, -1)
             and wit.nilp_index is not None
             and wit.centralizer_dim
             == expected_centralizer_dim(fam, p, q)
-            == core.pair.rank_theta
+            == case.pair.rank_theta
         )
         if not ok:
             failures.append((fam, p, q))
@@ -101,8 +101,8 @@ def test_criterion_1_construction_suite(capfd):
 def test_criterion_2_oracle_equivalence(capfd):
     failures = []
     for fam, p, q in CASES:
-        core = build_case(fam, p, q).core
-        if not spans_equal(core.witness.centralizer_basis, core.closed_form):
+        case = build_case(fam, p, q)
+        if not spans_equal(case.witness.centralizer_basis, case.closed_form):
             failures.append((fam, p, q))
     report_line(capfd, 2, "closed-form oracle equivalence", failures, f"{len(CASES)} cases")
     assert not failures
@@ -116,12 +116,12 @@ def test_criterion_3_sl2_suite(capfd):
             if case.triple is not None:
                 failures.append((fam, p, q, "expected NoTriple"))
             with pytest.raises(NoTriple):
-                complete_triple(case.core.pair, case.core.witness.e)
+                complete_triple(case.pair, case.witness.e)
             continue
         if case.triple is None:
             failures.append((fam, p, q, case.triple_error))
             continue
-        results = verify_triple(case.core.pair, case.triple)
+        results = verify_triple(case.pair, case.triple)
         bad = [name for name, ok in results if not ok]
         if bad:
             failures.append((fam, p, q, bad))
@@ -144,7 +144,7 @@ def test_criterion_4_slice_roundtrip(capfd):
         rng = case_rng("roundtrip", fam, p, q)
         for t in range(trials):
             coords = rand_coords(rng, case.slc.dim)
-            target = invariants(case.core.pair, slice_point(case.slc, coords))
+            target = invariants(case.pair, slice_point(case.slc, coords))
             try:
                 got = invert_on_slice(case.slc, target)
             except NotFound:
@@ -169,7 +169,7 @@ def test_criterion_5_canonicalization_under_conjugation(tmp_path, capfd):
         if (fam, p, q) == DEGENERATE:
             assert case.slc is None
             continue
-        pair = case.core.pair
+        pair = case.pair
         rng = case_rng("canon", fam, p, q)
         for t in range(draws):
             coords = rand_coords(rng, case.slc.dim)
@@ -201,8 +201,8 @@ def test_criterion_6_equivariance(capfd):
     failures = []
     draws = 20
     for fam, p, q in CASES:
-        core = build_case(fam, p, q).core
-        pair = core.pair
+        case = build_case(fam, p, q)
+        pair = case.pair
         rng = case_rng("equiv", fam, p, q)
         for t in range(draws):
             g = random_group_element(pair, seed=rng.randrange(2**63), height=3)
@@ -238,7 +238,7 @@ def test_criterion_7_separation(capfd):
         for t in range(points):
             coords = rand_coords(rng, case.slc.dim)
             r = jacobian_rank_at(case.slc, coords)
-            if r != case.core.pair.rank_theta:
+            if r != case.pair.rank_theta:
                 failures.append((fam, p, q, t, r))
     report_line(
         capfd, 7, "invariant separation (jacobian rank)", failures,

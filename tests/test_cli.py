@@ -136,6 +136,26 @@ class _InProcessPool:
         return map(fn, tasks)
 
 
+class _PoolUnavailable:
+    """Stands in for ProcessPoolExecutor on a platform that cannot start one."""
+
+    def __init__(self, max_workers):
+        raise OSError("no semaphores")
+
+
+def test_report_falls_back_to_sequential_when_no_pool_starts(monkeypatch):
+    args = ["report", "--gl-max", "2", "--o-max", "3", "--trials", "1"]
+    code1, out1, err1 = run_cli([*args, "--jobs", "1"])
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", _PoolUnavailable)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code2, out2, err2 = run_cli([*args, "--jobs", "2"])
+    assert code2 == code1 == 1  # o(1,1) has no triple
+    assert out2 == out1
+    first, rest = err2.split("\n", 1)
+    assert first == "process pool unavailable (no semaphores); running sequentially"
+    assert rest == err1
+
+
 @pytest.mark.parametrize("cores,expected", [(8, [3]), (2, [2]), (None, [])])
 def test_report_jobs_clamped_to_tasks_and_cores(monkeypatch, cores, expected):
     monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", _InProcessPool)
@@ -396,7 +416,7 @@ def test_runs_without_numpy(tmp_path):
     case = build_case("gl", 2, 2)
     x = slice_point(case.slc, [Fraction(3), Fraction(-7, 2)])
     inv = tmp_path / "inv.json"
-    inv.write_text(invariants_to_json(invariants(case.core.pair, x)))
+    inv.write_text(invariants_to_json(invariants(case.pair, x)))
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"

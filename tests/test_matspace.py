@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symslice.exact import RatMatrix, inverse, rank, shift_power
+from symslice.exact import RatMatrix, block_diag, inverse, rank, shift_power
 from symslice.matspace import (
     act,
     act_mpq,
@@ -89,7 +89,7 @@ def test_random_group_elements_satisfy_group_conditions():
         for seed in range(5):
             g = random_group_element(pair, seed=seed, height=4)
             assert g.g * g.g_inv == RatMatrix.identity(pair.n)
-            sig = RatMatrix.diagonal([1] * p + [-1] * q)
+            sig = block_diag(RatMatrix.identity(p), -1 * RatMatrix.identity(q))
             assert sig * g.g == g.g * sig
             if pair.form is not None:
                 assert pair.form * g.g_inv.transpose() * inverse(pair.form) == g.g

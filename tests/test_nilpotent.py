@@ -7,8 +7,16 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from symslice.cli import build_case, report_cases
-from symslice.exact import RatMatrix, kernel_basis, lincomb, nilpotency_index, spans_equal, vec
-from symslice.matspace import act, random_group_element
+from symslice.exact import (
+    RatMatrix,
+    inverse,
+    kernel_basis,
+    lincomb,
+    nilpotency_index,
+    spans_equal,
+    vec,
+)
+from symslice.matspace import GroupElement, act, cayley, random_group_element
 from symslice.nilpotent import (
     _PRIME,
     centralizer,
@@ -167,7 +175,7 @@ def _sympy_regular(pair, x):
 def _grid_elements(fam, p, q, rng):
     """Sums of one to three basis matrices, a slice point and a conjugated one."""
     case = build_case(fam, p, q)
-    pair = case.core.pair
+    pair = case.pair
     basis = pair.basis_minus
     out = []
     for k in (1, 2, 3):
@@ -195,11 +203,38 @@ def test_regularity_matches_exact_kernel_and_sympy():
     assert seen == {True, False}
 
 
+def _cayley_element(pair, rng):
+    """(I - s)(I + s)^-1 for a random integer s in g(1): a group element
+    whose entries have denominators, for every family."""
+    while True:
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in pair.basis_plus]
+        try:
+            g = cayley(pair, lincomb(coeffs, pair.basis_plus, pair.n, pair.n))
+        except ValueError:
+            continue
+        return GroupElement(g=g, g_inv=inverse(g))
+
+
 def test_sparse_system_matches_bracket_reference_on_grid_witnesses():
     for fam, p, q in GRID:
-        core = build_case(fam, p, q).core
-        expected = _reference_centralizer(core.pair, core.witness.e)
-        assert list(core.witness.centralizer_basis) == expected, (fam, p, q)
+        case = build_case(fam, p, q)
+        expected = _reference_centralizer(case.pair, case.witness.e)
+        assert list(case.witness.centralizer_basis) == expected, (fam, p, q)
+    # inputs with denominators: Cayley-conjugated basis matrices, slice
+    # points at fractional coordinates and their Cayley conjugates
+    rng = random.Random(43)
+    for fam, p, q in SMALL_GRID:
+        case = build_case(fam, p, q)
+        pair = case.pair
+        g = _cayley_element(pair, rng)
+        xs = [act(pair, g, rng.choice(pair.basis_minus))]
+        if case.slc is not None:
+            dim = case.slc.dim
+            coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(dim)]
+            x = slice_point(case.slc, coords)
+            xs += [x, act(pair, g, x)]
+        for x in xs:
+            assert centralizer(pair, x) == _reference_centralizer(pair, x), (fam, p, q, x)
 
 
 def test_regularity_vanishing_mod_p_falls_back_to_exact(caplog):

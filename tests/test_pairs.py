@@ -16,7 +16,6 @@ from symslice.pairs import (
     apply_theta,
     bracket,
     check_constraints,
-    eigenspace_basis,
     exchange,
     in_algebra,
     in_eigenspace,
@@ -130,7 +129,7 @@ def test_apply_theta_block_structure():
     anti = RatMatrix([[0, 0, 1], [0, 0, 2], [3, 4, 0]])
     assert apply_theta(pr, diag) == diag
     assert apply_theta(pr, anti) == -1 * anti
-    sig = RatMatrix.diagonal([1, 1, -1])
+    sig = block_diag(RatMatrix.identity(2), -1 * RatMatrix.identity(1))
     assert apply_theta(pr, sig) == sig
     assert apply_theta(pr, apply_theta(pr, anti)) == anti
 
@@ -169,7 +168,7 @@ def test_index_maps_match_dense_products(family, p, q):
     """adjoint, apply_theta and in_eigenspace against their dense definitions."""
     pr = make_pair(family, p, q)
     n = pr.n
-    sig = RatMatrix.diagonal([1] * p + [-1] * q)
+    sig = block_diag(RatMatrix.identity(p), -1 * RatMatrix.identity(q))
     rng = random.Random(100 * p + q)
     samples = [_random_matrix(rng, n) for _ in range(3)]
     # theta-odd, but for o and sp not in g: only the form condition fails
@@ -197,9 +196,9 @@ def test_index_maps_match_dense_products(family, p, q):
 
 
 def test_eigenspace_dimensions():
-    assert len(eigenspace_basis(make_pair(Family.GL, 1, 1), -1)) == 2
-    assert len(eigenspace_basis(make_pair(Family.ORTH, 2, 1), -1)) == 2
-    assert len(eigenspace_basis(make_pair(Family.SP, 2, 2), -1)) == 4
+    assert len(make_pair(Family.GL, 1, 1).basis_minus) == 2
+    assert len(make_pair(Family.ORTH, 2, 1).basis_minus) == 2
+    assert len(make_pair(Family.SP, 2, 2).basis_minus) == 4
     for fam, p, q in SMALL:
         pr = make_pair(fam, p, q)
         expected = 2 * p * q if fam is Family.GL else p * q
