@@ -444,7 +444,9 @@ def pfaffian(m: RatMatrix) -> Fraction:
 
     Computed by congruence elimination (unit-determinant transforms
     preserve the Pfaffian, row and column swaps flip its sign), so the
-    result is the product of the 2x2 block pivots.
+    result is the product of the 2x2 block pivots.  The slice invariants
+    read Pf(X J) off a block instead; this is the independent reference
+    that value is tested against.
     """
     n = m.rows
     if m.cols != n or n % 2:

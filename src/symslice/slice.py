@@ -7,9 +7,10 @@ redundant but conjugation-invariant and exact.  For the orthogonal
 p = q family the characteristic polynomial only sees the square of the
 degree-q product invariant and its fibers on the slice are +- pairs, so
 exactly there one extra coordinate is appended: the Pfaffian of X J,
-which is invariant under every Cayley-generated (determinant one) group
-element.  The Jacobian rank check below measures separation, with
-exact derivatives from the adjugate of tI - X (see jacobian_rank_at).
+invariant under every Cayley-generated (determinant one) group element.
+X J is block anti-diagonal, so Pf(X J) = (-1)^q det A = c_0 of the
+upper-right block A of X.  The Jacobian rank check below measures
+separation, with exact derivatives from adjugates (see jacobian_rank_at).
 
 Inversion is exact and direct (Kostant-Rallis).  ad h acts on the slice
 directions with even weights w; in an eigenbasis a coordinate of weight
@@ -29,7 +30,6 @@ against the samples of all its invariants, and each class block.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,11 +37,11 @@ from functools import cached_property
 from .exact import (
     RatMatrix,
     adjugate_coefficients,
+    block_antidiag,
     charpoly,
     inverse,
     kernel_basis,
     lincomb,
-    pfaffian,
     rank as matrix_rank,
     rational_from_text,
     solve_unique,
@@ -105,7 +105,8 @@ class KostantSlice:
 class InvariantVector:
     """Characteristic polynomial coefficients, constant term first,
     excluding the leading 1; the orthogonal p = q family carries one
-    extra trailing value, the Pfaffian of X J."""
+    extra trailing value, the Pfaffian of X J, which is c_0 of the
+    upper-right q x q block."""
 
     values: tuple
 
@@ -150,7 +151,8 @@ def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
     points the caller already knows lie in g(-1)."""
     vals = charpoly(x)[:-1]
     if _needs_pfaffian(pair):
-        vals = vals + (pfaffian(x * pair.form),)
+        # Pf(X J) = (-1)^q det A, A = to_matrix_space(pair, x) unchecked
+        vals = vals + (charpoly(x.submatrix(0, pair.p, pair.p, pair.n))[0],)
     return vals
 
 
@@ -310,36 +312,23 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     """The Jacobian of the invariant map at a slice point, one row per
     invariant and one column per slice coordinate, exactly."""
     x = slice_point(slc, coords)
-    n = slc.pair.n
+    pair, n = slc.pair, slc.pair.n
     directions = [
         [(i, j, v) for i in range(n) for j, v in enumerate(b.row(i)) if v]
         for b in slc.slice_basis
     ]
     # the charpoly coefficient c_k has derivative -tr(N_k b) along b
+    nks = adjugate_coefficients(x)
+    if _needs_pfaffian(pair):
+        # the Pfaffian is c_0 of the upper-right block A, so its derivative
+        # -tr(N_0(A) b_A) is that trace with N_0(A) as the lower-left block
+        n0 = adjugate_coefficients(x.submatrix(0, pair.p, pair.p, n))[0]
+        nks += (block_antidiag(RatMatrix.zeros(pair.q, pair.q), n0),)
     rows = [
         [-sum((nk[j, i] * v for i, j, v in entries), _ZERO) for entries in directions]
-        for nk in adjugate_coefficients(x)
+        for nk in nks
     ]
-    if _needs_pfaffian(slc.pair):
-        rows.append(_pfaffian_row(slc, x, rows[0]))
     return RatMatrix(rows, cols=slc.dim)
-
-
-def _pfaffian_row(slc: KostantSlice, x: RatMatrix, c0_row) -> list[Fraction]:
-    form = slc.pair.form
-    pf = pfaffian(x * form)
-    if pf:
-        # Pf(X J)^2 = (-1)^n det J c_0, so dPf = Pf / (2 c_0) dc_0
-        return [pf / (2 * charpoly(x)[0]) * d for d in c0_row]
-    # along a line Pf has degree h = n/2, and its derivative at 0 is
-    # sum_t w_t Pf(t), t = 0..h, w_0 = -H_h, w_t = (-1)^(t+1) C(h, t) / t
-    # (here the t = 0 term vanishes)
-    h = slc.pair.n // 2
-    weights = [Fraction((-1) ** (t + 1) * math.comb(h, t), t) for t in range(1, h + 1)]
-    return [
-        sum((w * pfaffian((x + t * b) * form) for t, w in enumerate(weights, 1)), _ZERO)
-        for b in slc.slice_basis
-    ]
 
 
 def jacobian_rank_at(slc: KostantSlice, coords) -> int:
@@ -347,9 +336,8 @@ def jacobian_rank_at(slc: KostantSlice, coords) -> int:
 
     adj(tI - X) = sum_k t^k N_k from one Faddeev-LeVerrier pass gives
     the derivative -tr(N_k b) of the charpoly coefficient c_k along a
-    slice direction b.  The Pfaffian row (orthogonal p = q) follows from
-    Pf(X J)^2 = (-1)^n det J c_0 where Pf != 0, and from Pf(X J) at
-    n/2 + 1 points of each coordinate line where Pf = 0.  The graded
+    slice direction b.  The Pfaffian row (orthogonal p = q) is the same
+    trace for c_0 of the upper-right block A: -tr(N_0(A) b_A).  The graded
     tables are never read, so this checks their premise independently.
     """
     return matrix_rank(_jacobian(slc, coords))

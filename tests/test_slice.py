@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 
 from symslice.cli import build_case, report_cases
-from symslice.exact import MAX_DIGITS, RatMatrix, inverse, kernel_basis, lincomb, rank, solve, vec
+from symslice.exact import (
+    MAX_DIGITS,
+    RatMatrix,
+    inverse,
+    kernel_basis,
+    lincomb,
+    pfaffian,
+    rank,
+    solve,
+    vec,
+)
 from symslice.matspace import act, random_group_element
 from symslice.nilpotent import regular_nilpotent
 from symslice.pairs import Family, MembershipError, bracket, make_pair
@@ -168,6 +178,27 @@ def test_jacobian_rank_generic_points():
             assert jacobian_rank_at(slc, coords) == pair.rank_theta
 
 
+def test_pfaffian_value_is_c0_of_the_upper_block():
+    # the trailing o(q,q) value, c_0 of the upper-right block, against the
+    # congruence-elimination Pfaffian of X J
+    rng = random.Random(10)
+    for q in [*range(1, 9), 16]:
+        pair = make_pair(Family.ORTH, q, q)
+        n, basis = pair.n, pair.basis_minus
+        points = []
+        for sparse in (False, False, True, True) if q < 16 else (False,):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in basis]
+            if sparse:
+                for i in rng.sample(range(len(basis)), (len(basis) + 1) // 2):
+                    coeffs[i] = Fraction(0)
+            points.append(lincomb(coeffs, basis, n, n))
+        if 2 <= q <= 8:
+            slc = build_case("o", q, q).slc
+            points.append(slice_point(slc, [0] * slc.dim))
+        for x in points:
+            assert invariant_values(pair, x)[-1] == pfaffian(x * pair.form)
+
+
 def _sampled_derivative_weights(n):
     """Weights w with sum_j w_j * t_j^m = delta_{m,1} over nodes t_j = 0..n."""
     vt = RatMatrix([[Fraction(t) ** m for t in range(n + 1)] for m in range(n + 1)])
@@ -203,7 +234,7 @@ def test_jacobian_matches_line_sampling(case):
         for _ in range(3)
     ]
     if case[0] == "o" and case[1] == case[2]:
-        # coordinates 0 give the nilpotent f, where the Pfaffian row is sampled
+        # coordinates 0 give the nilpotent f, where the Pfaffian vanishes
         assert invariant_values(slc.pair, slice_point(slc, points[0]))[-1] == 0
     for coords in points:
         assert _jacobian(slc, coords) == _sampled_jacobian(slc, coords)
