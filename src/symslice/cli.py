@@ -32,7 +32,6 @@ from functools import lru_cache
 from . import __version__
 from .exact import (
     RatMatrix,
-    lincomb,
     matrix_from_text,
     matrix_to_text,
     rank,
@@ -52,6 +51,7 @@ from .pairs import (
     MembershipError,
     SymmetricPair,
     check_constraints,
+    combine,
     in_eigenspace,
     make_pair,
 )
@@ -138,8 +138,8 @@ def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
             if rank(act_mpq(pair, g, a)) != rank(a):
                 return False
         else:
-            coeffs = [Fraction(rng.randint(-5, 5)) for _ in pair.basis_minus]
-            x = lincomb(coeffs, pair.basis_minus, pair.n, pair.n)
+            coeffs = [Fraction(rng.randint(-5, 5)) for _ in pair.minus_support]
+            x = combine(pair.n, pair.minus_support, coeffs)
             lhs = to_matrix_space(pair, act(pair, g, x))
             rhs = act_mpq(pair, g, to_matrix_space(pair, x))
             if lhs != rhs:
@@ -425,7 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _configure_logging():
     level = os.environ.get("KS_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR))
+    # basicConfig installs the handler once; the level follows KS_LOG on every call
+    logging.basicConfig()
+    logging.getLogger().setLevel(levels.get(level, logging.ERROR))
 
 
 def main(argv=None, out=None, err=None) -> int:

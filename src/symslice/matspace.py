@@ -19,13 +19,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatMatrix, block_antidiag, block_diag, inverse, lincomb
+from .exact import RatMatrix, block_antidiag, block_diag, inverse
 from .pairs import (
     Family,
     MembershipError,
     SymmetricPair,
     adjoint,
     apply_theta,
+    combine,
     in_eigenspace,
 )
 
@@ -162,10 +163,10 @@ def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> Gro
         g = block_diag(g1, g2)
         ge = GroupElement(g=g, g_inv=inverse(g))
     else:
-        basis = pair.basis_plus
+        support = pair.plus_support
         for _ in range(_MAX_RETRIES):
-            coeffs = [Fraction(rng.randint(-height, height)) for _ in basis]
-            s = lincomb(coeffs, basis, pair.n, pair.n)
+            coeffs = [Fraction(rng.randint(-height, height)) for _ in support]
+            s = combine(pair.n, support, coeffs)
             try:
                 g = cayley(pair, s)
             except ValueError:

@@ -23,7 +23,6 @@ from .exact import (
     hstack,
     integer_rows,
     kernel_basis,
-    lincomb,
     modular_rank,
     nilpotency_index,
     rank,
@@ -36,6 +35,7 @@ from .pairs import (
     MembershipError,
     SymmetricPair,
     ad_rows,
+    combine,
     exchange,
     in_eigenspace,
 )
@@ -123,9 +123,9 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     """
     if x.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {x.shape}")
-    basis = pair.basis_minus
-    vectors = kernel_basis(RatMatrix(_ad_system(pair, x), cols=len(basis)))
-    return [lincomb([v[j, 0] for j in range(v.rows)], basis, pair.n, pair.n) for v in vectors]
+    support = pair.minus_support
+    vectors = kernel_basis(RatMatrix(_ad_system(pair, x), cols=len(support)))
+    return [combine(pair.n, support, [v[j, 0] for j in range(v.rows)]) for v in vectors]
 
 
 def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
@@ -140,7 +140,7 @@ def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
     rows = _ad_system(pair, x)
-    dim = len(pair.basis_minus)
+    dim = len(pair.minus_support)
     r = modular_rank(rows, _PRIME)
     if dim - r == pair.rank_theta:
         log.debug("regular by mod-p certificate: ad system %d x %d, rank %d", len(rows), dim, r)

@@ -9,9 +9,11 @@ conditions are evaluated entrywise.  The same maps give the eigenspaces
 g(1) and g(-1) directly, by one rule for every family: theta keeps the
 positions of one block parity, and the form condition pairs position
 (i, j) with (kappa(j), kappa(i)).  Each basis is built as integer
-supports (`plus_support`, `minus_support`), the matrices are derived
-from them, and `ad_rows` writes z -> [x, z] from a support: every
-bracket equation of `nilpotent` and `sl2` is a system built by it.
+supports (`plus_support`, `minus_support`).  Library code works on the
+supports alone: `combine` forms a linear combination of a basis from
+its support, and `ad_rows` writes z -> [x, z] from a support, so every
+bracket equation of `nilpotent` and `sl2` is a system built by it.  The
+basis matrices (`basis_plus`, `basis_minus`) are built on first access.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import RatMatrix, block_diag
 
@@ -76,11 +79,17 @@ class SymmetricPair:
     n: int
     form: RatMatrix | None
     form_entries: tuple | None
-    basis_plus: tuple
-    basis_minus: tuple
     plus_support: tuple
     minus_support: tuple
     rank_theta: int
+
+    @cached_property
+    def basis_plus(self) -> tuple:
+        return tuple(combine(self.n, (t,), (1,)) for t in self.plus_support)
+
+    @cached_property
+    def basis_minus(self) -> tuple:
+        return tuple(combine(self.n, (t,), (1,)) for t in self.minus_support)
 
     def __repr__(self):
         return f"SymmetricPair({self.family.value}, p={self.p}, q={self.q})"
@@ -129,10 +138,15 @@ def _eigenspace_support(n, p, entries, sign) -> tuple:
     return tuple(out)
 
 
-def _support_matrix(n, terms) -> RatMatrix:
+def combine(n: int, support, coeffs) -> RatMatrix:
+    """The n x n matrix sum coeffs[j] * b_j, b_j = sum c E_kl over (k, l, c)
+    in support[j]: `exact.lincomb` of the basis matrices, entry for entry,
+    without building them."""
     rows = [[_ZERO] * n for _ in range(n)]
-    for k, l, c in terms:
-        rows[k][l] = Fraction(c)
+    for a, terms in zip(coeffs, support):
+        if a:
+            for k, l, c in terms:
+                rows[k][l] += a * c
     return RatMatrix(rows, cols=n)
 
 
@@ -188,8 +202,6 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         n=n,
         form=form,
         form_entries=entries,
-        basis_plus=tuple(_support_matrix(n, t) for t in plus_support),
-        basis_minus=tuple(_support_matrix(n, t) for t in minus_support),
         plus_support=plus_support,
         minus_support=minus_support,
         rank_theta=rank_theta,

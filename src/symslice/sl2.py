@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatMatrix, lincomb, solve, vec
+from .exact import RatMatrix, solve, vec
 from .nilpotent import is_relatively_regular
-from .pairs import MembershipError, SymmetricPair, ad_rows, bracket, in_eigenspace
+from .pairs import MembershipError, SymmetricPair, ad_rows, bracket, combine, in_eigenspace
 
 
 class NoTriple(RuntimeError):
@@ -64,8 +64,7 @@ def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
         raise NoTriple("e = 0 cannot be part of an sl2 triple")
 
     n = pair.n
-    plus, minus = pair.basis_plus, pair.basis_minus
-    dp, dm = len(plus), len(minus)
+    dp, dm = len(pair.plus_support), len(pair.minus_support)
     e_rows = [e.row(i) for i in range(n)]
 
     # Joint system over (h, y) in g(1) x g(-1): [e, h] = -2e and [e, y] = h.
@@ -75,7 +74,7 @@ def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
     sol = _solve([(he, -2 * e), (ey, RatMatrix.zeros(n, n))], dp + dm)
     if sol is None:
         raise NoTriple("no h in g(1) with [h,e] = 2e lies in the image of ad_e")
-    h = lincomb(sol[:dp], plus, n, n)
+    h = combine(n, pair.plus_support, sol[:dp])
 
     # With h fixed: f in g(-1) with [e, f] = h and [h, f] = -2f.
     ef = ad_rows(pair, e_rows, pair.minus_support)
@@ -84,7 +83,7 @@ def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
     sol = _solve([(ef, h), (hf, RatMatrix.zeros(n, n))], dm)
     if sol is None:
         raise NoTriple("the f system is inconsistent for this (e, h)")
-    f = lincomb(sol, minus, n, n)
+    f = combine(n, pair.minus_support, sol)
 
     if bracket(h, e) != 2 * e or bracket(h, f) != -2 * f or bracket(e, f) != h:
         raise NoTriple("completion failed exact verification")

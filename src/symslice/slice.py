@@ -48,7 +48,7 @@ from .exact import (
     vec,
 )
 from .nilpotent import centralizer
-from .pairs import Family, MembershipError, SymmetricPair, bracket, in_eigenspace
+from .pairs import Family, MembershipError, SymmetricPair, bracket, combine, in_eigenspace
 from .sl2 import Sl2Triple
 
 _ZERO = Fraction(0)
@@ -100,6 +100,16 @@ class KostantSlice:
         # a case costs what it did before.
         return _graded_tables(self)
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """The (i, j, v) nonzero entries of f and of each slice basis
+        matrix: their support for `pairs.combine`."""
+        n = self.pair.n
+        return tuple(
+            tuple((i, j, v) for i in range(n) for j, v in enumerate(b.row(i)) if v)
+            for b in (self.triple.f, *self.slice_basis)
+        )
+
 
 @dataclass(frozen=True)
 class InvariantVector:
@@ -136,8 +146,7 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
     coords = [Fraction(c) for c in coords]
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
-    n = slc.pair.n
-    return lincomb((1, *coords), (slc.triple.f, *slc.slice_basis), n, n)
+    return combine(slc.pair.n, slc._terms, (1, *coords))
 
 
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
@@ -313,10 +322,7 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     invariant and one column per slice coordinate, exactly."""
     x = slice_point(slc, coords)
     pair, n = slc.pair, slc.pair.n
-    directions = [
-        [(i, j, v) for i in range(n) for j, v in enumerate(b.row(i)) if v]
-        for b in slc.slice_basis
-    ]
+    directions = slc._terms[1:]
     # the charpoly coefficient c_k has derivative -tr(N_k b) along b
     nks = adjugate_coefficients(x)
     if _needs_pfaffian(pair):

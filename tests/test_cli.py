@@ -1,5 +1,7 @@
+import functools
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from symslice import cli
 from symslice.cli import main, make_certificate, report_cases
 from symslice.exact import MAX_DIGITS, matrix_from_text, matrix_to_text, RatMatrix
 from symslice.pairs import MAX_SIZE
+from symslice.slice import invariants, invariants_to_json, slice_point
 
 
 def run_cli(argv):
@@ -433,3 +436,61 @@ def test_runs_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert matrix_from_text(proc.stdout) == x
+
+
+def test_ks_log_is_read_on_every_in_process_call(monkeypatch):
+    root = logging.getLogger()
+    level, handlers = root.level, list(root.handlers)
+    argv = ["verify", "--family", "sp", "--p", "3", "--q", "2"]
+    try:
+        monkeypatch.setenv("KS_LOG", "error")
+        assert run_cli(argv)[0] == 2
+        assert root.level == logging.ERROR
+        installed = list(root.handlers)
+        monkeypatch.setenv("KS_LOG", "debug")
+        assert run_cli(argv)[0] == 2
+        assert root.level == logging.DEBUG
+        assert root.handlers == installed
+    finally:
+        root.setLevel(level)
+        root.handlers[:] = handlers
+
+
+def test_argparse_exit_leaves_the_next_call_unchanged(tmp_path, capsys):
+    case = cli.build_case("o", 3, 2)
+    x = slice_point(case.slc, [Fraction(5, 2), Fraction(-1, 3)])
+    inv = tmp_path / "inv.json"
+    inv.write_text(invariants_to_json(invariants(case.pair, x)))
+    good = ["slice-rep", "--family", "o", "--p", "3", "--q", "2", "--invariants", str(inv)]
+    before = run_cli(good)
+    assert before[0] == 0 and matrix_from_text(before[1]) == x
+    for bad in (
+        ["slice-rep", "--family", "o", "--p", "3", "--q", "two", "--invariants", str(inv)],
+        ["slice-rep", "--family", "xx", "--p", "3", "--q", "2", "--invariants", str(inv)],
+        ["slice-rep", "--family", "o", "--p", "3", "--q", "2"],
+        ["verify", "--family", "o", "--p", "3", "--q", "2", "--trials", "many"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad, out=io.StringIO(), err=io.StringIO())
+        assert exc.value.code == 2
+    assert run_cli(good) == before
+    capsys.readouterr()
+
+
+def test_requests_build_no_dense_pair_basis(tmp_path, monkeypatch):
+    # a fresh case cache: no earlier test has touched these pairs' bases
+    monkeypatch.setattr(cli, "_case", functools.lru_cache(maxsize=None)(cli._case.__wrapped__))
+    for fam, p, q in (("gl", 2, 1), ("o", 3, 2), ("o", 2, 2), ("sp", 4, 2)):
+        case = cli.build_case(fam, p, q)
+        x = slice_point(case.slc, [Fraction(k - 1, 2) for k in range(case.slc.dim)])
+        inv = tmp_path / f"{fam}{p}{q}.json"
+        inv.write_text(invariants_to_json(invariants(case.pair, x)))
+        mat = tmp_path / f"{fam}{p}{q}.txt"
+        mat.write_text(matrix_to_text(x))
+        args = ["--family", fam, "--p", str(p), "--q", str(q)]
+        code, out, _ = run_cli(["slice-rep", *args, "--invariants", str(inv)])
+        assert code == 0 and out == matrix_to_text(x)
+        code, out, _ = run_cli(["canonicalize", *args, "--matrix", str(mat)])
+        assert code == 0 and out.endswith(matrix_to_text(x))
+        assert "basis_plus" not in case.pair.__dict__
+        assert "basis_minus" not in case.pair.__dict__

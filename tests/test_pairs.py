@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symslice.cli import report_cases
 from symslice.exact import RatMatrix, block_diag, inverse, kernel_basis, lincomb, rank, vec
@@ -16,6 +19,7 @@ from symslice.pairs import (
     apply_theta,
     bracket,
     check_constraints,
+    combine,
     exchange,
     in_algebra,
     in_eigenspace,
@@ -346,3 +350,27 @@ def test_eigenspace_bases_match_dense_kernel(family, p, q):
         assert basis == dense
         assert support == tuple(_support(b) for b in dense)
         assert all(type(c) is int for terms in support for _, _, c in terms)
+
+
+@functools.cache
+def _grid_pairs():
+    return [make_pair(Family(f), p, q) for f, p, q in report_cases(8, 16, 8)]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_combine_matches_dense_lincomb(seed):
+    # every acceptance-grid pair, coefficients with zeros among them
+    rng = random.Random(seed)
+    for pr in _grid_pairs():
+        n = pr.n
+        for basis, support in ((pr.basis_plus, pr.plus_support),
+                               (pr.basis_minus, pr.minus_support)):
+            coeffs = [
+                rng.choice((0, Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+                for _ in support
+            ]
+            assert combine(n, support, coeffs) == lincomb(coeffs, basis, n, n)
+            assert combine(n, support, coeffs[: len(coeffs) // 2]) == lincomb(
+                coeffs[: len(coeffs) // 2], basis, n, n
+            )

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symslice.cli import build_case, report_cases
 from symslice.exact import (
@@ -288,6 +290,24 @@ def _reference_tables(slc):
 
 
 GRID_UP_TO_10 = [c for c in report_cases(8, 16, 8) if c[1] + c[2] <= 10 and c != ("o", 1, 1)]
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sparse_slice_point_matches_dense_lincomb(seed):
+    # every acceptance-grid case with a slice, coordinates with zeros among them
+    rng = random.Random(seed)
+    for case in report_cases(8, 16, 8):
+        slc = build_case(*case).slc
+        if slc is None:
+            continue
+        n = slc.pair.n
+        coords = [
+            rng.choice((Fraction(0), Fraction(rng.randint(-99, 99), rng.randint(1, 10))))
+            for _ in range(slc.dim)
+        ]
+        dense = lincomb((1, *coords), (slc.triple.f, *slc.slice_basis), n, n)
+        assert slice_point(slc, coords) == dense
 
 
 @pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
