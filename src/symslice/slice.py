@@ -41,7 +41,6 @@ from .exact import (
     charpoly,
     inverse,
     kernel_basis,
-    lincomb,
     rank as matrix_rank,
     rational_from_text,
     solve_unique,
@@ -249,7 +248,6 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
     if len(eigvecs) != d:
         raise SliceDimensionError("ad h has no even-weight eigenbasis on the slice")
     to_seed = RatMatrix([[v[i] for v in eigvecs] for i in range(d)], cols=d)
-    graded = (slc.triple.f, *(lincomb(v, basis, n, n) for v in eigvecs))
 
     # the invariants of each class's degree, interpolated on its weighted support
     candidates = {
@@ -258,7 +256,10 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
     }
     supports = {w: _monomials([v + 2 for v in weights], w + 2) for w in candidates}
     nodes = _nodes(max(len(s) for s in supports.values()), d)
-    samples = [invariant_values(pair, lincomb((1, *u), graded, n, n)) for u in nodes]
+    # node u holds graded coordinates: the slice point at seed coordinates to_seed u
+    samples = [
+        invariant_values(pair, combine(n, slc._terms, (1, *_matvec(to_seed, u)))) for u in nodes
+    ]
 
     blocks = []
     for w, ms in candidates.items():
