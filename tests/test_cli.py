@@ -456,7 +456,7 @@ def test_ks_log_is_read_on_every_in_process_call(monkeypatch):
         root.handlers[:] = handlers
 
 
-def test_argparse_exit_leaves_the_next_call_unchanged(tmp_path, capsys):
+def test_argparse_exit_leaves_the_next_call_unchanged(tmp_path):
     case = cli.build_case("o", 3, 2)
     x = slice_point(case.slc, [Fraction(5, 2), Fraction(-1, 3)])
     inv = tmp_path / "inv.json"
@@ -474,7 +474,6 @@ def test_argparse_exit_leaves_the_next_call_unchanged(tmp_path, capsys):
             main(bad, out=io.StringIO(), err=io.StringIO())
         assert exc.value.code == 2
     assert run_cli(good) == before
-    capsys.readouterr()
 
 
 def test_requests_build_no_dense_pair_basis(tmp_path, monkeypatch):
