@@ -129,16 +129,13 @@ def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
     for _ in range(_EQUIVARIANCE_DRAWS):
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
         if pair.family is Family.GL:
-            a = RatMatrix(
-                [
-                    [Fraction(rng.randint(-5, 5)) for _ in range(pair.q)]
-                    for _ in range(pair.p)
-                ]
+            a = RatMatrix.from_ints(
+                [[rng.randint(-5, 5) for _ in range(pair.q)] for _ in range(pair.p)], cols=pair.q
             )
             if rank(act_mpq(pair, g, a)) != rank(a):
                 return False
         else:
-            coeffs = [Fraction(rng.randint(-5, 5)) for _ in pair.minus_support]
+            coeffs = [rng.randint(-5, 5) for _ in pair.minus_support]
             x = combine(pair.n, pair.minus_support, coeffs)
             lhs = to_matrix_space(pair, act(pair, g, x))
             rhs = act_mpq(pair, g, to_matrix_space(pair, x))

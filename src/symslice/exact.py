@@ -2,11 +2,15 @@
 
 Every downstream computation (eigenspace bases, centralizers, sl2
 completions, slice inversions) reduces to the primitives in this module,
-and all of them are exact: reduced row echelon form over Fraction
-entries, kernel bases with unit free coordinates, and characteristic
-polynomials and adjugates via an integer Faddeev-LeVerrier recurrence
-after clearing denominators.  Outputs are canonical so that
-certificates built on top are reproducible byte for byte.
+and all of them are exact.  A matrix is stored as integer rows over one
+positive common denominator, in lowest terms; products, sums, stacking
+and unique solves (fraction-free Gauss-Jordan elimination, after
+Bareiss 1968) run on those integers, and characteristic polynomials and
+adjugates come from an integer Faddeev-LeVerrier recurrence.  Entries
+leave as `fractions.Fraction` at the API edge (`RatMatrix.row`,
+`m[i, j]`), and the reduced row echelon form behind kernels, particular
+solutions and ranks still runs on Fractions.  Outputs are canonical so
+that certificates built on top are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -29,124 +34,197 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _entry(x):
+    """An int or Fraction entry as it is, a string parsed to a Fraction."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected a rational entry, got {type(x).__name__}")
 
 
-class RatMatrix:
-    """Dense matrix of Fractions, treated as immutable after construction.
+def _scale(num, s: int):
+    return num if s == 1 else [[x * s for x in row] for row in num]
 
-    Zero-row and zero-column matrices are allowed (they appear as
+
+class RatMatrix:
+    """Dense rational matrix, treated as immutable after construction.
+
+    Entry (i, j) is _num[i][j] / _den: integer rows over one positive
+    common denominator, in lowest terms (the gcd of _den and every
+    numerator is 1, so the zero matrix has _den = 1 and equal matrices
+    have equal storage).  The stored rows are shared, never mutated.
+    `row(i)` and `m[i, j]` give Fractions, from a view built on first
+    use.  Zero-row and zero-column matrices are allowed (they appear as
     degenerate blocks in the structured constructions); a matrix with no
     rows needs an explicit column count.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_num", "_den", "_view")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(_rat(x) for x in row) for row in entries)
-        if data:
-            cols = len(data[0])
-            if any(len(r) != cols for r in data):
-                raise ValueError("ragged rows in matrix literal")
-        elif cols is None:
-            raise ValueError("a matrix with no rows needs an explicit column count")
+        data = [[_entry(x) for x in row] for row in entries]
+        cols = _checked_cols(data, cols)
+        den = math.lcm(*(x.denominator for row in data for x in row))
         self.rows = len(data)
         self.cols = cols
-        self._e = data
+        self._num = [[x.numerator * (den // x.denominator) for x in row] for row in data]
+        self._den = den
+        self._view = None
+
+    @classmethod
+    def _raw(cls, num, den: int, cols: int) -> "RatMatrix":
+        """Wrap integer rows already in lowest terms over den > 0."""
+        m = object.__new__(cls)
+        m.rows = len(num)
+        m.cols = cols
+        m._num = num
+        m._den = den
+        m._view = None
+        return m
+
+    @classmethod
+    def _reduced(cls, num, den: int, cols: int) -> "RatMatrix":
+        """Wrap integer rows over a nonzero den, dividing out the common
+        factor and the sign of den."""
+        if den < 0:
+            num, den = [[-x for x in row] for row in num], -den
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num, den = [[x // g for x in row] for row in num], den // g
+        return cls._raw(num, den, cols)
+
+    @classmethod
+    def from_ints(cls, rows, cols: int | None = None, den: int = 1) -> "RatMatrix":
+        """The matrix rows / den from integer rows, built without Fractions."""
+        num = [list(row) for row in rows]
+        cols = _checked_cols(num, cols)
+        if den == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        return cls._reduced(num, den, cols)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._raw([[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
+        return cls._raw([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def _fractions(self) -> tuple:
+        view = self._view
+        if view is None:
+            den = self._den
+            view = self._view = tuple(
+                tuple(Fraction(x, den) if x else _ZERO for x in row) for row in self._num
+            )
+        return view
+
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._e[i][j]
+        return self._fractions()[i][j]
 
     def row(self, i: int):
-        return self._e[i]
+        return self._fractions()[i]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        if not self.rows:
+            return RatMatrix.zeros(self.cols, 0)
+        return RatMatrix._raw([list(col) for col in zip(*self._num)], self._den, self.rows)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "RatMatrix":
-        return RatMatrix([row[c0:c1] for row in self._e[r0:r1]], cols=c1 - c0)
+        return RatMatrix._reduced([row[c0:c1] for row in self._num[r0:r1]], self._den, c1 - c0)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._e for x in row)
+        return not any(map(any, self._num))
+
+    def _aligned(self, other, op: str):
+        """Both integer row lists over the lcm of the two denominators."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
+        den = math.lcm(self._den, other._den)
+        return _scale(self._num, den // self._den), _scale(other._num, den // other._den), den
 
     def __add__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)],
-            cols=self.cols,
-        )
+        a, b, den = self._aligned(other, "+")
+        num = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        return RatMatrix._reduced(num, den, self.cols)
 
     def __sub__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)],
-            cols=self.cols,
-        )
+        a, b, den = self._aligned(other, "-")
+        num = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        return RatMatrix._reduced(num, den, self.cols)
 
     def __neg__(self):
-        return RatMatrix([[-x for x in row] for row in self._e], cols=self.cols)
+        return RatMatrix._raw([[-x for x in row] for row in self._num], self._den, self.cols)
 
-    def _scaled(self, c: Fraction) -> "RatMatrix":
+    def _scaled(self, c) -> "RatMatrix":
         if c == 0:
             return RatMatrix.zeros(self.rows, self.cols)
-        return RatMatrix([[c * x for x in row] for row in self._e], cols=self.cols)
+        return RatMatrix._reduced(
+            _scale(self._num, c.numerator), self._den * c.denominator, self.cols
+        )
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            return RatMatrix(_matmul(self._e, other._e, other.cols, _ZERO), cols=other.cols)
+            return RatMatrix._reduced(
+                _matmul(self._num, other._num, other.cols), self._den * other._den, other.cols
+            )
         if isinstance(other, (int, Fraction)):
-            return self._scaled(_rat(other))
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(_rat(other))
+            return self._scaled(other)
         return NotImplemented
 
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
             and self.shape == other.shape
-            and self._e == other._e
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._den, tuple(map(tuple, self._num))))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"RatMatrix.zeros({self.rows}, {self.cols})"
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._e)
+        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._fractions())
         return f"RatMatrix([{body}])"
+
+
+def _checked_cols(rows, cols):
+    if rows:
+        cols = len(rows[0])
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged rows in matrix literal")
+    elif cols is None:
+        raise ValueError("a matrix with no rows needs an explicit column count")
+    return cols
+
+
+def _common(blocks):
+    """Each block's integer rows over the lcm of their denominators, and that lcm.
+
+    A block in lowest terms keeps a numerator prime to every prime of its
+    own denominator, so the stacked rows are in lowest terms too."""
+    den = math.lcm(*(b._den for b in blocks))
+    return [_scale(b._num, den // b._den) for b in blocks], den
 
 
 def hstack(blocks) -> RatMatrix:
@@ -156,10 +234,9 @@ def hstack(blocks) -> RatMatrix:
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("hstack row mismatch")
-    cols = sum(b.cols for b in blocks)
-    return RatMatrix(
-        [[x for b in blocks for x in b.row(i)] for i in range(rows)], cols=cols
-    )
+    nums, den = _common(blocks)
+    num = [list(chain.from_iterable(b[i] for b in nums)) for i in range(rows)]
+    return RatMatrix._raw(num, den, sum(b.cols for b in blocks))
 
 
 def vstack(blocks) -> RatMatrix:
@@ -169,7 +246,8 @@ def vstack(blocks) -> RatMatrix:
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise ValueError("vstack column mismatch")
-    return RatMatrix([row for b in blocks for row in b._e], cols=cols)
+    nums, den = _common(blocks)
+    return RatMatrix._raw([row for b in nums for row in b], den, cols)
 
 
 def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -187,15 +265,12 @@ def block_antidiag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 def shift_power(n: int, m: int) -> RatMatrix:
     """n x n matrix with ones on the m-th superdiagonal (m=0 gives the identity)."""
-    out = [[_ZERO] * n for _ in range(n)]
-    for i in range(n - m):
-        out[i][i + m] = _ONE
-    return RatMatrix(out, cols=n)
+    return RatMatrix._raw([[int(j == i + m) for j in range(n)] for i in range(n)], 1, n)
 
 
 def vec(m: RatMatrix) -> tuple[Fraction, ...]:
     """Row-major flattening, the coordinate convention used everywhere."""
-    return tuple(x for row in m._e for x in row)
+    return tuple(chain.from_iterable(m._fractions()))
 
 
 def lincomb(coeffs, mats, rows: int, cols: int) -> RatMatrix:
@@ -250,7 +325,7 @@ def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     to 0.  The ordering (ascending free column) is deterministic, which
     keeps every construction built on kernels reproducible.
     """
-    rows = [list(r) for r in m._e]
+    rows = [list(r) for r in m._fractions()]
     pivots = _rref(rows, m.cols)
     pivot_set = set(pivots)
     basis = []
@@ -272,10 +347,10 @@ def solve(a: RatMatrix, b) -> list[Fraction] | None:
     Returns None when the system is inconsistent; absence is a value
     here, not an error.
     """
-    rhs = [_rat(x) for x in b]
+    rhs = [Fraction(_entry(x)) for x in b]
     if a.rows != len(rhs):
         raise ValueError(f"solve: {a.rows} rows but {len(rhs)} right-hand entries")
-    rows = [list(r) + [x] for r, x in zip(a._e, rhs)]
+    rows = [list(r) + [x] for r, x in zip(a._fractions(), rhs)]
     pivots = _rref(rows, a.cols + 1)
     if pivots and pivots[-1] == a.cols:
         return None
@@ -286,7 +361,7 @@ def solve(a: RatMatrix, b) -> list[Fraction] | None:
 
 
 def rank(m: RatMatrix) -> int:
-    rows = [list(r) for r in m._e]
+    rows = [list(r) for r in m._fractions()]
     return len(_rref(rows, m.cols))
 
 
@@ -318,15 +393,50 @@ def modular_rank(rows: list[list[int]], prime: int) -> int:
     return found
 
 
+def _eliminate(row, prow, p: int, f: int, prev: int) -> list[int]:
+    """(p * row - f * prow) / prev entry by entry: one fraction-free
+    Gauss-Jordan step (Bareiss 1968), whose division is always exact."""
+    if not f:
+        if p == prev:
+            return row
+        out = [p * x for x in row]
+    else:
+        out = [p * x - f * y for x, y in zip(row, prow)]
+    if prev != 1:
+        if any(x % prev for x in out):
+            raise AssertionError("fraction-free elimination step not exact")
+        out = [x // prev for x in out]
+    return out
+
+
 def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """The solution X of a X = b from one elimination of [a | b], or None
-    unless it is unique: a of full column rank, every column consistent."""
+    unless it is unique: a of full column rank, every column consistent.
+
+    The elimination is fraction-free on the integer rows of [A | B], with
+    a = A / da and b = B / db: each step replaces every row but the pivot
+    row by (p r_i - f r_k) / (previous pivot) and drops the cleared
+    column.  After n = a.cols steps the first n rows hold d Y for the
+    last pivot d and A Y = B, the others must be zero, and X = Y da / db.
+    """
     if a.rows != b.rows:
         raise ValueError(f"solve_unique: {a.rows} rows but {b.rows} right-hand rows")
-    rows = [list(ra) + list(rb) for ra, rb in zip(a._e, b._e)]
-    if _rref(rows, a.cols + b.cols) != list(range(a.cols)):
+    rows = [ra + rb for ra, rb in zip(a._num, b._num)]
+    prev = 1
+    for c in range(a.cols):
+        k = next((i for i in range(c, len(rows)) if rows[i][0]), None)
+        if k is None:
+            return None
+        rows[c], rows[k] = rows[k], rows[c]
+        p, tail = rows[c][0], rows[c][1:]
+        rows = [
+            tail if i == c else _eliminate(r[1:], tail, p, r[0], prev)
+            for i, r in enumerate(rows)
+        ]
+        prev = p
+    if any(map(any, rows[a.cols :])):
         return None
-    return RatMatrix([row[a.cols:] for row in rows[: a.cols]], cols=b.cols)
+    return RatMatrix._reduced(_scale(rows[: a.cols], a._den), prev * b._den, b.cols)
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -359,17 +469,16 @@ def spans_equal(mats_a, mats_b) -> bool:
 
 
 def integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
-    """(d * m as integer rows, d) for the least common denominator d of m."""
-    den = math.lcm(*(x.denominator for row in m._e for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in m._e], den
+    """(d * m as integer rows, d) for the least common denominator d of m:
+    the stored rows, shared with m and not to be mutated."""
+    return m._num, m._den
 
 
-def _matmul(a, b, m, zero=0):
-    """Product of row lists a and b, b with m columns, skipping zero
-    entries; generic over ints and Fractions.  Untouched entries stay
-    `zero`, so a Fraction product needs no int-to-Fraction pass."""
+def _matmul(a, b, m):
+    """Product of integer row lists a and b, b with m columns, skipping
+    zero entries."""
     n = len(a)
-    out = [[zero] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -433,9 +542,7 @@ def adjugate_coefficients(m: RatMatrix) -> tuple:
     out = []
     for k, mk in enumerate(kept, start=1):
         # m = a / den, and M_k is homogeneous of degree k - 1 in a
-        scale = den ** (k - 1)
-        rows = [[Fraction(x, scale) if x else _ZERO for x in row] for row in mk]
-        out.append(RatMatrix(rows, cols=m.cols))
+        out.append(RatMatrix._reduced(mk, den ** (k - 1), m.cols))
     return tuple(reversed(out))
 
 
@@ -453,7 +560,7 @@ def pfaffian(m: RatMatrix) -> Fraction:
         raise ValueError("pfaffian needs an even-dimensional square matrix")
     if m.transpose() != -m:
         raise ValueError("pfaffian needs a skew-symmetric matrix")
-    a = [list(row) for row in m._e]
+    a = [list(row) for row in m._fractions()]
     pf = _ONE
     for k in range(0, n, 2):
         piv_j = None
@@ -503,8 +610,8 @@ def nilpotency_index(m: RatMatrix) -> int | None:
 def matrix_to_text(m: RatMatrix) -> str:
     """Serialize in the plain text exchange format: 'rows cols' then entries."""
     lines = [f"{m.rows} {m.cols}"]
-    for row in m._e:
-        lines.append(" ".join(str(x) for x in row))
+    for row in m._num if m._den == 1 else m._fractions():
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

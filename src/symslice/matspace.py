@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import RatMatrix, block_antidiag, block_diag, inverse
+from .exact import RatMatrix, block_antidiag, block_diag, inverse, solve_unique
 from .pairs import (
     Family,
     MembershipError,
@@ -30,7 +29,6 @@ from .pairs import (
     in_eigenspace,
 )
 
-_ONE = Fraction(1)
 # Singular Cayley draws before random_group_element gives up.
 _MAX_RETRIES = 64
 
@@ -116,12 +114,17 @@ def act_mpq(pair: SymmetricPair, ge: GroupElement, a: RatMatrix) -> RatMatrix:
 def cayley(pair: SymmetricPair, s: RatMatrix) -> RatMatrix:
     """(I - S)(I + S)^{-1}; lands in the group when S is form-skew.
 
-    Raises ValueError when I + S is singular.
+    The two factors commute, so this is the solution X of (I + S) X =
+    I - S, from one elimination.  Raises ValueError when I + S is
+    singular.
     """
     if s.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {s.shape}")
     ident = RatMatrix.identity(pair.n)
-    return (ident - s) * inverse(ident + s)
+    out = solve_unique(ident + s, ident - s)
+    if out is None:
+        raise ValueError("matrix is singular")
+    return out
 
 
 def _unimodular(rng: random.Random, n: int, height: int) -> RatMatrix:
@@ -131,19 +134,19 @@ def _unimodular(rng: random.Random, n: int, height: int) -> RatMatrix:
     arithmetic downstream (conjugation, centralizer kernels) degrades
     with entry size, not with matrix count.
     """
-    m = [[_ONE if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(n + 3):
         op = rng.randrange(6)
         i = rng.randrange(n)
         j = rng.randrange(n)
         if op < 4 and i != j:
-            c = Fraction(rng.randint(1, height) * rng.choice((1, -1)))
+            c = rng.randint(1, height) * rng.choice((1, -1))
             m[i] = [a + c * b for a, b in zip(m[i], m[j])]
         elif op == 4 and i != j:
             m[i], m[j] = m[j], m[i]
         else:
             m[i] = [-a for a in m[i]]
-    return RatMatrix(m, cols=n)
+    return RatMatrix.from_ints(m, cols=n)
 
 
 def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> GroupElement:
@@ -165,7 +168,7 @@ def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> Gro
     else:
         support = pair.plus_support
         for _ in range(_MAX_RETRIES):
-            coeffs = [Fraction(rng.randint(-height, height)) for _ in support]
+            coeffs = [rng.randint(-height, height) for _ in support]
             s = combine(pair.n, support, coeffs)
             try:
                 g = cayley(pair, s)

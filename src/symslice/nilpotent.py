@@ -124,7 +124,7 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     if x.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {x.shape}")
     support = pair.minus_support
-    vectors = kernel_basis(RatMatrix(_ad_system(pair, x), cols=len(support)))
+    vectors = kernel_basis(RatMatrix.from_ints(_ad_system(pair, x), cols=len(support)))
     return [combine(pair.n, support, [v[j, 0] for j in range(v.rows)]) for v in vectors]
 
 
@@ -145,7 +145,7 @@ def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
     if dim - r == pair.rank_theta:
         log.debug("regular by mod-p certificate: ad system %d x %d, rank %d", len(rows), dim, r)
         return True
-    cdim = dim - rank(RatMatrix(rows, cols=dim))
+    cdim = dim - rank(RatMatrix.from_ints(rows, cols=dim))
     log.debug(
         "regularity by exact fallback: ad system %d x %d, mod-p rank %d, centralizer dim %d",
         len(rows),

@@ -19,14 +19,12 @@ basis matrices (`basis_plus`, `basis_minus`) are built on first access.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .exact import RatMatrix, block_diag
+from .exact import RatMatrix, block_diag, integer_rows
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # Largest p + q accepted.  The eigenspaces are read off index maps, but
 # the centralizer and sl2 systems have dim g(-1) unknowns, and the graded
 # tables of slice inversion grow steeply with p + q.
@@ -57,18 +55,14 @@ class MembershipError(ValueError):
 
 def exchange(r: int) -> RatMatrix:
     """Antidiagonal matrix of ones."""
-    out = [[_ZERO] * r for _ in range(r)]
-    for i in range(r):
-        out[i][r - 1 - i] = _ONE
-    return RatMatrix(out, cols=r)
+    return RatMatrix.from_ints([[int(i + j == r - 1) for j in range(r)] for i in range(r)], cols=r)
 
 
 def signed_exchange(r: int) -> RatMatrix:
     """Antidiagonal with alternating signs, +1 in the top right corner."""
-    out = [[_ZERO] * r for _ in range(r)]
-    for i in range(r):
-        out[i][r - 1 - i] = _ONE if i % 2 == 0 else -_ONE
-    return RatMatrix(out, cols=r)
+    return RatMatrix.from_ints(
+        [[(-1) ** i if i + j == r - 1 else 0 for j in range(r)] for i in range(r)], cols=r
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,17 +85,28 @@ class SymmetricPair:
     def basis_minus(self) -> tuple:
         return tuple(combine(self.n, (t,), (1,)) for t in self.minus_support)
 
+    @cached_property
+    def _signs(self) -> tuple:
+        """form_entries with each v_i as the int +-1."""
+        return tuple((k, int(v)) for k, v in self.form_entries or ())
+
     def __repr__(self):
         return f"SymmetricPair({self.family.value}, p={self.p}, q={self.q})"
 
 
 def _form_entries(form: RatMatrix) -> tuple:
-    """(kappa(i), v_i) for each row i of the monomial form: J[i, kappa(i)] = v_i."""
+    """(kappa(i), v_i) for each row i of the monomial form: J[i, kappa(i)] = v_i.
+
+    Every v_i must be +-1: the integer `adjoint` and `in_algebra` use
+    v_i / v_j = v_i * v_j.
+    """
     out = []
     for i in range(form.rows):
         nz = [(j, form[i, j]) for j in range(form.cols) if form[i, j]]
         if len(nz) != 1:
             raise AssertionError("form matrix is not monomial")
+        if abs(nz[0][1]) != 1:
+            raise AssertionError("form entries must be +-1")
         out.append(nz[0])
     if sorted(k for k, _ in out) != list(range(form.cols)):
         raise AssertionError("form matrix is not monomial")
@@ -131,23 +136,23 @@ def _eigenspace_support(n, p, entries, sign) -> tuple:
                 if v_i == -v_j:
                     out.append(((i, j, 1),))
             elif partner < (i, j):
-                c = -v_j / v_i
-                if c.denominator != 1:
-                    raise AssertionError("eigenspace basis matrix is not integral")
-                out.append(((k_j, k_i, c.numerator), (i, j, 1)))
+                out.append(((k_j, k_i, int(-v_j * v_i)), (i, j, 1)))
     return tuple(out)
 
 
 def combine(n: int, support, coeffs) -> RatMatrix:
     """The n x n matrix sum coeffs[j] * b_j, b_j = sum c E_kl over (k, l, c)
     in support[j]: `exact.lincomb` of the basis matrices, entry for entry,
-    without building them."""
-    rows = [[_ZERO] * n for _ in range(n)]
+    without building them.  The c are integers; the coefficients (ints or
+    Fractions) are brought over one denominator first."""
+    den = math.lcm(*(a.denominator for a in coeffs))
+    rows = [[0] * n for _ in range(n)]
     for a, terms in zip(coeffs, support):
         if a:
+            a = a.numerator * (den // a.denominator)
             for k, l, c in terms:
                 rows[k][l] += a * c
-    return RatMatrix(rows, cols=n)
+    return RatMatrix.from_ints(rows, cols=n, den=den)
 
 
 def check_constraints(family, p: int, q: int) -> Family:
@@ -180,7 +185,7 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
     if family is Family.GL:
         form = None
     elif family is Family.ORTH:
-        form = block_diag(exchange(p), -_ONE * exchange(q))
+        form = block_diag(exchange(p), -exchange(q))
     else:
         form = block_diag(signed_exchange(p), signed_exchange(q))
     entries = None if form is None else _form_entries(form)
@@ -216,9 +221,12 @@ def _require_ambient(pair: SymmetricPair, x: RatMatrix):
 def apply_theta(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
     """Conjugation by the signature matrix: negate the off-diagonal blocks."""
     _require_ambient(pair, x)
-    p, n = pair.p, pair.n
-    rows = [[v if (i < p) == (j < p) else -v for j, v in enumerate(x.row(i))] for i in range(n)]
-    return RatMatrix(rows, cols=n)
+    p = pair.p
+    num, den = integer_rows(x)
+    rows = [
+        [v if (i < p) == (j < p) else -v for j, v in enumerate(row)] for i, row in enumerate(num)
+    ]
+    return RatMatrix.from_ints(rows, cols=pair.n, den=den)
 
 
 def adjoint(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
@@ -227,24 +235,22 @@ def adjoint(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
     Raises ValueError for GL, which has no form.
     """
     _require_ambient(pair, x)
-    entries = pair.form_entries
-    if entries is None:
+    if pair.form_entries is None:
         raise ValueError("the gl family has no form")
-    return RatMatrix(
-        [[v_i / v_j * a if (a := x[k_j, k_i]) else _ZERO for k_j, v_j in entries]
-         for k_i, v_i in entries],
-        cols=pair.n,
-    )
+    num, den = integer_rows(x)
+    signs = pair._signs
+    rows = [[v_i * v_j * num[k_j][k_i] for k_j, v_j in signs] for k_i, v_i in signs]
+    return RatMatrix.from_ints(rows, cols=pair.n, den=den)
 
 
 def in_algebra(pair: SymmetricPair, x: RatMatrix) -> bool:
     """Membership in g: vacuous for GL, otherwise the form condition
     X[i, j] = -v_i / v_j * X[kappa(j), kappa(i)], entry by entry."""
     _require_ambient(pair, x)
-    entries = pair.form_entries or ()
-    rows = [x.row(i) for i in range(x.rows)]
-    for (k_i, v_i), row in zip(entries, rows):
-        for (k_j, v_j), a in zip(entries, row):
+    signs = pair._signs
+    rows, _ = integer_rows(x)
+    for (k_i, v_i), row in zip(signs, rows):
+        for (k_j, v_j), a in zip(signs, row):
             b = rows[k_j][k_i]
             if (a or b) and a * v_j != -v_i * b:
                 return False
@@ -257,8 +263,8 @@ def in_eigenspace(pair: SymmetricPair, x: RatMatrix, sign: int) -> bool:
         raise ValueError("sign must be +1 or -1")
     _require_ambient(pair, x)
     p, keep = pair.p, sign == 1
-    for i in range(pair.n):
-        if any(v for j, v in enumerate(x.row(i)) if ((i < p) == (j < p)) != keep):
+    for i, row in enumerate(integer_rows(x)[0]):
+        if any(v for j, v in enumerate(row) if ((i < p) == (j < p)) != keep):
             return False
     return in_algebra(pair, x)
 

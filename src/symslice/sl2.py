@@ -9,7 +9,9 @@ unique solution anyway, which the tests check.
 
 In [e, y] = h, y ranges over g(-1) only: h lies in g(1), and ad_e maps
 g(1) into g(-1), so h is in [e, g] exactly when it is in [e, g(-1)].
-Every system is written by `pairs.ad_rows`.
+Every system is written by `pairs.ad_rows` from the integer rows d e of
+e (and of h), each equation multiplied through by d, which leaves the
+canonical solutions unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatMatrix, solve, vec
+from .exact import RatMatrix, integer_rows, solve, vec
 from .nilpotent import is_relatively_regular
 from .pairs import MembershipError, SymmetricPair, ad_rows, bracket, combine, in_eigenspace
 
@@ -41,14 +43,15 @@ def _add_coordinates(system: dict, n: int, support: tuple, scale: int, width: in
 
 
 def _solve(equations, width: int) -> list[Fraction] | None:
-    """Canonical solution of stacked (system keyed by vec index, right-hand matrix) pairs."""
+    """Canonical solution of stacked (integer system keyed by vec index,
+    right-hand matrix) pairs."""
     rows, rhs = [], []
     for system, target in equations:
         for idx, b in enumerate(vec(target)):
             if idx in system or b:
                 rows.append(system.get(idx, [0] * width))
                 rhs.append(b)
-    return solve(RatMatrix(rows, cols=width), rhs)
+    return solve(RatMatrix.from_ints(rows, cols=width), rhs)
 
 
 def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
@@ -65,22 +68,23 @@ def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
 
     n = pair.n
     dp, dm = len(pair.plus_support), len(pair.minus_support)
-    e_rows = [e.row(i) for i in range(n)]
+    e_rows, de = integer_rows(e)
 
     # Joint system over (h, y) in g(1) x g(-1): [e, h] = -2e and [e, y] = h.
     he = ad_rows(pair, e_rows, pair.plus_support + ((),) * dm)
     ey = ad_rows(pair, e_rows, ((),) * dp + pair.minus_support)
-    _add_coordinates(ey, n, pair.plus_support, -1, dp + dm)
-    sol = _solve([(he, -2 * e), (ey, RatMatrix.zeros(n, n))], dp + dm)
+    _add_coordinates(ey, n, pair.plus_support, -de, dp + dm)
+    sol = _solve([(he, -2 * de * e), (ey, RatMatrix.zeros(n, n))], dp + dm)
     if sol is None:
         raise NoTriple("no h in g(1) with [h,e] = 2e lies in the image of ad_e")
     h = combine(n, pair.plus_support, sol[:dp])
 
     # With h fixed: f in g(-1) with [e, f] = h and [h, f] = -2f.
     ef = ad_rows(pair, e_rows, pair.minus_support)
-    hf = ad_rows(pair, [h.row(i) for i in range(n)], pair.minus_support)
-    _add_coordinates(hf, n, pair.minus_support, 2, dm)
-    sol = _solve([(ef, h), (hf, RatMatrix.zeros(n, n))], dm)
+    h_rows, dh = integer_rows(h)
+    hf = ad_rows(pair, h_rows, pair.minus_support)
+    _add_coordinates(hf, n, pair.minus_support, 2 * dh, dm)
+    sol = _solve([(ef, de * h), (hf, RatMatrix.zeros(n, n))], dm)
     if sol is None:
         raise NoTriple("the f system is inconsistent for this (e, h)")
     f = combine(n, pair.minus_support, sol)

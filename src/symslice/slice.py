@@ -39,6 +39,7 @@ from .exact import (
     adjugate_coefficients,
     block_antidiag,
     charpoly,
+    integer_rows,
     inverse,
     kernel_basis,
     rank as matrix_rank,
@@ -101,13 +102,17 @@ class KostantSlice:
 
     @cached_property
     def _terms(self) -> tuple:
-        """The (i, j, v) nonzero entries of f and of each slice basis
-        matrix: their support for `pairs.combine`."""
-        n = self.pair.n
+        """The (i, j, v) nonzero entries of d b for f and each slice basis
+        matrix b, d its denominator: their integer support for
+        `pairs.combine`, with 1 / d in `_scales`."""
         return tuple(
-            tuple((i, j, v) for i in range(n) for j, v in enumerate(b.row(i)) if v)
-            for b in (self.triple.f, *self.slice_basis)
+            tuple((i, j, v) for i, row in enumerate(num) for j, v in enumerate(row) if v)
+            for num, _ in map(integer_rows, (self.triple.f, *self.slice_basis))
         )
+
+    @cached_property
+    def _scales(self) -> tuple:
+        return tuple(Fraction(1, integer_rows(b)[1]) for b in (self.triple.f, *self.slice_basis))
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,13 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
     coords = [Fraction(c) for c in coords]
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
-    return combine(slc.pair.n, slc._terms, (1, *coords))
+    return _point(slc, coords)
+
+
+def _point(slc: KostantSlice, coords) -> RatMatrix:
+    """f + sum_k coords[k] b_k from the integer terms, each coefficient
+    carrying its matrix's 1 / d."""
+    return combine(slc.pair.n, slc._terms, [c * s for c, s in zip((1, *coords), slc._scales)])
 
 
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
@@ -258,14 +269,14 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
     nodes = _nodes(max(len(s) for s in supports.values()), d)
     # node u holds graded coordinates: the slice point at seed coordinates to_seed u
     samples = [
-        invariant_values(pair, combine(n, slc._terms, (1, *_matvec(to_seed, u)))) for u in nodes
+        invariant_values(pair, _point(slc, _matvec(to_seed, u))) for u in nodes
     ]
 
     blocks = []
     for w, ms in candidates.items():
         support = supports[w]
         got = solve_unique(
-            RatMatrix([[_monomial_value(mono, u) for mono in support] for u in nodes]),
+            RatMatrix.from_ints([[_monomial_value(mono, u) for mono in support] for u in nodes]),
             RatMatrix([[s[m] for m in ms] for s in samples], cols=len(ms)),
         )
         if got is None:
@@ -323,7 +334,7 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     invariant and one column per slice coordinate, exactly."""
     x = slice_point(slc, coords)
     pair, n = slc.pair, slc.pair.n
-    directions = slc._terms[1:]
+    directions = tuple(zip(slc._terms[1:], slc._scales[1:]))
     # the charpoly coefficient c_k has derivative -tr(N_k b) along b
     nks = adjugate_coefficients(x)
     if _needs_pfaffian(pair):
@@ -332,7 +343,7 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
         n0 = adjugate_coefficients(x.submatrix(0, pair.p, pair.p, n))[0]
         nks += (block_antidiag(RatMatrix.zeros(pair.q, pair.q), n0),)
     rows = [
-        [-sum((nk[j, i] * v for i, j, v in entries), _ZERO) for entries in directions]
+        [-s * sum((nk[j, i] * v for i, j, v in entries), _ZERO) for entries, s in directions]
         for nk in nks
     ]
     return RatMatrix(rows, cols=slc.dim)

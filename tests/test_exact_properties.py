@@ -1,7 +1,10 @@
 """Property tests: the exact layer against sympy on random small rational matrices."""
 
+import math
 from fractions import Fraction
+from itertools import chain
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,14 +12,19 @@ from sympy.polys.matrices import DomainMatrix
 
 from symslice.exact import (
     RatMatrix,
+    _eliminate,
     adjugate_coefficients,
+    block_diag,
     charpoly,
+    hstack,
+    integer_rows,
     inverse,
     kernel_basis,
     pfaffian,
     rank,
     solve,
     solve_unique,
+    vstack,
 )
 
 # derandomized, so every tier-1 run draws the same examples
@@ -47,6 +55,87 @@ def to_sympy(m: RatMatrix) -> sympy.Matrix:
 def from_sympy(x) -> Fraction:
     x = sympy.Rational(x)
     return Fraction(int(x.p), int(x.q))
+
+
+def assert_lowest_terms(m: RatMatrix):
+    """Integer rows over one positive denominator prime to all of them."""
+    num, den = integer_rows(m)
+    assert type(den) is int and den > 0
+    assert len(num) == m.rows and all(len(row) == m.cols for row in num)
+    assert all(type(x) is int for x in chain.from_iterable(num))
+    assert math.gcd(den, *chain.from_iterable(num)) == 1
+
+
+def assert_entries_match(m: RatMatrix, s: sympy.Matrix):
+    """row(i) and m[i, j] are Fractions equal to the sympy entries."""
+    assert m.shape == s.shape
+    for i in range(m.rows):
+        expected = tuple(from_sympy(s[i, j]) for j in range(m.cols))
+        assert all(type(x) is Fraction for x in m.row(i))
+        assert m.row(i) == expected
+        assert all(type(m[i, j]) is Fraction for j in range(m.cols))
+        assert [m[i, j] for j in range(m.cols)] == list(expected)
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_operations_stay_in_lowest_terms(r, c, k, data):
+    a = data.draw(matrices(rows=r, cols=c))
+    b = data.draw(matrices(rows=r, cols=c))
+    w = data.draw(matrices(rows=c, cols=k))
+    x = data.draw(st.one_of(st.just(Fraction(0)), entries, st.integers(-3, 3)))
+    r0, r1 = sorted(data.draw(st.integers(0, r)) for _ in range(2))
+    c0, c1 = sorted(data.draw(st.integers(0, c)) for _ in range(2))
+    sa, sb, sw = to_sympy(a), to_sympy(b), to_sympy(w)
+    sx = sympy.Rational(x.numerator, x.denominator)
+    results = [
+        (a + b, sa + sb),
+        (a - b, sa - sb),
+        (-a, -sa),
+        (x * a, sx * sa),
+        (a * x, sa * sx),
+        (a * w, sa * sw),
+        (a.transpose(), sa.T),
+        (a.submatrix(r0, r1, c0, c1), sa[r0:r1, c0:c1]),
+        (hstack([a, b]), sympy.Matrix.hstack(sa, sb)),
+        (vstack([a, b]), sympy.Matrix.vstack(sa, sb)),
+        (
+            block_diag(a, w),
+            sympy.Matrix.vstack(
+                sympy.Matrix.hstack(sa, sympy.zeros(r, k)),
+                sympy.Matrix.hstack(sympy.zeros(c, c), sw),
+            ),
+        ),
+    ]
+    for got, expected in results:
+        assert_lowest_terms(got)
+        assert_entries_match(got, expected)
+
+
+@SETTINGS
+@given(matrices())
+def test_equal_matrices_built_by_different_routes_are_equal(m):
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    scaled = [[int(x * 2 * d) for x in row] for row in rows]
+    routes = [
+        RatMatrix(rows, cols=m.cols),
+        RatMatrix([[str(x) for x in row] for row in rows], cols=m.cols),
+        # the int rows of 2 d m over 2 d, and over -2 d with the signs flipped
+        RatMatrix.from_ints(scaled, cols=m.cols, den=2 * d),
+        RatMatrix.from_ints([[-x for x in row] for row in scaled], cols=m.cols, den=-2 * d),
+        m * RatMatrix.identity(m.cols),
+        (2 * m) * (Fraction(1, 2) * RatMatrix.identity(m.cols)),
+        (m + m) - m,
+    ]
+    if d == 1:
+        routes.append(RatMatrix([[int(x) for x in row] for row in rows], cols=m.cols))
+    for other in routes:
+        assert_lowest_terms(other)
+        assert other == m
+        assert hash(other) == hash(m)
+    assert RatMatrix.zeros(2, 3) == 0 * RatMatrix([[1, 2, 3], [4, 5, 6]])
+    assert integer_rows(RatMatrix.zeros(2, 3))[1] == 1
 
 
 @SETTINGS
@@ -140,12 +229,36 @@ def systems(draw):
 @example((RatMatrix([[1, 2], [0, 1], [1, 0]]), RatMatrix([[3, 1], [1, 0], [1, 1]])))
 @example((RatMatrix([[1, 2], [2, 4], [0, 0]]), RatMatrix([[1], [2], [0]])))
 @example((RatMatrix([[1, 0], [0, 1], [1, 1]]), RatMatrix([[1, 1], [1, 1], [2, 3]])))
+# a square rank-deficient a
+@example((RatMatrix([[1, 2], [2, 4]]), RatMatrix([[1], [2]])))
+# overdetermined: consistent, then inconsistent
+@example((RatMatrix([[2, 0], [0, 3], [1, 1]]), RatMatrix([[2], [3], [2]])))
+@example((RatMatrix([[2, 0], [0, 3], [1, 1]]), RatMatrix([[2], [3], [3]])))
+# a negative final pivot (det = -2), with rational entries on both sides
+@example((RatMatrix([[1, 2], [3, 4]]), RatMatrix([[Fraction(1, 3), 1], [1, Fraction(-5, 2)]])))
+@example((RatMatrix([[Fraction(1, 2), 1], [Fraction(3, 2), 2]]), RatMatrix([[1], [0]])))
+# a pivot found below a zero
+@example((RatMatrix([[0, 1], [1, 0], [0, 0]]), RatMatrix([[1], [2], [0]])))
+# zero-width b, with a of full column rank and rank-deficient
+@example((RatMatrix([[1, 2], [3, 4]]), RatMatrix.zeros(2, 0)))
+@example((RatMatrix([[1, 2], [2, 4]]), RatMatrix.zeros(2, 0)))
+# 0 x 0 a, and a with no columns against zero and nonzero b
+@example((RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 2)))
+@example((RatMatrix.zeros(2, 0), RatMatrix.zeros(2, 1)))
+@example((RatMatrix.zeros(2, 0), RatMatrix([[0], [1]])))
 def test_solve_unique_matches_sympy(system):
     a, b = system
     got = solve_unique(a, b)
+    if got is not None:
+        assert_lowest_terms(got)
     s = to_sympy(a)
     if s.rank() < a.cols:
         assert got is None
+        return
+    if a.cols == 0 or b.cols == 0:
+        # sympy solves no empty system: X is a.cols x b.cols, and with no
+        # unknowns it exists exactly when b = 0
+        assert got == (RatMatrix.zeros(a.cols, b.cols) if b.is_zero() else None)
         return
     try:
         sol, params = s.gauss_jordan_solve(to_sympy(b))
@@ -160,6 +273,11 @@ def test_solve_unique_matches_sympy(system):
 
 @SETTINGS
 @given(square_matrices(max_n=4))
+# a negative final pivot, a row swap, a singular matrix, and 0 x 0
+@example(RatMatrix([[1, 2], [3, 4]]))
+@example(RatMatrix([[0, 1, 0], [Fraction(1, 2), 0, 0], [0, 0, -3]]))
+@example(RatMatrix([[1, 2], [2, 4]]))
+@example(RatMatrix.zeros(0, 0))
 def test_inverse_matches_sympy(m):
     s = to_sympy(m)
     if s.det() == 0:
@@ -169,9 +287,17 @@ def test_inverse_matches_sympy(m):
             return
         raise AssertionError("inverse of a singular matrix")
     expected = s.inv()
+    assert_lowest_terms(inverse(m))
     assert inverse(m) == RatMatrix(
         [[from_sympy(expected[i, j]) for j in range(m.cols)] for i in range(m.rows)], cols=m.cols
     )
+
+
+def test_inexact_elimination_step_raises():
+    # (1 * [1, 1] - 1 * [1, 0]) / 2 leaves a remainder; it is never floored
+    with pytest.raises(AssertionError, match="not exact"):
+        _eliminate([1, 1], [1, 0], 1, 1, 2)
+    assert _eliminate([4, 6], [2, 2], 2, 1, 2) == [3, 5]
 
 
 def _pfaffian_by_expansion(a):

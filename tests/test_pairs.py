@@ -14,6 +14,7 @@ from symslice.pairs import (
     MAX_SIZE,
     ConstraintViolation,
     Family,
+    _form_entries,
     ad_rows,
     adjoint,
     apply_theta,
@@ -116,6 +117,19 @@ def test_forms_match_hand_built_blocks():
     # symplectic form is skew, orthogonal form is symmetric
     assert sp.form.transpose() == -1 * sp.form
     assert p.form.transpose() == p.form
+
+
+def test_form_entries_must_be_units():
+    # adjoint and in_algebra read v_i / v_j as v_i * v_j, true only for +-1
+    assert _form_entries(RatMatrix([[0, -1], [1, 0]])) == ((1, -1), (0, 1))
+    for form in (
+        RatMatrix([[0, 2], [1, 0]]),
+        RatMatrix([[0, 1, 0], [1, 0, 0], [0, 0, Fraction(-1, 2)]]),
+    ):
+        with pytest.raises(AssertionError, match="must be"):
+            _form_entries(form)
+    with pytest.raises(AssertionError, match="not monomial"):
+        _form_entries(RatMatrix([[1, 1], [0, 1]]))
 
 
 def test_involution_squares_to_identity():
