@@ -1,8 +1,7 @@
 """Pinned output bytes: certificates and random group elements.
 
-The digests were recorded before the exact layer moved from Fraction
-entries to integer rows over one denominator; any change in how a
-matrix is stored, multiplied or inverted must leave them as they are.
+Any change in how a matrix is stored, multiplied or inverted must leave
+these digests as they are.
 """
 
 import hashlib
