@@ -3,13 +3,13 @@
 Every downstream computation (eigenspace bases, centralizers, sl2
 completions, slice inversions) reduces to the primitives in this module,
 and all of them are exact.  A matrix is stored as integer rows over one
-positive common denominator, in lowest terms; products, sums, stacking
-and unique solves (fraction-free Gauss-Jordan elimination, after
-Bareiss 1968) run on those integers, and characteristic polynomials and
-adjugates come from an integer Faddeev-LeVerrier recurrence.  Entries
-leave as `fractions.Fraction` at the API edge (`RatMatrix.row`,
-`m[i, j]`), and the reduced row echelon form behind kernels, particular
-solutions and ranks still runs on Fractions.  Outputs are canonical so
+positive common denominator, in lowest terms; products, sums, stacking,
+unique solves and ranks (fraction-free elimination, after Bareiss 1968)
+run on those integers, and characteristic polynomials and adjugates
+come from an integer Faddeev-LeVerrier recurrence.  Entries leave as
+`fractions.Fraction` at the API edge (`RatMatrix.row`, `m[i, j]`), and
+the reduced row echelon form behind kernels, particular solutions and
+`spans_equal` still runs on Fractions.  Outputs are canonical so
 that certificates built on top are reproducible byte for byte.
 """
 
@@ -361,8 +361,24 @@ def solve(a: RatMatrix, b) -> list[Fraction] | None:
 
 
 def rank(m: RatMatrix) -> int:
-    rows = [list(r) for r in m._fractions()]
-    return len(_rref(rows, m.cols))
+    """Rank over Q by fraction-free elimination on the integer rows
+    (Bareiss 1968).  Each step replaces every row below the pivot by
+    (p r_i - f r_k) / (previous pivot) and drops the cleared column; a
+    column with no pivot is dropped without a step, zero rows as they
+    appear."""
+    rows = [r for r in m._num if any(r)]
+    found, prev = 0, 1
+    while rows and rows[0]:
+        k = next((i for i, r in enumerate(rows) if r[0]), None)
+        if k is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(k)
+        p, tail = pivot[0], pivot[1:]
+        rows = [r for r in (_eliminate(r[1:], tail, p, r[0], prev) for r in rows) if any(r)]
+        prev = p
+        found += 1
+    return found
 
 
 def modular_rank(rows: list[list[int]], prime: int) -> int:

@@ -8,9 +8,12 @@ group acting by conjugation on one side and by (g1, g2) . A = g1 A
 g2^{-1} on the other.  For GL both blocks are free and the
 correspondence takes the pair (A, B).
 
-Rational group elements are generated exactly: products of elementary
-matrices for GL, Cayley transforms of form-skew block-diagonal elements
-otherwise.
+Rational group elements are generated exactly, each with its inverse
+and no elimination for it: products of elementary matrices for GL, with
+the inverse operations applied as column operations, and Cayley
+transforms of form-skew block-diagonal elements otherwise, whose inverse
+is the form adjoint.  Every element is checked by one exact product
+g g^{-1} = I, which for o and sp is also the form condition.
 """
 
 from __future__ import annotations
@@ -48,19 +51,26 @@ class GroupElement:
 
 def group_element(pair: SymmetricPair, g: RatMatrix) -> GroupElement:
     """Wrap and validate a matrix as an element of the fixed subgroup."""
-    ge = GroupElement(g=g, g_inv=inverse(g))
+    g_inv = inverse(g) if pair.form is None else adjoint(pair, g)
+    ge = GroupElement(g=g, g_inv=g_inv)
     _check_group_element(pair, ge)
     return ge
 
 
 def _check_group_element(pair: SymmetricPair, ge: GroupElement):
+    """Raise ValueError unless g is block diagonal and g g_inv = I.
+
+    For o and sp, g_inv is the form adjoint of g, so g g_inv = I is the
+    form condition.
+    """
     g = ge.g
     if g.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {g.shape}")
     if apply_theta(pair, g) != g:
         raise ValueError("group element must be block diagonal")
-    if pair.form is not None and adjoint(pair, ge.g_inv) != g:
-        raise ValueError("group element fails the form condition")
+    if g * ge.g_inv != RatMatrix.identity(pair.n):
+        what = "the form condition" if pair.form is not None else "g g_inv = I"
+        raise ValueError(f"group element fails {what}")
 
 
 def to_matrix_space(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
@@ -127,14 +137,18 @@ def cayley(pair: SymmetricPair, s: RatMatrix) -> RatMatrix:
     return out
 
 
-def _unimodular(rng: random.Random, n: int, height: int) -> RatMatrix:
-    """Product of elementary row operations: determinant is +-1 exactly.
+def _unimodular(rng: random.Random, n: int, height: int) -> tuple[RatMatrix, RatMatrix]:
+    """Product of elementary row operations and its inverse: determinant
+    is +-1 exactly.
 
-    The operation count is kept modest so the entries stay small; exact
-    arithmetic downstream (conjugation, centralizer kernels) degrades
-    with entry size, not with matrix count.
+    The inverse takes the inverse of each row operation as a column
+    operation on the right, so it needs no elimination.  The operation
+    count is kept modest so the entries stay small; exact arithmetic
+    downstream (conjugation, centralizer kernels) degrades with entry
+    size, not with matrix count.
     """
     m = [[int(i == j) for j in range(n)] for i in range(n)]
+    m_inv = [row[:] for row in m]
     for _ in range(n + 3):
         op = rng.randrange(6)
         i = rng.randrange(n)
@@ -142,11 +156,17 @@ def _unimodular(rng: random.Random, n: int, height: int) -> RatMatrix:
         if op < 4 and i != j:
             c = rng.randint(1, height) * rng.choice((1, -1))
             m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+            for row in m_inv:
+                row[j] -= c * row[i]
         elif op == 4 and i != j:
             m[i], m[j] = m[j], m[i]
+            for row in m_inv:
+                row[i], row[j] = row[j], row[i]
         else:
             m[i] = [-a for a in m[i]]
-    return RatMatrix.from_ints(m, cols=n)
+            for row in m_inv:
+                row[i] = -row[i]
+    return RatMatrix.from_ints(m, cols=n), RatMatrix.from_ints(m_inv, cols=n)
 
 
 def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> GroupElement:
@@ -161,10 +181,9 @@ def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> Gro
         raise ValueError("height must be at least 1")
     rng = random.Random(seed)
     if pair.family is Family.GL:
-        g1 = _unimodular(rng, pair.p, height)
-        g2 = _unimodular(rng, pair.q, height)
-        g = block_diag(g1, g2)
-        ge = GroupElement(g=g, g_inv=inverse(g))
+        g1, g1_inv = _unimodular(rng, pair.p, height)
+        g2, g2_inv = _unimodular(rng, pair.q, height)
+        ge = GroupElement(g=block_diag(g1, g2), g_inv=block_diag(g1_inv, g2_inv))
     else:
         support = pair.plus_support
         for _ in range(_MAX_RETRIES):
@@ -174,7 +193,7 @@ def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> Gro
                 g = cayley(pair, s)
             except ValueError:
                 continue
-            ge = GroupElement(g=g, g_inv=inverse(g))
+            ge = GroupElement(g=g, g_inv=adjoint(pair, g))
             break
         else:
             raise RetryExhausted(

@@ -18,8 +18,9 @@ w scales with degree w + 2 and an invariant of degree k is weighted
 homogeneous of degree 2k.  So the invariants of degree (w + 2) / 2 are
 linear in the weight-w coordinates plus a polynomial in the lighter
 ones, and the coordinates follow class by class from small exact linear
-solves.  A final exact evaluation of every invariant decides the
-answer: a mismatch means no slice point has the target invariants.
+solves (`graded_solve`).  A final exact evaluation of every invariant
+decides the answer: a mismatch means no slice point has the target
+invariants.
 
 The tables for those solves are built on the first inversion, and each
 system in them is eliminated once: the slice directions against all
@@ -30,6 +31,7 @@ against the samples of all its invariants, and each class block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -125,7 +127,8 @@ class InvariantVector:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
+        object.__setattr__(self, "values", values)
 
 
 def _needs_pfaffian(pair: SymmetricPair) -> bool:
@@ -224,7 +227,13 @@ def _monomial_value(mono, u):
 
 
 def _matvec(m: RatMatrix, v) -> list[Fraction]:
-    return [sum((a * b for a, b in zip(m.row(i), v)), _ZERO) for i in range(m.rows)]
+    """m v from the integer rows of m and v over one denominator: one
+    integer dot product and one Fraction per entry."""
+    num, den = integer_rows(m)
+    vden = math.lcm(*(x.denominator for x in v))
+    w = [x.numerator * (vden // x.denominator) for x in v]
+    den *= vden
+    return [Fraction(sum(a * b for a, b in zip(row, w) if a), den) for row in num]
 
 
 def _nodes(count: int, dim: int) -> list[list[int]]:
@@ -303,15 +312,15 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
     return _GradedTables(to_seed=to_seed, blocks=tuple(blocks))
 
 
-def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
-    """Coordinates a with invariants(slice_point(a)) equal to the target, exactly.
+def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
+    """The one candidate for `invert_on_slice`, unchecked.
 
-    Solves the graded coordinates class by class in ascending weight,
-    maps them to the slice basis and checks every invariant exactly.
-    Raises NotFound when no slice point has the target invariants.
+    Solves the graded coordinates class by class in ascending weight and
+    maps them to the slice basis.  Every slice point with the target
+    invariants has these coordinates; when no slice point has them, the
+    candidate has other invariants.
     """
-    pair = slc.pair
-    expect = invariant_length(pair)
+    expect = invariant_length(slc.pair)
     if len(target.values) != expect:
         raise ValueError(f"expected {expect} invariant values, got {len(target.values)}")
     tables = slc._tables
@@ -323,8 +332,18 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
         ]
         for j, x in zip(block.coords, _matvec(block.linear_inv, rhs)):
             u[j] = x
-    coords = _matvec(tables.to_seed, u)
-    if invariant_values(pair, slice_point(slc, coords)) != target.values:
+    return _matvec(tables.to_seed, u)
+
+
+def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
+    """Coordinates a with invariants(slice_point(a)) equal to the target, exactly.
+
+    Takes the candidate of `graded_solve` and checks every invariant
+    exactly.  Raises NotFound when no slice point has the target
+    invariants.
+    """
+    coords = graded_solve(slc, target)
+    if invariant_values(slc.pair, slice_point(slc, coords)) != target.values:
         raise NotFound("no slice point has these invariants")
     return coords
 

@@ -103,6 +103,25 @@ def test_certificate_is_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_certificate_fails_when_the_graded_solve_misses(monkeypatch):
+    # the round trips compare the candidate with the generating coordinates,
+    # so a candidate off by one in a coordinate fails both inversion checks
+    solve = cli.graded_solve
+
+    def shifted(slc, target):
+        first, *rest = solve(slc, target)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(cli, "graded_solve", shifted)
+    for case in [("gl", 2, 2), ("o", 3, 3), ("sp", 4, 2)]:
+        cert = make_certificate(*case, seed=1, trials=5)
+        checks = dict(cert["checks"])
+        assert not checks.pop("roundtrip") and not checks.pop("invariant_conjugation")
+        assert all(checks.values())
+        assert cert["roundtrip_passes"] == 0
+        assert not cert["passing"]
+
+
 def test_report_case_enumeration():
     assert len(report_cases(4, 0, 0)) == 10
     assert report_cases(0, 3, 0) == [("o", 1, 1), ("o", 2, 1)]

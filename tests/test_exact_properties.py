@@ -181,6 +181,16 @@ def test_product_matches_sympy(r, k, c, data):
 
 @SETTINGS
 @given(matrices())
+# zero, no rows, no columns
+@example(RatMatrix.zeros(2, 3))
+@example(RatMatrix.zeros(0, 3))
+@example(RatMatrix.zeros(2, 0))
+# a column with no pivot before a pivot column, first and after a step
+@example(RatMatrix([[0, 1], [0, 2]]))
+@example(RatMatrix([[1, 2, 0], [2, 4, 1], [3, 6, 1]]))
+# negative pivots, the second divided by the first
+@example(RatMatrix([[-2, 1, 3], [1, -3, 1], [1, 1, -5]]))
+@example(RatMatrix([[Fraction(-1, 2), 3], [Fraction(5, 3), -7], [1, 1]]))
 def test_rank_and_kernel_match_sympy(m):
     s = to_sympy(m)
     assert rank(m) == s.rank()

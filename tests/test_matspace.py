@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from symslice.exact import RatMatrix, block_diag, inverse, rank, shift_power
+from symslice.cli import report_cases
 from symslice.matspace import (
+    GroupElement,
+    _check_group_element,
     act,
     act_mpq,
     cayley,
@@ -84,10 +87,14 @@ def test_act_is_a_group_action():
 
 
 def test_random_group_elements_satisfy_group_conditions():
-    for fam, p, q in [(Family.GL, 3, 2), (Family.ORTH, 3, 3), (Family.SP, 4, 2)]:
-        pair = make_pair(fam, p, q)
+    for fam, p, q in report_cases(8, 16, 8):
+        if p + q > 10:
+            continue
+        pair = make_pair(Family(fam), p, q)
         for seed in range(5):
             g = random_group_element(pair, seed=seed, height=4)
+            # the carried inverse is the one an elimination finds
+            assert g.g_inv == inverse(g.g)
             assert g.g * g.g_inv == RatMatrix.identity(pair.n)
             sig = block_diag(RatMatrix.identity(p), -1 * RatMatrix.identity(q))
             assert sig * g.g == g.g * sig
@@ -142,3 +149,9 @@ def test_group_element_validation():
     # the exchange block is a legitimate group element
     ge = group_element(pair, RatMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     assert ge.g * ge.g_inv == RatMatrix.identity(3)
+    # a carried inverse that is not the inverse
+    gl = make_pair(Family.GL, 2, 1)
+    g = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="g g_inv = I"):
+        _check_group_element(gl, GroupElement(g=g, g_inv=g))
+    _check_group_element(gl, GroupElement(g=g, g_inv=inverse(g)))

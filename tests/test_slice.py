@@ -33,6 +33,7 @@ from symslice.slice import (
     _monomial_value,
     _monomials,
     _nodes,
+    graded_solve,
     invariant_length,
     invariant_values,
     invariants,
@@ -314,6 +315,30 @@ def test_sparse_slice_point_matches_dense_lincomb(seed):
 def test_graded_tables_match_system_by_system_reference(case):
     slc = build_case(*case).slc
     assert slc._tables == _reference_tables(slc)
+
+
+@pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
+def test_graded_solve_is_the_candidate_invert_on_slice_checks(case):
+    slc = build_case(*case).slc
+    pair = slc.pair
+    rng = random.Random(repr(case))
+    for _ in range(3):
+        coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(slc.dim)]
+        g = random_group_element(pair, seed=rng.randrange(2**63), height=3)
+        target = invariants(pair, act(pair, g, slice_point(slc, coords)))
+        assert graded_solve(slc, target) == invert_on_slice(slc, target) == coords
+    # a target no slice point has: the candidate is returned unchecked
+    values = list(invariants(pair, slc.triple.f).values)
+    values[0] += 1
+    target = InvariantVector(values)
+    candidate = graded_solve(slc, target)
+    if invariant_values(pair, slice_point(slc, candidate)) != target.values:
+        with pytest.raises(NotFound):
+            invert_on_slice(slc, target)
+    else:
+        assert invert_on_slice(slc, target) == candidate
+    with pytest.raises(ValueError, match="invariant values"):
+        graded_solve(slc, InvariantVector(values[:-1]))
 
 
 def test_slice_directions_not_stable_under_ad_h_are_refused():
