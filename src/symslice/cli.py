@@ -242,8 +242,11 @@ def make_certificate(family, p: int, q: int, seed: int = 0, trials: int = 50) ->
 def _write_json(obj, out, path=None):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _Refused(EXIT_INPUT_ERROR, "InputError", str(exc)) from None
     else:
         out.write(text)
 

@@ -3,13 +3,13 @@
 Every downstream computation (eigenspace bases, centralizers, sl2
 completions, slice inversions) reduces to the primitives in this module,
 and all of them are exact.  A matrix is stored as integer rows over one
-positive common denominator, in lowest terms; products, sums, stacking,
-unique solves and ranks (fraction-free elimination, after Bareiss 1968)
-run on those integers, and characteristic polynomials and adjugates
-come from an integer Faddeev-LeVerrier recurrence.  Entries leave as
-`fractions.Fraction` at the API edge (`RatMatrix.row`, `m[i, j]`), and
-the reduced row echelon form behind kernels, particular solutions and
-`spans_equal` still runs on Fractions.  Outputs are canonical so
+positive common denominator, in lowest terms; products, sums and
+stacking run on those integers.  Kernels, particular and unique solves,
+inverses, ranks and `spans_equal` share one elimination, a Gauss-Jordan
+pass on integer rows that divides each changed row by its content, and
+characteristic polynomials and adjugates come from an integer
+Faddeev-LeVerrier recurrence.  Entries leave as `fractions.Fraction` at
+the API edge (`RatMatrix.row`, `m[i, j]`).  Outputs are canonical so
 that certificates built on top are reproducible byte for byte.
 """
 
@@ -287,34 +287,47 @@ def lincomb(coeffs, mats, rows: int, cols: int) -> RatMatrix:
     return RatMatrix(acc, cols=cols)
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduced row echelon form in place; returns the pivot columns."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
+def _echelon(rows, ncols: int):
+    """(rows, pivots): Gauss-Jordan elimination of integer rows in their
+    first ncols columns.  The input rows are not mutated.
+
+    A step with pivot p = r_k[c] replaces each other row r_i with a
+    nonzero f = r_i[c] by (p/g) r_i - (f/g) r_k, g = gcd(p, f), and
+    divides it by its content; zero rows are dropped as they appear.
+    The first len(pivots) rows come out as nonzero multiples of the rows
+    of the reduced echelon form, so canonical outputs are read off them
+    exactly.  The rows after them are zero in the first ncols columns.
+    """
+    done, pivots = [], []
+    rest = [r for r in rows if any(r)]
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv if x else x for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        if not rest:
             break
-    return pivots
+        k = next((i for i, r in enumerate(rest) if r[c]), None)
+        if k is None:
+            continue
+        prow = rest.pop(k)
+        p = prow[c]
+        done = [_combine(r, prow, p, c) for r in done]
+        rest = [r for r in (_combine(r, prow, p, c) for r in rest) if r]
+        done.append(prow)
+        pivots.append(c)
+    return done + rest, pivots
+
+
+def _combine(row, prow, p: int, c: int) -> list[int]:
+    """row with column c cleared against the pivot row prow (pivot p),
+    over its content; [] if nothing is left."""
+    f = row[c]
+    if not f:
+        return row
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    out = [a * x - b * y for x, y in zip(row, prow)]
+    g = math.gcd(*out)
+    if g == 0:
+        return []
+    return out if g == 1 else [x // g for x in out]
 
 
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
@@ -325,19 +338,20 @@ def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     to 0.  The ordering (ascending free column) is deterministic, which
     keeps every construction built on kernels reproducible.
     """
-    rows = [list(r) for r in m._fractions()]
-    pivots = _rref(rows, m.cols)
+    rows, pivots = _echelon(m._num, m.cols)
     pivot_set = set(pivots)
     basis = []
     for fc in range(m.cols):
         if fc in pivot_set:
             continue
-        v = [_ZERO] * m.cols
-        v[fc] = _ONE
+        # v[fc] = 1 and v[pc] = -rows[r][fc] / rows[r][pc], over their lcm
+        den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots) if rows[r][fc]))
+        v = [0] * m.cols
+        v[fc] = den
         for r, pc in enumerate(pivots):
             if rows[r][fc]:
-                v[pc] = -rows[r][fc]
-        basis.append(RatMatrix([[x] for x in v], cols=1))
+                v[pc] = -rows[r][fc] * (den // rows[r][pc])
+        basis.append(RatMatrix.from_ints([[x] for x in v], cols=1, den=den))
     return basis
 
 
@@ -350,35 +364,22 @@ def solve(a: RatMatrix, b) -> list[Fraction] | None:
     rhs = [Fraction(_entry(x)) for x in b]
     if a.rows != len(rhs):
         raise ValueError(f"solve: {a.rows} rows but {len(rhs)} right-hand entries")
-    rows = [list(r) + [x] for r, x in zip(a._fractions(), rhs)]
-    pivots = _rref(rows, a.cols + 1)
-    if pivots and pivots[-1] == a.cols:
+    # A x = d b for a = A / d; each row times its right-hand denominator
+    d = a._den
+    rows = [[x * y.denominator for x in r] + [d * y.numerator] for r, y in zip(a._num, rhs)]
+    rows, pivots = _echelon(rows, a.cols)
+    if len(rows) > len(pivots):
         return None
     x = [_ZERO] * a.cols
     for r, pc in enumerate(pivots):
-        x[pc] = rows[r][a.cols]
+        x[pc] = Fraction(rows[r][a.cols], rows[r][pc])
     return x
 
 
 def rank(m: RatMatrix) -> int:
-    """Rank over Q by fraction-free elimination on the integer rows
-    (Bareiss 1968).  Each step replaces every row below the pivot by
-    (p r_i - f r_k) / (previous pivot) and drops the cleared column; a
-    column with no pivot is dropped without a step, zero rows as they
-    appear."""
-    rows = [r for r in m._num if any(r)]
-    found, prev = 0, 1
-    while rows and rows[0]:
-        k = next((i for i, r in enumerate(rows) if r[0]), None)
-        if k is None:
-            rows = [r[1:] for r in rows]
-            continue
-        pivot = rows.pop(k)
-        p, tail = pivot[0], pivot[1:]
-        rows = [r for r in (_eliminate(r[1:], tail, p, r[0], prev) for r in rows) if any(r)]
-        prev = p
-        found += 1
-    return found
+    """Rank over Q: the pivot count of the one integer elimination
+    (`_echelon`) on the stored rows."""
+    return len(_echelon(m._num, m.cols)[1])
 
 
 def modular_rank(rows: list[list[int]], prime: int) -> int:
@@ -409,50 +410,26 @@ def modular_rank(rows: list[list[int]], prime: int) -> int:
     return found
 
 
-def _eliminate(row, prow, p: int, f: int, prev: int) -> list[int]:
-    """(p * row - f * prow) / prev entry by entry: one fraction-free
-    Gauss-Jordan step (Bareiss 1968), whose division is always exact."""
-    if not f:
-        if p == prev:
-            return row
-        out = [p * x for x in row]
-    else:
-        out = [p * x - f * y for x, y in zip(row, prow)]
-    if prev != 1:
-        if any(x % prev for x in out):
-            raise AssertionError("fraction-free elimination step not exact")
-        out = [x // prev for x in out]
-    return out
-
-
 def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """The solution X of a X = b from one elimination of [a | b], or None
     unless it is unique: a of full column rank, every column consistent.
 
-    The elimination is fraction-free on the integer rows of [A | B], with
-    a = A / da and b = B / db: each step replaces every row but the pivot
-    row by (p r_i - f r_k) / (previous pivot) and drops the cleared
-    column.  After n = a.cols steps the first n rows hold d Y for the
-    last pivot d and A Y = B, the others must be zero, and X = Y da / db.
+    With a = A / da and b = B / db, the rows of [db A | da B] are
+    eliminated in the first n = a.cols columns (`_echelon`).  X is unique
+    exactly when every one of those columns gets a pivot and no other
+    row is left; row r is then a multiple (pivot p_r) of [e_r | X_r].
     """
     if a.rows != b.rows:
         raise ValueError(f"solve_unique: {a.rows} rows but {b.rows} right-hand rows")
-    rows = [ra + rb for ra, rb in zip(a._num, b._num)]
-    prev = 1
-    for c in range(a.cols):
-        k = next((i for i in range(c, len(rows)) if rows[i][0]), None)
-        if k is None:
-            return None
-        rows[c], rows[k] = rows[k], rows[c]
-        p, tail = rows[c][0], rows[c][1:]
-        rows = [
-            tail if i == c else _eliminate(r[1:], tail, p, r[0], prev)
-            for i, r in enumerate(rows)
-        ]
-        prev = p
-    if any(map(any, rows[a.cols :])):
+    n = a.cols
+    rows = [ra + rb for ra, rb in zip(_scale(a._num, b._den), _scale(b._num, a._den))]
+    rows, pivots = _echelon(rows, n)
+    if len(pivots) < n or len(rows) > n:
         return None
-    return RatMatrix._reduced(_scale(rows[: a.cols], a._den), prev * b._den, b.cols)
+    den = math.lcm(*(row[r] for r, row in enumerate(rows)))
+    return RatMatrix._reduced(
+        [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(rows)], den, b.cols
+    )
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -470,17 +447,11 @@ def spans_equal(mats_a, mats_b) -> bool:
     Decided exactly by comparing the rank of each coordinate stack with
     the rank of the concatenation.
     """
-    mats_a = list(mats_a)
-    mats_b = list(mats_b)
-    if not mats_a and not mats_b:
-        return True
-    probe = (mats_a or mats_b)[0]
-    width = probe.rows * probe.cols
-    rows_a = [list(vec(m)) for m in mats_a]
-    rows_b = [list(vec(m)) for m in mats_b]
-    ra = len(_rref([r[:] for r in rows_a], width)) if rows_a else 0
-    rb = len(_rref([r[:] for r in rows_b], width)) if rows_b else 0
-    rab = len(_rref([r[:] for r in rows_a + rows_b], width))
+    # the numerator rows: scaling a matrix by its denominator keeps the span
+    rows_a = [list(chain.from_iterable(m._num)) for m in mats_a]
+    rows_b = [list(chain.from_iterable(m._num)) for m in mats_b]
+    width = max(map(len, rows_a + rows_b), default=0)
+    ra, rb, rab = (len(_echelon(r, width)[1]) for r in (rows_a, rows_b, rows_a + rows_b))
     return ra == rb == rab
 
 

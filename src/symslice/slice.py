@@ -150,7 +150,7 @@ def make_slice(pair: SymmetricPair, triple: Sl2Triple) -> KostantSlice:
 
 
 def slice_point(slc: KostantSlice, coords) -> RatMatrix:
-    coords = [Fraction(c) for c in coords]
+    coords = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
     return _point(slc, coords)

@@ -195,6 +195,23 @@ def test_report_empty_range_exits_0():
     assert json.loads(out)["total"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "gl", "--p", "1", "--q", "1", "--trials", "0"],
+        ["report", "--gl-max", "1", "--trials", "0"],
+    ],
+)
+def test_unwritable_out_path_exits_2(tmp_path, argv):
+    path = tmp_path / "missing" / "out.json"
+    code, out, _ = run_cli([*argv, "--out", str(path)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    assert str(path) in error["message"]
+    assert not path.exists()
+
+
 def test_slice_rep_gl11(tmp_path):
     inv = tmp_path / "inv.json"
     inv.write_text('["-5", "0"]')

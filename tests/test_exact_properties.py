@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from symslice.exact import (
     RatMatrix,
-    _eliminate,
     adjugate_coefficients,
     block_diag,
     charpoly,
@@ -24,6 +22,8 @@ from symslice.exact import (
     rank,
     solve,
     solve_unique,
+    spans_equal,
+    vec,
     vstack,
 )
 
@@ -191,6 +191,15 @@ def test_product_matches_sympy(r, k, c, data):
 # negative pivots, the second divided by the first
 @example(RatMatrix([[-2, 1, 3], [1, -3, 1], [1, 1, -5]]))
 @example(RatMatrix([[Fraction(-1, 2), 3], [Fraction(5, 3), -7], [1, 1]]))
+# rows with a common content factor, before and after a step
+@example(RatMatrix([[6, 4, 2, 8], [9, 6, 3, 12], [3, 9, 6, 0]]))
+# a pivot that divides none of the entries it clears, above and below
+@example(RatMatrix([[0, 5, 7, 1], [4, 6, 1, 2], [6, 9, 3, 5]]))
+# a negative pivot in every column
+@example(RatMatrix([[-3, 2, 1], [5, -7, 4], [2, -5, 5]]))
+# entries above 2**64, integral and in a denominator
+@example(RatMatrix([[2**70 + 1, 3, 2**65], [2**66, Fraction(5, 2**67 + 3), 1], [1, 1, 1]]))
+@example(RatMatrix([[2**64 + 1, 2**65 + 2, 7], [2**64 + 3, 2**65 + 6, 2**80]]))
 def test_rank_and_kernel_match_sympy(m):
     s = to_sympy(m)
     assert rank(m) == s.rank()
@@ -199,14 +208,37 @@ def test_rank_and_kernel_match_sympy(m):
     assert [[v[i, 0] for i in range(m.cols)] for v in kernel_basis(m)] == expected
 
 
-@SETTINGS
-@given(matrices(), st.data())
-def test_solve_matches_sympy(a, data):
-    if data.draw(st.booleans()):
-        x0 = [data.draw(entries) for _ in range(a.cols)]
+@st.composite
+def vector_systems(draw):
+    """(a, b) for a x = b with one right-hand column, half of them
+    consistent by construction."""
+    a = draw(matrices())
+    if draw(st.booleans()):
+        x0 = [draw(entries) for _ in range(a.cols)]
         b = [sum(a[i, j] * x0[j] for j in range(a.cols)) for i in range(a.rows)]
     else:
-        b = [data.draw(entries) for _ in range(a.rows)]
+        b = [draw(entries) for _ in range(a.rows)]
+    return a, b
+
+
+@SETTINGS
+@given(vector_systems())
+# rows with a common content factor, consistent and not
+@example((RatMatrix([[6, 4, 2], [9, 6, 3], [3, 9, 6]]), [2, 3, 1]))
+@example((RatMatrix([[6, 4, 2], [9, 6, 3], [3, 9, 6]]), [2, 4, 1]))
+# a pivot that divides none of the entries it clears
+@example((RatMatrix([[4, 6, 1], [6, 5, 2], [10, 3, 5]]), [Fraction(1, 3), 7, -2]))
+# negative pivots, with a free column
+@example((RatMatrix([[-3, 2, 1, 4], [5, -7, 4, -1]]), [-1, Fraction(5, 2)]))
+# entries above 2**64 on both sides
+@example(
+    (
+        RatMatrix([[2**70 + 1, 3], [2**66, Fraction(5, 2**67 + 3)]]),
+        [2**65, Fraction(1, 2**64 + 1)],
+    )
+)
+def test_solve_matches_sympy(system):
+    a, b = system
     got = solve(a, b)
     try:
         sol, params = to_sympy(a).gauss_jordan_solve(
@@ -303,11 +335,52 @@ def test_inverse_matches_sympy(m):
     )
 
 
-def test_inexact_elimination_step_raises():
-    # (1 * [1, 1] - 1 * [1, 0]) / 2 leaves a remainder; it is never floored
-    with pytest.raises(AssertionError, match="not exact"):
-        _eliminate([1, 1], [1, 0], 1, 1, 2)
-    assert _eliminate([4, 6], [2, 2], 2, 1, 2) == [3, 5]
+@st.composite
+def matrix_lists(draw):
+    """Two lists of same-shape matrices: mostly scaled and summed draws
+    from a small pool, so the spans often agree while the denominators
+    differ, with zero matrices and repeats among them."""
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = draw(st.lists(matrices(rows=r, cols=c), min_size=1, max_size=3))
+    scalars = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+    term = st.tuples(scalars, st.sampled_from(pool), scalars, st.sampled_from(pool))
+    element = st.one_of(
+        st.sampled_from(pool),
+        st.just(RatMatrix.zeros(r, c)),
+        term.map(lambda t: t[0] * t[1] + t[2] * t[3]),
+        matrices(rows=r, cols=c),
+    )
+    a = draw(st.lists(element, max_size=4))
+    b = draw(st.lists(element, max_size=4))
+    if a and draw(st.booleans()):
+        b = b + a[:1]
+    return a, b
+
+
+def _stacked_rank(mats) -> int:
+    if not mats:
+        return 0
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in vec(m)]
+                         for m in mats]).rank()
+
+
+@SETTINGS
+@given(matrix_lists())
+@example(([], []))
+@example(([RatMatrix.zeros(2, 2)], []))
+# the same line with different denominators, repeated, and a second line
+@example(
+    (
+        [RatMatrix([[Fraction(1, 2), Fraction(1, 3)]])] * 2,
+        [RatMatrix([[Fraction(3, 5), Fraction(2, 5)]]), RatMatrix.zeros(1, 2)],
+    )
+)
+@example(([RatMatrix([[Fraction(1, 2), Fraction(1, 3)]])], [RatMatrix([[Fraction(1, 2), 1]])]))
+def test_spans_equal_matches_sympy(lists):
+    a, b = lists
+    ra, rb, rab = (_stacked_rank(m) for m in (a, b, a + b))
+    assert spans_equal(a, b) == (ra == rb == rab)
+    assert spans_equal(b, a) == spans_equal(a, b)
 
 
 def _pfaffian_by_expansion(a):
