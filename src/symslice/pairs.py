@@ -26,8 +26,9 @@ from functools import cached_property
 from .exact import RatMatrix, block_diag, integer_rows
 
 # Largest p + q accepted.  The eigenspaces are read off index maps, but
-# the centralizer and sl2 systems have dim g(-1) unknowns, and the graded
-# tables of slice inversion grow steeply with p + q.
+# the centralizer and sl2 systems have dim g(-1) unknowns, and slice
+# inversion evaluates the invariants once per weight class; README states
+# the time budget at gl(16, 16).
 MAX_SIZE = 32
 
 

@@ -3,29 +3,34 @@
 The slice is an affine subspace meeting each regular orbit in a single
 point, so conjugation invariants restricted to it separate orbits.  The
 invariants used are the full characteristic polynomial coefficients:
-redundant but conjugation-invariant and exact.  For the orthogonal
-p = q family the characteristic polynomial only sees the square of the
-degree-q product invariant and its fibers on the slice are +- pairs, so
-exactly there one extra coordinate is appended: the Pfaffian of X J,
-invariant under every Cayley-generated (determinant one) group element.
-X J is block anti-diagonal, so Pf(X J) = (-1)^q det A = c_0 of the
-upper-right block A of X.  The Jacobian rank check below measures
+redundant but conjugation-invariant and exact.  An element of g(-1) is
+X = ((0, A), (B, 0)) with A of size p x q, and det(tI - X) =
+t^(p - q) det(t^2 I - B A), so they are read off the q x q product B A.
+For the orthogonal p = q family the characteristic polynomial only sees
+the square of the degree-q product invariant and its fibers on the
+slice are +- pairs, so exactly there one extra coordinate is appended:
+the Pfaffian of X J, invariant under every Cayley-generated (determinant
+one) group element.  X J is block anti-diagonal, so Pf(X J) =
+(-1)^q det A = c_0 of A.  The Jacobian rank check below measures
 separation, with exact derivatives from adjugates (see jacobian_rank_at).
 
-Inversion is exact and direct (Kostant-Rallis).  ad h acts on the slice
-directions with even weights w; in an eigenbasis a coordinate of weight
-w scales with degree w + 2 and an invariant of degree k is weighted
-homogeneous of degree 2k.  So the invariants of degree (w + 2) / 2 are
-linear in the weight-w coordinates plus a polynomial in the lighter
-ones, and the coordinates follow class by class from small exact linear
-solves (`graded_solve`).  A final exact evaluation of every invariant
-decides the answer: a mismatch means no slice point has the target
-invariants.
-
-The tables for those solves are built on the first inversion, and each
-system in them is eliminated once: the slice directions against all
-their ad h images, per weight class the interpolation Vandermonde
-against the samples of all its invariants, and each class block.
+Inversion is exact and direct (Kostant-Rallis).  The slice directions
+have an eigenbasis G_j of ad h, [h, G_j] = w_j G_j with every w_j >= 0
+even, checked exactly when the eigenbasis is built, and [h, f] = -2f,
+checked exactly by `complete_triple`.  h is semisimple with integer
+eigenvalues (sl2 theory), so for rational t != 0 the group element t^h
+(t^l on the l-eigenspace of h, determinant t^tr(h) = 1) scales f by
+t^-2 and G_j by t^w_j.  An invariant I of degree k takes t^2 Y to
+t^(2k) I(Y), so I(f + sum_j t^(w_j + 2) u_j G_j) = t^(2k) I(f + sum_j
+u_j G_j): every monomial of I on the slice has weighted degree 2k, u_j
+counting w_j + 2 >= 2.  An invariant of degree (w + 2) / 2 is therefore
+linear in the weight-w coordinates, free of the heavier ones, and
+otherwise a polynomial in the lighter ones.  With the class and every
+heavier one set to 0 it is that polynomial, so `graded_solve` finds the
+coordinates class by class, lightest first, from one evaluation of the
+invariants at that partial point and one small linear solve.  A final
+exact evaluation of every invariant decides the answer: a mismatch means
+no slice point has the target invariants.
 """
 
 from __future__ import annotations
@@ -69,24 +74,12 @@ class NotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class _Block:
-    """One weight class: its graded coordinates, the invariants paired
-    with it, the inverse of their linear part in those coordinates, and
-    per invariant the other terms as (coefficient, monomial) pairs over
-    lighter coordinates, a monomial being ((coordinate, exponent), ...)."""
+    """One weight class: the invariants paired with it, and its step, the
+    class's graded directions in seed coordinates times the inverse of
+    those invariants' linear part in the class's graded coordinates."""
 
-    coords: tuple
     invariants: tuple
-    linear_inv: RatMatrix
-    rest: tuple
-
-
-@dataclass(frozen=True)
-class _GradedTables:
-    """Seed coordinates are to_seed times graded coordinates; blocks come
-    in ascending weight."""
-
-    to_seed: RatMatrix
-    blocks: tuple
+    step: RatMatrix
 
 
 @dataclass(frozen=True)
@@ -97,10 +90,10 @@ class KostantSlice:
     dim: int
 
     @cached_property
-    def _tables(self) -> _GradedTables:
+    def _blocks(self) -> tuple:
         # Built by the first inversion, not by make_slice, so constructing
         # a case costs what it did before.
-        return _graded_tables(self)
+        return _graded_blocks(self)
 
     @cached_property
     def _terms(self) -> tuple:
@@ -171,11 +164,22 @@ def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
 def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
     """The values of `invariants` without the membership check, for
     points the caller already knows lie in g(-1)."""
-    vals = charpoly(x)[:-1]
+    vals = _charpoly_values(pair, x)
     if _needs_pfaffian(pair):
         # Pf(X J) = (-1)^q det A, A = to_matrix_space(pair, x) unchecked
-        vals = vals + (charpoly(x.submatrix(0, pair.p, pair.p, pair.n))[0],)
+        vals += (charpoly(x.submatrix(0, pair.p, pair.p, pair.n))[0],)
     return vals
+
+
+def _charpoly_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
+    """The characteristic polynomial coefficients of x in g(-1), constant
+    term first, leading 1 dropped."""
+    p, q, n = pair.p, pair.q, pair.n
+    # det(tI - X) = t^(p - q) det(t^2 I - B A): c_(p - q + 2k) is the
+    # coefficient of t^k for B A, and every other c_i is 0
+    vals = [_ZERO] * n
+    vals[p - q :: 2] = charpoly(x.submatrix(p, n, 0, p) * x.submatrix(0, p, p, n))[:-1]
+    return tuple(vals)
 
 
 def invariants_to_json(v: InvariantVector) -> str:
@@ -203,29 +207,6 @@ def _invariant_degree(pair: SymmetricPair, index: int) -> int:
     return pair.n - index if index < pair.n else pair.n // 2
 
 
-def _monomials(degrees, total: int) -> list[tuple]:
-    """Every monomial prod u_j^e_j with sum e_j * degrees[j] == total, as
-    ((j, e_j), ...) over the nonzero exponents, in a fixed order."""
-    out = []
-
-    def extend(j, left, acc):
-        if left == 0:
-            out.append(acc)
-        elif j < len(degrees):
-            for e in range(left // degrees[j], -1, -1):
-                extend(j + 1, left - e * degrees[j], acc + ((j, e),) if e else acc)
-
-    extend(0, total, ())
-    return out
-
-
-def _monomial_value(mono, u):
-    out = 1
-    for j, e in mono:
-        out *= u[j] ** e
-    return out
-
-
 def _matvec(m: RatMatrix, v) -> list[Fraction]:
     """m v from the integer rows of m and v over one denominator: one
     integer dot product and one Fraction per entry."""
@@ -236,21 +217,8 @@ def _matvec(m: RatMatrix, v) -> list[Fraction]:
     return [Fraction(sum(a * b for a, b in zip(row, w) if a), den) for row in num]
 
 
-def _nodes(count: int, dim: int) -> list[list[int]]:
-    """Fixed interpolation nodes with entries in [-3, 3], drawn from the
-    Park-Miller minimal standard sequence."""
-    state = 1
-    out = []
-    for _ in range(count):
-        row = []
-        for _ in range(dim):
-            state = state * 48271 % 2147483647
-            row.append(state % 7 - 3)
-        out.append(row)
-    return out
-
-
-def _graded_tables(slc: KostantSlice) -> _GradedTables:
+def _graded_blocks(slc: KostantSlice) -> tuple:
+    """The `_Block` of each weight class, lightest first."""
     pair, n, d = slc.pair, slc.pair.n, slc.dim
     basis = slc.slice_basis
 
@@ -267,37 +235,20 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
             eigvecs.append([v[i, 0] for i in range(d)])
     if len(eigvecs) != d:
         raise SliceDimensionError("ad h has no even-weight eigenbasis on the slice")
-    to_seed = RatMatrix([[v[i] for v in eigvecs] for i in range(d)], cols=d)
 
-    # the invariants of each class's degree, interpolated on its weighted support
-    candidates = {
-        w: [m for m in range(invariant_length(pair)) if 2 * _invariant_degree(pair, m) == w + 2]
-        for w in sorted(set(weights))
-    }
-    supports = {w: _monomials([v + 2 for v in weights], w + 2) for w in candidates}
-    nodes = _nodes(max(len(s) for s in supports.values()), d)
-    # node u holds graded coordinates: the slice point at seed coordinates to_seed u
-    samples = [
-        invariant_values(pair, _point(slc, _matvec(to_seed, u))) for u in nodes
-    ]
-
+    # at f + G_j an invariant of G_j's class is its coefficient of u_j
+    at = [invariant_values(pair, _point(slc, v)) for v in eigvecs]
     blocks = []
-    for w, ms in candidates.items():
-        support = supports[w]
-        got = solve_unique(
-            RatMatrix.from_ints([[_monomial_value(mono, u) for mono in support] for u in nodes]),
-            RatMatrix([[s[m] for m in ms] for s in samples], cols=len(ms)),
-        )
-        if got is None:
-            # pivots on exactly the support columns: unisolvent nodes and
-            # every invariant weighted homogeneous on the slice
-            raise AssertionError("invariants are not interpolated on their weighted support")
-        coeffs = [dict(zip(support, col)) for col in zip(*map(got.row, range(got.rows)))]
-        invs = tuple(m for m, c in zip(ms, coeffs) if any(c.values()))
-        coeffs = [c for c in coeffs if any(c.values())]
+    for w in sorted(set(weights)):
         cls = [j for j in range(d) if weights[j] == w]
-        linear = [((j, 1),) for j in cls]
-        lin = RatMatrix([[c[mono] for mono in linear] for c in coeffs], cols=len(cls))
+        # an invariant of the class's degree with no linear part in it
+        # cannot solve for it; only the final check reads it
+        invs = [
+            m
+            for m in range(invariant_length(pair))
+            if 2 * _invariant_degree(pair, m) == w + 2 and any(at[j][m] for j in cls)
+        ]
+        lin = RatMatrix([[at[j][m] for j in cls] for m in invs], cols=len(cls))
         try:
             lin_inv = inverse(lin)
         except ValueError:
@@ -305,34 +256,40 @@ def _graded_tables(slc: KostantSlice) -> _GradedTables:
                 f"weight class {w} has {len(cls)} coordinates but its "
                 f"{len(invs)} invariants of degree {(w + 2) // 2} do not solve for them"
             ) from None
-        rest = tuple(
-            tuple((c, mono) for mono, c in t.items() if c and mono not in linear) for t in coeffs
-        )
-        blocks.append(_Block(tuple(cls), invs, lin_inv, rest))
-    return _GradedTables(to_seed=to_seed, blocks=tuple(blocks))
+        directions = RatMatrix([[eigvecs[j][i] for j in cls] for i in range(d)], cols=len(cls))
+        blocks.append(_Block(tuple(invs), directions * lin_inv))
+    return tuple(blocks)
 
 
 def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     """The one candidate for `invert_on_slice`, unchecked.
 
-    Solves the graded coordinates class by class in ascending weight and
-    maps them to the slice basis.  Every slice point with the target
-    invariants has these coordinates; when no slice point has them, the
-    candidate has other invariants.
+    Solves the graded coordinates class by class in ascending weight.
+    With the class and every heavier one at 0, an invariant of the class
+    is its polynomial in the lighter coordinates, so the class's linear
+    block is solved against the target minus the invariants at that
+    partial point, and the block's step adds the solution to the slice
+    coordinates.  Every slice point with the target invariants has these
+    coordinates; when no slice point has them, the candidate has other
+    invariants.
     """
     expect = invariant_length(slc.pair)
     if len(target.values) != expect:
         raise ValueError(f"expected {expect} invariant values, got {len(target.values)}")
-    tables = slc._tables
-    u = [_ZERO] * slc.dim
-    for block in tables.blocks:
-        rhs = [
-            target.values[m] - sum(c * _monomial_value(mono, u) for c, mono in rest)
-            for m, rest in zip(block.invariants, block.rest)
-        ]
-        for j, x in zip(block.coords, _matvec(block.linear_inv, rhs)):
-            u[j] = x
-    return _matvec(tables.to_seed, u)
+    coords = [_ZERO] * slc.dim
+    for block in slc._blocks:
+        rhs = [target.values[m] for m in block.invariants]
+        if any(coords):
+            # at coordinates 0 the point is the nilpotent f, where every
+            # invariant is 0; the Pfaffian, index n, is read only by its class
+            x = _point(slc, coords)
+            if max(block.invariants) < slc.pair.n:
+                at = _charpoly_values(slc.pair, x)
+            else:
+                at = invariant_values(slc.pair, x)
+            rhs = [r - at[m] for r, m in zip(rhs, block.invariants)]
+        coords = [c + s for c, s in zip(coords, _matvec(block.step, rhs))]
+    return coords
 
 
 def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
@@ -374,7 +331,8 @@ def jacobian_rank_at(slc: KostantSlice, coords) -> int:
     adj(tI - X) = sum_k t^k N_k from one Faddeev-LeVerrier pass gives
     the derivative -tr(N_k b) of the charpoly coefficient c_k along a
     slice direction b.  The Pfaffian row (orthogonal p = q) is the same
-    trace for c_0 of the upper-right block A: -tr(N_0(A) b_A).  The graded
-    tables are never read, so this checks their premise independently.
+    trace for c_0 of the upper-right block A: -tr(N_0(A) b_A).  Neither
+    B A nor the graded blocks are used, so this checks their premise
+    independently.
     """
     return matrix_rank(_jacobian(slc, coords))

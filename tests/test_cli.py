@@ -84,6 +84,14 @@ def test_verify_orth33_passes():
     assert json.loads(out)["centralizer_dim"] == 3
 
 
+def test_verify_largest_square_gl_passes():
+    # MAX_SIZE is honest: the largest gl(q, q) runs the whole pipeline,
+    # a first slice inversion included, within README's time budget
+    code, out, _ = run_cli(["verify", "--family", "gl", "--p", "16", "--q", "16", "--trials", "0"])
+    assert code == 0
+    assert json.loads(out)["passing"] is True
+
+
 def test_verify_degenerate_orth11_fails_honestly():
     code, out, _ = run_cli(
         ["verify", "--family", "o", "--p", "1", "--q", "1", "--trials", "3"]

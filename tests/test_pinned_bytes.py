@@ -1,18 +1,24 @@
-"""Pinned output bytes: certificates and random group elements.
+"""Pinned output bytes: certificates, random group elements, and the
+stdout of `slice-rep` and `canonicalize`.
 
-Any change in how a matrix is stored, multiplied or inverted must leave
-these digests as they are.
+Any change in how a matrix is stored, multiplied or inverted, or in how
+slice inversion solves for its coordinates, must leave these digests as
+they are.
 """
 
 import hashlib
+import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from symslice.cli import make_certificate
+from symslice.cli import build_case, main, make_certificate
 from symslice.exact import matrix_to_text
-from symslice.matspace import random_group_element
+from symslice.matspace import act, random_group_element
 from symslice.pairs import make_pair
+from symslice.slice import invariants, invariants_to_json, slice_point
 
 CASES = [("gl", 3, 2), ("o", 2, 2), ("o", 3, 3), ("sp", 4, 2)]
 
@@ -32,6 +38,70 @@ GROUP_ELEMENTS = {
     ("o", 3, 3): "680d72b1496be5ab42bab7722e2e1911a831a9582d6d4673c8cbdaf499ad2e8e",
     ("sp", 4, 2): "59f3c617b76782ea5c60ea181c1c96ea39a5807e403e4243c5087bd40eeadfe9",
 }
+
+# sha256 over the exit codes and stdout of in-process calls on conjugated
+# slice points (`_cli_inputs`); o(3, 3) has a non-diagonal ad h on its
+# slice basis, o(2, 2) the Pfaffian
+SLICE_REP = {
+    ("gl", 3, 2): "c9fd62167c342e5116f772c0bd433702f868ba7d60649ef4d3d6e287424c7bd9",
+    ("o", 2, 2): "4a3fed706cada4b3a86ac0c5533378337758094425f75d812690f4e2a8e4f0b1",
+    ("o", 3, 3): "5eaacecf8280dcf250988d3d85c9904093b6270a84d5c06db4fa20e6117147b3",
+    ("sp", 4, 2): "48518549b7439fe30ddf38695868c13cbe6e9e5306ea522bb8db6a344fe48670",
+}
+CANONICALIZE = {
+    ("gl", 3, 2): "d7780219a8bf8adedd1dc10b9d2188f65f1185322322488ca6d66ded4fdcae45",
+    ("o", 2, 2): "4899b0dbb1e086a692024eb4c6565c982da28360522f3c8662e7721f395329f1",
+    ("o", 3, 3): "c965df7a5ad1c06a728f43b9eaf31a00da1c58d1cc48702f22ba065e3e02e448",
+    ("sp", 4, 2): "acef536a34444a7f6e808b0f8347068737964c489d86e8071fe8da6bcdadfa98",
+}
+
+
+def _cli_inputs(case):
+    """Five slice points at seeded coordinates, each conjugated by a
+    seeded group element, and their invariant vectors; the last vector
+    has its constant term moved by one, so it may have no slice point."""
+    pair, slc = make_pair(*case), build_case(*case).slc
+    rng = random.Random(repr(case))
+    points = []
+    for seed in range(5):
+        coords = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(slc.dim)]
+        g = random_group_element(pair, seed, height=3)
+        points.append(act(pair, g, slice_point(slc, coords)))
+    vectors = [invariants(pair, x) for x in points]
+    moved = list(vectors[-1].values)
+    moved[0] += 1
+    vectors.append(type(vectors[-1])(tuple(moved)))
+    return points, vectors
+
+
+def _stdout_digest(case, command, flag, texts, tmp_path):
+    fam, p, q = case
+    h = hashlib.sha256()
+    for k, text in enumerate(texts):
+        path = tmp_path / f"{command}-{k}.txt"
+        path.write_text(text)
+        out = io.StringIO()
+        code = main(
+            [command, "--family", fam, "--p", str(p), "--q", str(q), flag, str(path)],
+            out=out,
+            err=io.StringIO(),
+        )
+        h.update(f"{code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d%d" % c)
+def test_slice_rep_bytes_are_pinned(case, tmp_path):
+    _, vectors = _cli_inputs(case)
+    texts = [invariants_to_json(v) for v in vectors]
+    assert _stdout_digest(case, "slice-rep", "--invariants", texts, tmp_path) == SLICE_REP[case]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d%d" % c)
+def test_canonicalize_bytes_are_pinned(case, tmp_path):
+    points, _ = _cli_inputs(case)
+    texts = [matrix_to_text(x) for x in points]
+    assert _stdout_digest(case, "canonicalize", "--matrix", texts, tmp_path) == CANONICALIZE[case]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d%d" % c)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symslice.cli import build_case, report_cases
 from symslice.exact import (
     MAX_DIGITS,
     RatMatrix,
+    charpoly,
     inverse,
     kernel_basis,
     lincomb,
@@ -27,12 +28,8 @@ from symslice.slice import (
     NotFound,
     SliceDimensionError,
     _Block,
-    _GradedTables,
     _invariant_degree,
     _jacobian,
-    _monomial_value,
-    _monomials,
-    _nodes,
     graded_solve,
     invariant_length,
     invariant_values,
@@ -202,6 +199,38 @@ def test_pfaffian_value_is_c0_of_the_upper_block():
             assert invariant_values(pair, x)[-1] == pfaffian(x * pair.form)
 
 
+# every family, p > q included, with p + q <= 10
+INVARIANT_CASES = [c for c in report_cases(6, 10, 6) if c[1] + c[2] <= 10]
+
+
+@st.composite
+def minus_points(draw):
+    """A case and a point of its g(-1), often sparse."""
+    case = draw(st.sampled_from(INVARIANT_CASES))
+    pair = make_pair(*case)
+    value = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=5))
+    coeffs = draw(st.lists(value, min_size=len(pair.basis_minus), max_size=len(pair.basis_minus)))
+    return case, lincomb(coeffs, pair.basis_minus, pair.n, pair.n)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(point=minus_points())
+@example(point=(("gl", 3, 1), RatMatrix.zeros(4, 4)))
+@example(point=(("o", 2, 2), RatMatrix.zeros(4, 4)))
+@example(point=(("gl", 3, 2), build_case("gl", 3, 2).triple.f))
+@example(point=(("o", 3, 3), build_case("o", 3, 3).triple.f))
+@example(point=(("sp", 4, 2), build_case("sp", 4, 2).triple.f))
+def test_invariant_values_match_charpoly(point):
+    # read off B A, against the full n x n characteristic polynomial and
+    # the congruence-elimination Pfaffian of X J
+    case, x = point
+    pair = make_pair(*case)
+    want = charpoly(x)[:-1]
+    if case[0] == "o" and case[1] == case[2]:
+        want += (pfaffian(x * pair.form),)
+    assert invariant_values(pair, x) == want
+
+
 def _sampled_derivative_weights(n):
     """Weights w with sum_j w_j * t_j^m = delta_{m,1} over nodes t_j = 0..n."""
     vt = RatMatrix([[Fraction(t) ** m for t in range(n + 1)] for m in range(n + 1)])
@@ -243,53 +272,6 @@ def test_jacobian_matches_line_sampling(case):
         assert _jacobian(slc, coords) == _sampled_jacobian(slc, coords)
 
 
-def _reference_tables(slc):
-    """The graded tables built system by system: one solve per slice
-    direction for ad h, then per invariant a rank and a solve of its
-    class's Vandermonde, then per class block a rank and an inverse."""
-    pair, n, d = slc.pair, slc.pair.n, slc.dim
-    basis = slc.slice_basis
-    stacked = RatMatrix([list(r) for r in zip(*(vec(b) for b in basis))], cols=d)
-    ad_cols = [solve(stacked, vec(bracket(slc.triple.h, b))) for b in basis]
-    ad = RatMatrix([[c[i] for c in ad_cols] for i in range(d)], cols=d)
-    weights, eigvecs = [], []
-    for w in range(0, 2 * n, 2):
-        for v in kernel_basis(ad - w * RatMatrix.identity(d)):
-            weights.append(w)
-            eigvecs.append([v[i, 0] for i in range(d)])
-    assert len(eigvecs) == d
-    to_seed = RatMatrix([[v[i] for v in eigvecs] for i in range(d)], cols=d)
-    graded = [lincomb(v, basis, n, n) for v in eigvecs]
-    candidates = {
-        w: [m for m in range(invariant_length(pair)) if 2 * _invariant_degree(pair, m) == w + 2]
-        for w in sorted(set(weights))
-    }
-    supports = {m: _monomials([w + 2 for w in weights], w + 2)
-                for w, ms in candidates.items() for m in ms}
-    nodes = _nodes(max(len(s) for s in supports.values()), d)
-    samples = [invariant_values(pair, slc.triple.f + lincomb(u, graded, n, n)) for u in nodes]
-    coeffs = {}
-    for m, support in supports.items():
-        vand = RatMatrix([[_monomial_value(mono, u) for mono in support] for u in nodes])
-        assert rank(vand) == len(support)
-        got = solve(vand, [s[m] for s in samples])
-        assert got is not None
-        coeffs[m] = dict(zip(support, got))
-    blocks = []
-    for w, ms in candidates.items():
-        cls = [j for j in range(d) if weights[j] == w]
-        invs = [m for m in ms if any(coeffs[m].values())]
-        linear = [((j, 1),) for j in cls]
-        lin = RatMatrix([[coeffs[m][mono] for mono in linear] for m in invs], cols=len(cls))
-        assert len(invs) == len(cls) and rank(lin) == len(cls)
-        rest = tuple(
-            tuple((c, mono) for mono, c in coeffs[m].items() if c and mono not in linear)
-            for m in invs
-        )
-        blocks.append(_Block(tuple(cls), tuple(invs), inverse(lin), rest))
-    return _GradedTables(to_seed=to_seed, blocks=tuple(blocks))
-
-
 GRID_UP_TO_10 = [c for c in report_cases(8, 16, 8) if c[1] + c[2] <= 10 and c != ("o", 1, 1)]
 
 
@@ -311,10 +293,70 @@ def test_sparse_slice_point_matches_dense_lincomb(seed):
         assert slice_point(slc, coords) == dense
 
 
+def _reference_eigenbasis(slc):
+    """(weights, to_seed): an eigenbasis of ad h on the slice directions
+    in seed coordinates, lightest first, from one solve per direction."""
+    n, d, basis = slc.pair.n, slc.dim, slc.slice_basis
+    stacked = RatMatrix([list(r) for r in zip(*(vec(b) for b in basis))], cols=d)
+    ad_cols = [solve(stacked, vec(bracket(slc.triple.h, b))) for b in basis]
+    ad = RatMatrix([[c[i] for c in ad_cols] for i in range(d)], cols=d)
+    weights, eigvecs = [], []
+    for w in range(0, 2 * n, 2):
+        for v in kernel_basis(ad - w * RatMatrix.identity(d)):
+            weights.append(w)
+            eigvecs.append([v[i, 0] for i in range(d)])
+    assert len(eigvecs) == d
+    return weights, RatMatrix([[v[i] for v in eigvecs] for i in range(d)], cols=d)
+
+
+def _reference_blocks(slc):
+    """The graded blocks built system by system and without
+    `invariant_values`: per class a rank and an inverse of the rows and
+    columns of the Jacobian at f (from adjugates) in graded coordinates,
+    where every invariant is its linear part."""
+    pair, d = slc.pair, slc.dim
+    weights, to_seed = _reference_eigenbasis(slc)
+    linear = _jacobian(slc, [Fraction(0)] * d) * to_seed
+    blocks = []
+    for w in sorted(set(weights)):
+        cls = [j for j in range(d) if weights[j] == w]
+        invs = [
+            m
+            for m in range(invariant_length(pair))
+            if 2 * _invariant_degree(pair, m) == w + 2 and any(linear[m, j] for j in cls)
+        ]
+        lin = RatMatrix([[linear[m, j] for j in cls] for m in invs], cols=len(cls))
+        assert len(invs) == len(cls) and rank(lin) == len(cls)
+        directions = RatMatrix([[to_seed[i, j] for j in cls] for i in range(d)], cols=len(cls))
+        blocks.append(_Block(tuple(invs), directions * inverse(lin)))
+    return tuple(blocks)
+
+
 @pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
 def test_graded_tables_match_system_by_system_reference(case):
     slc = build_case(*case).slc
-    assert slc._tables == _reference_tables(slc)
+    assert slc._blocks == _reference_blocks(slc)
+
+
+@pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
+def test_invariants_are_weighted_homogeneous_on_the_slice(case):
+    # with [h, G_j] = w_j G_j, scaling each graded u_j by t^((w_j + 2) / 2)
+    # scales an invariant of degree k by t^k: the premise of solving
+    # class by class
+    slc = build_case(*case).slc
+    pair, n, d = slc.pair, slc.pair.n, slc.dim
+    weights, to_seed = _reference_eigenbasis(slc)
+    graded = [lincomb([to_seed[i, j] for i in range(d)], slc.slice_basis, n, n) for j in range(d)]
+    for w, g in zip(weights, graded):
+        assert bracket(slc.triple.h, g) == w * g
+    rng = random.Random(repr(case))
+    for t in (2, -3):
+        u = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+        scaled = [c * t ** ((w + 2) // 2) for c, w in zip(u, weights)]
+        at_u = invariant_values(pair, slc.triple.f + lincomb(u, graded, n, n))
+        at_scaled = invariant_values(pair, slc.triple.f + lincomb(scaled, graded, n, n))
+        for m in range(invariant_length(pair)):
+            assert at_scaled[m] == t ** _invariant_degree(pair, m) * at_u[m]
 
 
 @pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
@@ -346,7 +388,16 @@ def test_slice_directions_not_stable_under_ad_h_are_refused():
     # [h, e + f] = 2e - 2f leaves the span of e + f
     bent = KostantSlice(pair, slc.triple, (slc.triple.e + slc.triple.f,), 1)
     with pytest.raises(SliceDimensionError, match="ad h does not preserve"):
-        bent._tables
+        bent._blocks
+
+
+def test_weight_class_without_as_many_invariants_is_refused():
+    # two weight-2 directions, and one invariant of degree 2 to solve for them
+    pair, slc = build(Family.GL, 2, 2)
+    two = tuple(b for b in pair.basis_minus if bracket(slc.triple.h, b) == 2 * b)[:2]
+    bent = KostantSlice(pair, slc.triple, two, 2)
+    with pytest.raises(SliceDimensionError, match="weight class 2 has 2 coordinates but its 1"):
+        bent._blocks
 
 
 def test_invariants_json_roundtrip():
