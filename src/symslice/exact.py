@@ -633,6 +633,10 @@ def matrix_from_text(text: str) -> RatMatrix:
         raise ValueError("matrix text must start with integer 'rows cols'") from exc
     if r < 0 or c < 0:
         raise ValueError("matrix dimensions must be non-negative")
+    if r > len(text):
+        # every row is written on a line of its own, even with no columns,
+        # and costs a list even then
+        raise ValueError("matrix text is shorter than its row count")
     entries = toks[2:]
     if len(entries) != r * c:
         raise ValueError(f"expected {r * c} entries, found {len(entries)}")

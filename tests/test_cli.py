@@ -336,6 +336,18 @@ def test_canonicalize_rejects_garbage_file(tmp_path):
     assert code == 2
 
 
+def test_canonicalize_rejects_a_row_count_beyond_the_text_at_once(tmp_path):
+    mat = tmp_path / "rows.txt"
+    mat.write_text("9" * 4000 + " 0\n")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        ["canonicalize", "--family", "gl", "--p", "2", "--q", "1", "--matrix", str(mat)]
+    )
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert "row count" in json.loads(out)["error"]["message"]
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
 def test_canonicalize_rejects_non_finite_entry(tmp_path, entry):
     mat = tmp_path / "x.txt"

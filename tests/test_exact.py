@@ -185,6 +185,15 @@ def test_matrix_text_rejects_bad_input():
             matrix_from_text(f"1 1 {bad}")
 
 
+def test_matrix_text_rows_are_bounded_by_the_text():
+    # a matrix without columns still has a line per row, so a row count
+    # beyond the text's length is refused before any row is built
+    assert matrix_from_text(matrix_to_text(RatMatrix.zeros(3, 0))).shape == (3, 0)
+    assert matrix_from_text("0 7").shape == (0, 7)
+    with pytest.raises(ValueError, match="shorter than its row count"):
+        matrix_from_text("9" * 4000 + " 0")
+
+
 def test_matrix_text_entries_are_exact_literals():
     m = matrix_from_text("2 2\n3 -1/3\n0.1 2.5e-3\n")
     assert m == RatMatrix([[F(3), F(-1, 3)], [F(1, 10), F(1, 400)]])

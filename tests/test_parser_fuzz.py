@@ -77,6 +77,8 @@ def _result_or_value_error(parse, text, kind):
 @example(text="1 1 1e10001")
 @example(text="1 1 1/0")
 @example(text="99999999999 99999999999 1")
+@example(text="9" * 300 + " 0")
+@example(text="3 0\n\n\n\n")
 def test_matrix_text_gives_a_matrix_or_value_error(text):
     _result_or_value_error(matrix_from_text, text, RatMatrix)
 
