@@ -8,9 +8,10 @@ stacking run on those integers.  Kernels, particular and unique solves,
 inverses, ranks and `spans_equal` share one elimination, a Gauss-Jordan
 pass on integer rows that divides each changed row by its content, and
 characteristic polynomials and adjugates come from an integer
-Faddeev-LeVerrier recurrence.  Entries leave as `fractions.Fraction` at
-the API edge (`RatMatrix.row`, `m[i, j]`).  Outputs are canonical so
-that certificates built on top are reproducible byte for byte.
+Faddeev-LeVerrier recurrence, one step at a time so that callers stop
+early.  Entries leave as `fractions.Fraction` at the API edge
+(`RatMatrix.row`, `m[i, j]`).  Outputs are canonical so that
+certificates built on top are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ _DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def _entry(x):
-    """An int or Fraction entry as it is, a string parsed to a Fraction."""
+    """An int or Fraction entry as it is, a string parsed to a Fraction
+    within the bounds of `rational_from_text`."""
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        return rational_from_text(x)
     raise TypeError(f"expected a rational entry, got {type(x).__name__}")
 
 
@@ -478,42 +480,35 @@ def _matmul(a, b, m):
     return out
 
 
-def _faddeev_leverrier(m: RatMatrix, keep: bool):
-    """(cs, den, kept) with m = a / den, a integral, and cs the charpoly
-    coefficients of a, ascending.  If keep, kept holds M_1 = I, ...,
-    M_k = a M_(k-1) + cs[n-k+1] I, ..., M_n, with adj(tI - a) =
-    sum_k t^(n-k) M_k.  Each step is one integer matrix product."""
-    if m.rows != m.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    a, den = integer_rows(m)
-    cs = [0] * (n + 1)
-    cs[n] = 1
-    kept = [[[int(i == j) for j in range(n)] for i in range(n)]] if keep and n else []
-    mk = [row[:] for row in a]  # a M_k
+def faddeev_leverrier(a):
+    """Yield (c_(n-k), M_k), k = 1, ..., n, for the square integer rows a:
+    c_i is the coefficient of t^i in det(tI - a), M_1 = I and M_k =
+    a M_(k-1) + c_(n-k+1) I, so adj(tI - a) = sum_k t^(n-k) M_k.  Each
+    step after the first is one integer product, run only when asked for:
+    a caller that needs only the leading coefficients stops early."""
+    n = len(a)
+    c, amk = 1, [[0] * n for _ in range(n)]  # c_n = 1 and a M_0 = 0
     for k in range(1, n + 1):
-        if k > 1:
-            c = cs[n - k + 1]
-            for i in range(n):
-                mk[i][i] += c
-            if keep:
-                kept.append(mk)
-            mk = _matmul(a, mk, n)
-        tr = sum(mk[i][i] for i in range(n))
-        q, rem = divmod(tr, k)
+        mk = amk
+        for i in range(n):
+            mk[i][i] += c
+        amk = _matmul(a, mk, n) if k > 1 else [row[:] for row in a]
+        c, rem = divmod(-sum(amk[i][i] for i in range(n)), k)
         if rem:
             raise AssertionError("Faddeev-LeVerrier division not exact")
-        cs[n - k] = -q
-    return cs, den, kept
+        yield c, mk
 
 
 def charpoly(m: RatMatrix) -> tuple[Fraction, ...]:
     """Coefficients (c_0, ..., c_(n-1), 1) of det(tI - m) = sum_k c_k t^k,
     constant term first, exactly; the recurrence runs on integers, with
-    denominators cleared first."""
-    cs, den, _ = _faddeev_leverrier(m, keep=False)
-    n = m.rows
-    return tuple(Fraction(cs[k], den ** (n - k)) for k in range(n)) + (_ONE,)
+    denominators cleared first: c_(n-k) of m = a / den is c_(n-k) of a
+    over den^k."""
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    a, den = integer_rows(m)
+    cs = [Fraction(c, den**k) for k, (c, _) in enumerate(faddeev_leverrier(a), start=1)]
+    return tuple(reversed(cs)) + (_ONE,)
 
 
 def adjugate_coefficients(m: RatMatrix) -> tuple:
@@ -525,11 +520,12 @@ def adjugate_coefficients(m: RatMatrix) -> tuple:
     det(tI - m), entry k of `charpoly(m)`, has derivative -tr(N_k b) in
     the direction b.
     """
-    _, den, kept = _faddeev_leverrier(m, keep=True)
-    out = []
-    for k, mk in enumerate(kept, start=1):
-        # m = a / den, and M_k is homogeneous of degree k - 1 in a
-        out.append(RatMatrix._reduced(mk, den ** (k - 1), m.cols))
+    if m.rows != m.cols:
+        raise ValueError("adjugate of a non-square matrix")
+    a, den = integer_rows(m)
+    # m = a / den, and M_k is homogeneous of degree k - 1 in a
+    out = [RatMatrix._reduced(mk, den ** (k - 1), m.cols)
+           for k, (_, mk) in enumerate(faddeev_leverrier(a), start=1)]
     return tuple(reversed(out))
 
 

@@ -5,7 +5,8 @@ point, so conjugation invariants restricted to it separate orbits.  The
 invariants used are the full characteristic polynomial coefficients:
 redundant but conjugation-invariant and exact.  An element of g(-1) is
 X = ((0, A), (B, 0)) with A of size p x q, and det(tI - X) =
-t^(p - q) det(t^2 I - B A), so they are read off the q x q product B A.
+t^(p - q) det(t^2 I - B A): an invariant of degree k is step k / 2 of
+the Faddeev-LeVerrier recurrence over the q x q product B A.
 For the orthogonal p = q family the characteristic polynomial only sees
 the square of the degree-q product invariant and its fibers on the
 slice are +- pairs, so exactly there one extra coordinate is appended:
@@ -27,10 +28,11 @@ counting w_j + 2 >= 2.  An invariant of degree (w + 2) / 2 is therefore
 linear in the weight-w coordinates, free of the heavier ones, and
 otherwise a polynomial in the lighter ones.  With the class and every
 heavier one set to 0 it is that polynomial, so `graded_solve` finds the
-coordinates class by class, lightest first, from one evaluation of the
-invariants at that partial point and one small linear solve.  A final
-exact evaluation of every invariant decides the answer: a mismatch means
-no slice point has the target invariants.
+coordinates class by class, lightest first, from one small linear solve
+and the class's own invariants at that partial point, for which the
+recurrence runs to the class's own step only.  A final exact evaluation
+of every invariant decides the answer: a mismatch means no slice point
+has the target invariants.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .exact import (
     RatMatrix,
     adjugate_coefficients,
     block_antidiag,
-    charpoly,
+    faddeev_leverrier,
     integer_rows,
     inverse,
     kernel_basis,
@@ -91,8 +93,8 @@ class KostantSlice:
 
     @cached_property
     def _blocks(self) -> tuple:
-        # Built by the first inversion, not by make_slice, so constructing
-        # a case costs what it did before.
+        # Only inversion reads the blocks, so the first inversion builds
+        # them and a slice that is never inverted never pays for them.
         return _graded_blocks(self)
 
     @cached_property
@@ -124,13 +126,9 @@ class InvariantVector:
         object.__setattr__(self, "values", values)
 
 
-def _needs_pfaffian(pair: SymmetricPair) -> bool:
-    return pair.family is Family.ORTH and pair.p == pair.q
-
-
 def invariant_length(pair: SymmetricPair) -> int:
-    """Length of the invariant vector for this pair."""
-    return pair.n + (1 if _needs_pfaffian(pair) else 0)
+    """Length of the invariant vector: n, plus the o(q,q) Pfaffian."""
+    return pair.n + int(pair.family is Family.ORTH and pair.p == pair.q)
 
 
 def make_slice(pair: SymmetricPair, triple: Sl2Triple) -> KostantSlice:
@@ -164,22 +162,33 @@ def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
 def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
     """The values of `invariants` without the membership check, for
     points the caller already knows lie in g(-1)."""
-    vals = _charpoly_values(pair, x)
-    if _needs_pfaffian(pair):
-        # Pf(X J) = (-1)^q det A, A = to_matrix_space(pair, x) unchecked
-        vals += (charpoly(x.submatrix(0, pair.p, pair.p, pair.n))[0],)
-    return vals
+    return _invariants_at(pair, x, range(invariant_length(pair)))
 
 
-def _charpoly_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
-    """The characteristic polynomial coefficients of x in g(-1), constant
-    term first, leading 1 dropped."""
+def _invariants_at(pair: SymmetricPair, x: RatMatrix, indices) -> tuple:
+    """The invariants of x in g(-1) at the given indices, in their order.
+
+    c_m, m < n, is 0 when n - m is odd or above 2q, else step (n - m) / 2
+    of the recurrence over B A, which runs only to the step of the least
+    index named.  Index n, Pf(X J) = (-1)^q det A, is c_0 of the
+    upper-right block A.
+    """
     p, q, n = pair.p, pair.q, pair.n
-    # det(tI - X) = t^(p - q) det(t^2 I - B A): c_(p - q + 2k) is the
-    # coefficient of t^k for B A, and every other c_i is 0
     vals = [_ZERO] * n
-    vals[p - q :: 2] = charpoly(x.submatrix(p, n, 0, p) * x.submatrix(0, p, p, n))[:-1]
-    return tuple(vals)
+    last = min(q, (n - min(indices, default=n)) // 2)
+    if last:
+        ba = x.submatrix(p, n, 0, p) * x.submatrix(0, p, p, n)
+        vals[n - 2 * last :: 2] = reversed(_leading(ba, last))
+    if n in indices:
+        vals.append(_leading(x.submatrix(0, p, p, n), q)[-1])
+    return tuple(map(vals.__getitem__, indices))
+
+
+def _leading(m: RatMatrix, last: int) -> list:
+    """Steps 1 to `last` of the recurrence over the square m = a / den:
+    c_(r - k) of m, r x r, is c_(r - k) of a over den^k."""
+    a, den = integer_rows(m)
+    return [Fraction(c, den**k) for k, (c, _) in zip(range(1, last + 1), faddeev_leverrier(a))]
 
 
 def invariants_to_json(v: InvariantVector) -> str:
@@ -236,19 +245,16 @@ def _graded_blocks(slc: KostantSlice) -> tuple:
     if len(eigvecs) != d:
         raise SliceDimensionError("ad h has no even-weight eigenbasis on the slice")
 
-    # at f + G_j an invariant of G_j's class is its coefficient of u_j
-    at = [invariant_values(pair, _point(slc, v)) for v in eigvecs]
     blocks = []
     for w in sorted(set(weights)):
         cls = [j for j in range(d) if weights[j] == w]
+        # at f + G_j an invariant of G_j's degree is its coefficient of u_j
+        own = [m for m in range(invariant_length(pair)) if 2 * _invariant_degree(pair, m) == w + 2]
+        at = [_invariants_at(pair, _point(slc, eigvecs[j]), own) for j in cls]
         # an invariant of the class's degree with no linear part in it
         # cannot solve for it; only the final check reads it
-        invs = [
-            m
-            for m in range(invariant_length(pair))
-            if 2 * _invariant_degree(pair, m) == w + 2 and any(at[j][m] for j in cls)
-        ]
-        lin = RatMatrix([[at[j][m] for j in cls] for m in invs], cols=len(cls))
+        invs = [m for m, col in zip(own, zip(*at)) if any(col)]
+        lin = RatMatrix([col for col in zip(*at) if any(col)], cols=len(cls))
         try:
             lin_inv = inverse(lin)
         except ValueError:
@@ -267,11 +273,11 @@ def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     Solves the graded coordinates class by class in ascending weight.
     With the class and every heavier one at 0, an invariant of the class
     is its polynomial in the lighter coordinates, so the class's linear
-    block is solved against the target minus the invariants at that
-    partial point, and the block's step adds the solution to the slice
-    coordinates.  Every slice point with the target invariants has these
-    coordinates; when no slice point has them, the candidate has other
-    invariants.
+    block is solved against the target minus the class's own invariants
+    at that partial point, read to the class's own step of the recurrence,
+    and the block's step adds the solution to the slice coordinates.
+    Every slice point with the target invariants has these coordinates;
+    when no slice point has them, the candidate has other invariants.
     """
     expect = invariant_length(slc.pair)
     if len(target.values) != expect:
@@ -280,14 +286,9 @@ def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     for block in slc._blocks:
         rhs = [target.values[m] for m in block.invariants]
         if any(coords):
-            # at coordinates 0 the point is the nilpotent f, where every
-            # invariant is 0; the Pfaffian, index n, is read only by its class
-            x = _point(slc, coords)
-            if max(block.invariants) < slc.pair.n:
-                at = _charpoly_values(slc.pair, x)
-            else:
-                at = invariant_values(slc.pair, x)
-            rhs = [r - at[m] for r, m in zip(rhs, block.invariants)]
+            # at coordinates 0 the point is the nilpotent f, where each invariant is 0
+            at = _invariants_at(slc.pair, _point(slc, coords), block.invariants)
+            rhs = [r - a for r, a in zip(rhs, at)]
         coords = [c + s for c, s in zip(coords, _matvec(block.step, rhs))]
     return coords
 
@@ -313,7 +314,7 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     directions = tuple(zip(slc._terms[1:], slc._scales[1:]))
     # the charpoly coefficient c_k has derivative -tr(N_k b) along b
     nks = adjugate_coefficients(x)
-    if _needs_pfaffian(pair):
+    if invariant_length(pair) > n:
         # the Pfaffian is c_0 of the upper-right block A, so its derivative
         # -tr(N_0(A) b_A) is that trace with N_0(A) as the lower-left block
         n0 = adjugate_coefficients(x.submatrix(0, pair.p, pair.p, n))[0]

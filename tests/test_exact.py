@@ -241,6 +241,19 @@ def test_digit_literals_are_bounded():
         matrix_from_text(f"{'0' * MAX_DIGITS}1 1 5")
 
 
+def test_string_entries_and_right_hand_sides_are_bounded_literals():
+    # RatMatrix entries and solve's right-hand entries given as text meet
+    # the same bounds as matrix text
+    assert RatMatrix([["1e10000"]]) == RatMatrix([[10**10000]])
+    assert solve(RatMatrix([[1]]), ["1e10000"]) == [10**10000]
+    for bad in ("1e10001", "7" * (MAX_DIGITS + 1)):
+        with pytest.raises(ValueError):
+            RatMatrix([[bad]])
+        with pytest.raises(ValueError):
+            solve(RatMatrix([[1]]), [bad])
+    assert RatMatrix([["-1/3", "0.25"]]) == RatMatrix([[F(-1, 3), F(1, 4)]])
+
+
 def test_integer_rows_clear_the_least_common_denominator():
     ints, den = integer_rows(RatMatrix([[F(1, 2), F(-1, 3)], [F(0), F(5)]]))
     assert (ints, den) == ([[3, -2], [0, 30]], 6)

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 import sympy
 from hypothesis import example, given, settings
@@ -14,6 +14,7 @@ from symslice.exact import (
     adjugate_coefficients,
     block_diag,
     charpoly,
+    faddeev_leverrier,
     hstack,
     integer_rows,
     inverse,
@@ -144,6 +145,25 @@ def test_charpoly_matches_sympy(m):
     t = sympy.Symbol("t")
     expected = [from_sympy(c) for c in to_sympy(m).charpoly(t).all_coeffs()]
     assert list(charpoly(m)) == expected[::-1]
+
+
+@SETTINGS
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_faddeev_leverrier_steps_are_the_leading_coefficients(rows):
+    # a caller that stops after k steps has c_(n-1), ..., c_(n-k) of charpoly
+    # and M_1, ..., M_k of adjugate_coefficients; the rows are not mutated
+    n = len(rows)
+    m = RatMatrix(rows, cols=n)
+    copy = [row[:] for row in rows]
+    cs, adj = charpoly(m), adjugate_coefficients(m)
+    for k in range(n + 1):
+        steps = list(islice(faddeev_leverrier(rows), k))
+        assert [c for c, _ in steps] == [cs[n - j] for j in range(1, k + 1)]
+        assert [RatMatrix(mk) for _, mk in steps] == [adj[n - j] for j in range(1, k + 1)]
+    assert len(list(faddeev_leverrier(rows))) == n
+    assert rows == copy
 
 
 @SETTINGS

@@ -29,6 +29,7 @@ from symslice.slice import (
     SliceDimensionError,
     _Block,
     _invariant_degree,
+    _invariants_at,
     _jacobian,
     graded_solve,
     invariant_length,
@@ -229,6 +230,33 @@ def test_invariant_values_match_charpoly(point):
     if case[0] == "o" and case[1] == case[2]:
         want += (pfaffian(x * pair.form),)
     assert invariant_values(pair, x) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(point=minus_points(), data=st.data())
+@example(point=(("gl", 3, 1), RatMatrix.zeros(4, 4)), data=None)
+@example(point=(("o", 2, 2), RatMatrix.zeros(4, 4)), data=None)
+@example(point=(("gl", 4, 2), build_case("gl", 4, 2).triple.e), data=None)
+@example(point=(("o", 3, 3), build_case("o", 3, 3).triple.e), data=None)
+@example(point=(("sp", 4, 2), build_case("sp", 4, 2).triple.e), data=None)
+@example(point=(("gl", 3, 2), build_case("gl", 3, 2).triple.f), data=None)
+@example(point=(("o", 4, 4), build_case("o", 4, 4).triple.f), data=None)
+@example(point=(("sp", 6, 4), build_case("sp", 6, 4).triple.f), data=None)
+def test_invariants_at_is_invariant_values_at_the_named_indices(point, data):
+    # single indices, each degree's indices, and shuffled index lists
+    case, x = point
+    pair = make_pair(*case)
+    full = invariant_values(pair, x)
+    length = invariant_length(pair)
+    named = [[m] for m in range(length)]
+    for k in {_invariant_degree(pair, m) for m in range(length)}:
+        named.append([m for m in range(length) if _invariant_degree(pair, m) == k])
+    if data is not None:
+        named.append(data.draw(st.permutations(range(length))))
+        named.append(data.draw(st.lists(st.integers(0, length - 1), max_size=length)))
+    for idx in named:
+        assert _invariants_at(pair, x, idx) == tuple(full[m] for m in idx)
+    assert _invariants_at(pair, x, range(length)) == full
 
 
 def _sampled_derivative_weights(n):
