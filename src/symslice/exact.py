@@ -253,16 +253,17 @@ def vstack(blocks) -> RatMatrix:
 
 
 def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    top = hstack([a, RatMatrix.zeros(a.rows, b.cols)])
-    bot = hstack([RatMatrix.zeros(b.rows, a.cols), b])
-    return vstack([top, bot])
+    """Assemble ((a, 0), (0, b)) from the integer rows of both blocks."""
+    (an, bn), den = _common((a, b))
+    za, zb = [0] * a.cols, [0] * b.cols
+    return RatMatrix._raw([r + zb for r in an] + [za + r for r in bn], den, a.cols + b.cols)
 
 
 def block_antidiag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Assemble ((0, a), (b, 0)) from an upper-right and lower-left block."""
-    top = hstack([RatMatrix.zeros(a.rows, b.cols), a])
-    bot = hstack([b, RatMatrix.zeros(b.rows, a.cols)])
-    return vstack([top, bot])
+    (an, bn), den = _common((a, b))
+    za, zb = [0] * a.cols, [0] * b.cols
+    return RatMatrix._raw([zb + r for r in an] + [r + za for r in bn], den, a.cols + b.cols)
 
 
 def shift_power(n: int, m: int) -> RatMatrix:

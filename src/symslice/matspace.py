@@ -21,13 +21,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import RatMatrix, block_antidiag, block_diag, inverse, solve_unique
+from .exact import RatMatrix, block_antidiag, block_diag, integer_rows, inverse, solve_unique
 from .pairs import (
     Family,
     MembershipError,
     SymmetricPair,
     adjoint,
-    apply_theta,
     combine,
     in_eigenspace,
 )
@@ -66,7 +65,9 @@ def _check_group_element(pair: SymmetricPair, ge: GroupElement):
     g = ge.g
     if g.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {g.shape}")
-    if apply_theta(pair, g) != g:
+    p = pair.p
+    num = integer_rows(g)[0]
+    if any(any(row[p:]) for row in num[:p]) or any(any(row[:p]) for row in num[p:]):
         raise ValueError("group element must be block diagonal")
     if g * ge.g_inv != RatMatrix.identity(pair.n):
         what = "the form condition" if pair.form is not None else "g g_inv = I"

@@ -6,9 +6,18 @@ generically as the kernel of ad_x in the g(-1) coordinates, the system
 `pairs.ad_rows` reads from x and the integer support of each basis
 matrix; the hand-parameterized banded solution families are kept
 alongside purely as an independent oracle and never feed the
-production path.  Relative regularity is certified by the rank of the
-same system modulo a prime and falls back to the exact rank of that
-integer system.
+production path.
+
+Relative regularity is decided on three paths, cheapest first.  When
+x is cyclic in gl(n), its commutant is Q[x]; theta(x^k) = (-1)^k x^k,
+and the odd powers of a form-skew x are form-skew, so z_{g(-1)}(x) is
+spanned by the odd powers of x below n and has dimension floor(n/2).
+For the pairs with floor(n/2) = rank theta (gl(q,q), gl(q+1,q), o(q,q)
+and o(q+1,q)) that is regularity, and a Krylov matrix [v, x v, ...,
+x^(n-1) v] of rank n modulo a prime proves x cyclic in O(n^3).
+Otherwise the rank of the same ad_x system modulo the prime can
+certify it, and the exact rank of that integer system decides every
+remaining case; it is the only source of False.
 """
 
 from __future__ import annotations
@@ -128,17 +137,38 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     return [combine(pair.n, support, [v[j, 0] for j in range(v.rows)]) for v in vectors]
 
 
+def _cyclic(a: list[list[int]]) -> bool:
+    """Whether the Krylov vectors v, a v, ..., a^(n-1) v of the square
+    integer rows a, for a fixed integer v, have rank n mod _PRIME.  Then
+    the Krylov determinant is nonzero over Z, so v is a cyclic vector."""
+    n = len(a)
+    a = [[x % _PRIME for x in row] for row in a]
+    v = [i * i + 3 * i + 1 for i in range(n)]
+    krylov = []
+    for _ in range(n):
+        krylov.append(v)
+        v = [sum(x * y for x, y in zip(row, v) if x) % _PRIME for row in a]
+    return modular_rank(krylov, _PRIME) == n
+
+
 def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
     """Minimal-centralizer test: the centralizer in g(-1) has dimension rank theta.
 
-    dim z(x) >= rank theta for every x in g(-1) (Kostant-Rallis), and
-    the rank of ad_x mod _PRIME is at most its rank over Q.  So a mod-p
-    rank of dim g(-1) - rank theta certifies regularity; any other
-    result is decided by the exact rank of the same integer system, the
-    only source of False.
+    dim z(x) >= rank theta for every x in g(-1) (Kostant-Rallis).  If x
+    is cyclic in gl(n), its commutant is Q[x], and since theta(x^k) =
+    (-1)^k x^k and odd powers of a form-skew x are form-skew, z(x) is
+    spanned by x, x^3, ... below n: dimension floor(n/2).  So where
+    floor(n/2) = rank theta, a cyclic vector of d x (`_cyclic`, d the
+    denominator of x) certifies regularity.  Next, the rank of ad_x mod
+    _PRIME is at most its rank over Q, so a mod-p rank of dim g(-1) -
+    rank theta certifies it.  Any other result is decided by the exact
+    rank of the same integer system, the only source of False.
     """
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
+    if pair.n // 2 == pair.rank_theta and _cyclic(integer_rows(x)[0]):
+        log.debug("regular by cyclic-vector certificate: Krylov rank %d", pair.n)
+        return True
     rows = _ad_system(pair, x)
     dim = len(pair.minus_support)
     r = modular_rank(rows, _PRIME)

@@ -144,8 +144,15 @@ def _eigenspace_support(n, p, entries, sign) -> tuple:
 def combine(n: int, support, coeffs) -> RatMatrix:
     """The n x n matrix sum coeffs[j] * b_j, b_j = sum c E_kl over (k, l, c)
     in support[j]: `exact.lincomb` of the basis matrices, entry for entry,
-    without building them.  The c are integers; the coefficients (ints or
-    Fractions) are brought over one denominator first."""
+    without building them."""
+    rows, den = combine_rows(n, support, coeffs)
+    return RatMatrix.from_ints(rows, cols=n, den=den)
+
+
+def combine_rows(n: int, support, coeffs) -> tuple[list[list[int]], int]:
+    """(rows, d) with rows / d the matrix of `combine`, not reduced to
+    lowest terms.  The c are integers; the coefficients (ints or
+    Fractions) are brought over their least common denominator d."""
     den = math.lcm(*(a.denominator for a in coeffs))
     rows = [[0] * n for _ in range(n)]
     for a, terms in zip(coeffs, support):
@@ -153,7 +160,7 @@ def combine(n: int, support, coeffs) -> RatMatrix:
             a = a.numerator * (den // a.denominator)
             for k, l, c in terms:
                 rows[k][l] += a * c
-    return RatMatrix.from_ints(rows, cols=n, den=den)
+    return rows, den
 
 
 def check_constraints(family, p: int, q: int) -> Family:
@@ -264,9 +271,12 @@ def in_eigenspace(pair: SymmetricPair, x: RatMatrix, sign: int) -> bool:
         raise ValueError("sign must be +1 or -1")
     _require_ambient(pair, x)
     p, keep = pair.p, sign == 1
-    for i, row in enumerate(integer_rows(x)[0]):
-        if any(v for j, v in enumerate(row) if ((i < p) == (j < p)) != keep):
-            return False
+    num = integer_rows(x)[0]
+    # g(1) is zero off the diagonal blocks, g(-1) on them
+    if any(any(row[p:] if keep else row[:p]) for row in num[:p]):
+        return False
+    if any(any(row[:p] if keep else row[p:]) for row in num[p:]):
+        return False
     return in_algebra(pair, x)
 
 

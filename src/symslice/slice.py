@@ -45,6 +45,7 @@ from functools import cached_property
 
 from .exact import (
     RatMatrix,
+    _matmul,
     adjugate_coefficients,
     block_antidiag,
     faddeev_leverrier,
@@ -57,7 +58,7 @@ from .exact import (
     vec,
 )
 from .nilpotent import centralizer
-from .pairs import Family, MembershipError, SymmetricPair, bracket, combine, in_eigenspace
+from .pairs import Family, MembershipError, SymmetricPair, bracket, combine_rows, in_eigenspace
 from .sl2 import Sl2Triple
 
 _ZERO = Fraction(0)
@@ -101,7 +102,7 @@ class KostantSlice:
     def _terms(self) -> tuple:
         """The (i, j, v) nonzero entries of d b for f and each slice basis
         matrix b, d its denominator: their integer support for
-        `pairs.combine`, with 1 / d in `_scales`."""
+        `pairs.combine_rows`, with 1 / d in `_scales`."""
         return tuple(
             tuple((i, j, v) for i, row in enumerate(num) for j, v in enumerate(row) if v)
             for num, _ in map(integer_rows, (self.triple.f, *self.slice_basis))
@@ -144,13 +145,16 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
     coords = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
-    return _point(slc, coords)
+    rows, den = _point_rows(slc, coords)
+    return RatMatrix.from_ints(rows, cols=slc.pair.n, den=den)
 
 
-def _point(slc: KostantSlice, coords) -> RatMatrix:
-    """f + sum_k coords[k] b_k from the integer terms, each coefficient
-    carrying its matrix's 1 / d."""
-    return combine(slc.pair.n, slc._terms, [c * s for c, s in zip((1, *coords), slc._scales)])
+def _point_rows(slc: KostantSlice, coords) -> tuple:
+    """(rows, d) with rows / d = f + sum_k coords[k] b_k, from the integer
+    terms, each coefficient carrying its matrix's 1 / d."""
+    return combine_rows(
+        slc.pair.n, slc._terms, [c * s for c, s in zip((1, *coords), slc._scales)]
+    )
 
 
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
@@ -166,28 +170,33 @@ def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
 
 
 def _invariants_at(pair: SymmetricPair, x: RatMatrix, indices) -> tuple:
-    """The invariants of x in g(-1) at the given indices, in their order.
+    """The invariants of x in g(-1) at the given indices, in their order."""
+    return _invariants_of_rows(pair, *integer_rows(x), indices)
+
+
+def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
+    """`_invariants_at` for x = num / den, read off the integer rows.
 
     c_m, m < n, is 0 when n - m is odd or above 2q, else step (n - m) / 2
-    of the recurrence over B A, which runs only to the step of the least
-    index named.  Index n, Pf(X J) = (-1)^q det A, is c_0 of the
-    upper-right block A.
+    of the recurrence over B A = (B' A') / den^2, B' and A' the blocks of
+    num, which runs only to the step of the least index named.  Index n,
+    Pf(X J) = (-1)^q det A, is c_0 of the upper-right block A.
     """
     p, q, n = pair.p, pair.q, pair.n
     vals = [_ZERO] * n
+    a = [row[p:] for row in num[:p]]
     last = min(q, (n - min(indices, default=n)) // 2)
     if last:
-        ba = x.submatrix(p, n, 0, p) * x.submatrix(0, p, p, n)
-        vals[n - 2 * last :: 2] = reversed(_leading(ba, last))
+        ba = _matmul([row[:p] for row in num[p:]], a, q)
+        vals[n - 2 * last :: 2] = reversed(_leading(ba, den * den, last))
     if n in indices:
-        vals.append(_leading(x.submatrix(0, p, p, n), q)[-1])
+        vals.append(_leading(a, den, q)[-1])
     return tuple(map(vals.__getitem__, indices))
 
 
-def _leading(m: RatMatrix, last: int) -> list:
-    """Steps 1 to `last` of the recurrence over the square m = a / den:
-    c_(r - k) of m, r x r, is c_(r - k) of a over den^k."""
-    a, den = integer_rows(m)
+def _leading(a, den: int, last: int) -> list:
+    """Steps 1 to `last` of the recurrence over the square integer rows a:
+    c_(r - k) of a / den, r x r, is c_(r - k) of a over den^k."""
     return [Fraction(c, den**k) for k, (c, _) in zip(range(1, last + 1), faddeev_leverrier(a))]
 
 
@@ -250,7 +259,7 @@ def _graded_blocks(slc: KostantSlice) -> tuple:
         cls = [j for j in range(d) if weights[j] == w]
         # at f + G_j an invariant of G_j's degree is its coefficient of u_j
         own = [m for m in range(invariant_length(pair)) if 2 * _invariant_degree(pair, m) == w + 2]
-        at = [_invariants_at(pair, _point(slc, eigvecs[j]), own) for j in cls]
+        at = [_invariants_of_rows(pair, *_point_rows(slc, eigvecs[j]), own) for j in cls]
         # an invariant of the class's degree with no linear part in it
         # cannot solve for it; only the final check reads it
         invs = [m for m, col in zip(own, zip(*at)) if any(col)]
@@ -287,7 +296,7 @@ def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
         rhs = [target.values[m] for m in block.invariants]
         if any(coords):
             # at coordinates 0 the point is the nilpotent f, where each invariant is 0
-            at = _invariants_at(slc.pair, _point(slc, coords), block.invariants)
+            at = _invariants_of_rows(slc.pair, *_point_rows(slc, coords), block.invariants)
             rhs = [r - a for r, a in zip(rhs, at)]
         coords = [c + s for c, s in zip(coords, _matvec(block.step, rhs))]
     return coords
@@ -301,7 +310,8 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
     invariants.
     """
     coords = graded_solve(slc, target)
-    if invariant_values(slc.pair, slice_point(slc, coords)) != target.values:
+    at = _invariants_of_rows(slc.pair, *_point_rows(slc, coords), range(len(target.values)))
+    if at != target.values:
         raise NotFound("no slice point has these invariants")
     return coords
 

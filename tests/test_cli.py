@@ -549,3 +549,29 @@ def test_requests_build_no_dense_pair_basis(tmp_path, monkeypatch):
         assert code == 0 and out.endswith(matrix_to_text(x))
         assert "basis_plus" not in case.pair.__dict__
         assert "basis_minus" not in case.pair.__dict__
+
+
+def test_canonicalize_decides_a_conjugated_gl16_point_by_its_cyclic_vector(tmp_path, monkeypatch):
+    # gl(16, 16) has floor(n/2) = rank theta, so a conjugated slice point
+    # is certified regular from a cyclic vector, without the ad_x system
+    from symslice import nilpotent
+    from symslice.matspace import act, random_group_element
+
+    pinned = ["-3", "-1", "-1/3", "0", "1", "2/5", "7/3", "-3/4",
+              "-2", "-1/2", "10", "1/4", "2", "3/2", "-9/7", "-1/2"]
+    case = cli.build_case("gl", 16, 16)
+    x = slice_point(case.slc, [Fraction(c) for c in pinned])
+    y = act(case.pair, random_group_element(case.pair, seed=16, height=3), x)
+    mat = tmp_path / "y.txt"
+    mat.write_text(matrix_to_text(y))
+    calls = []
+    ad_system = nilpotent._ad_system
+    monkeypatch.setattr(nilpotent, "_ad_system", lambda *a: calls.append(a) or ad_system(*a))
+    code, out, _ = run_cli(
+        ["canonicalize", "--family", "gl", "--p", "16", "--q", "16", "--matrix", str(mat)]
+    )
+    assert code == 0
+    first, rest = out.split("\n", 1)
+    assert json.loads(first) == pinned
+    assert matrix_from_text(rest) == x
+    assert calls == []

@@ -7,18 +7,22 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from symslice.cli import build_case, report_cases
+from symslice import nilpotent
 from symslice.exact import (
     RatMatrix,
     inverse,
     kernel_basis,
     lincomb,
+    modular_rank,
     nilpotency_index,
+    rank,
     spans_equal,
     vec,
 )
 from symslice.matspace import GroupElement, act, cayley, random_group_element
 from symslice.nilpotent import (
     _PRIME,
+    _ad_system,
     centralizer,
     closed_form_centralizer,
     is_relatively_regular,
@@ -263,3 +267,137 @@ def test_regularity_logs_which_path_decided(caplog):
     assert slow == (
         "regularity by exact fallback: ad system 0 x 9, mod-p rank 0, centralizer dim 9"
     )
+
+
+# ---------------------------------------------------------------------------
+# The cyclic-vector certificate.
+# ---------------------------------------------------------------------------
+
+_CYCLIC_LINE = "regular by cyclic-vector certificate"
+# floor(n/2) = rank theta: the pair shapes on which the certificate may fire
+_CYCLIC_SHAPES = ("gl(q,q)", "gl(q+1,q)", "o(q,q)", "o(q+1,q)")
+
+
+def _shape(fam, p, q):
+    if fam is Family.SP or p - q > 1:
+        return None
+    return f"{fam.value}(q{'+1' if p > q else ''},q)"
+
+
+class _FellThrough(Exception):
+    """Raised by the patched ad_x system: the certificate did not decide."""
+
+
+def _conjugated_slice_points(case, rng, count):
+    pair = case.pair
+    out = []
+    for _ in range(count):
+        coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(case.slc.dim)]
+        g = random_group_element(pair, seed=rng.randrange(2**63), height=3)
+        out.append(act(pair, g, slice_point(case.slc, coords)))
+    return out
+
+
+def _certificate_inputs(case, rng, slices):
+    """(kind, x): conjugated slice points, every g(-1) basis matrix, sums
+    of one to three of them, e, f and 0."""
+    pair = case.pair
+    basis = pair.basis_minus
+    out = [("basis", b) for b in basis]
+    for k in (1, 2, 3):
+        picks = rng.sample(range(len(basis)), min(k, len(basis)))
+        coeffs = [Fraction(rng.choice([-2, -1, 1, 3])) for _ in picks]
+        out.append(("sum", lincomb(coeffs, [basis[i] for i in picks], pair.n, pair.n)))
+    out += [("e", case.witness.e), ("zero", RatMatrix.zeros(pair.n, pair.n))]
+    if case.slc is not None:
+        out.append(("f", case.triple.f))
+        out += [("slice", x) for x in _conjugated_slice_points(case, rng, slices)]
+    return out
+
+
+def _fall_through(*_):
+    raise _FellThrough
+
+
+def _fired(pair, x):
+    """Whether `is_relatively_regular` decides x by the cyclic-vector
+    certificate, with `_ad_system` patched to raise `_FellThrough`."""
+    try:
+        return is_relatively_regular(pair, x)
+    except _FellThrough:
+        return False
+
+
+def _exact_centralizer_dim(pair, x):
+    dim = len(pair.minus_support)
+    return dim - rank(RatMatrix.from_ints(_ad_system(pair, x), cols=dim))
+
+
+def _centralizer_dim_is_half_n(pair, x):
+    """dim z(x) = floor(n/2) over Q without a full elimination: the odd
+    powers x, x^3, ... below n lie in z(x) and are independent (exact
+    rank), and the ad_x rank mod p, a lower bound on the rank over Q,
+    leaves no more room."""
+    powers, y, x2 = [], x, x * x
+    for _ in range(pair.n // 2):
+        assert in_eigenspace(pair, y, -1) and bracket(x, y).is_zero()
+        powers.append(y)
+        y = y * x2
+    independent = rank(RatMatrix([list(vec(z)) for z in powers])) == len(powers)
+    dim = len(pair.minus_support)
+    upper = dim - modular_rank(_ad_system(pair, x), _PRIME)
+    return independent and upper == len(powers)
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["grid", "12x12"])
+def test_cyclic_certificate_agrees_with_exact_kernel(large, monkeypatch):
+    if large:
+        cases = [(Family.GL, 12, 12), (Family.ORTH, 12, 12)]
+    else:
+        cases = [(f, p, q) for f, p, q in GRID if p + q <= 10]
+    rng = random.Random(47)
+    slices = []
+    for fam, p, q in cases:
+        case = build_case(fam, p, q)
+        inputs = _certificate_inputs(case, rng, 1 if large else 2)
+        with monkeypatch.context() as patched:
+            patched.setattr(nilpotent, "_ad_system", _fall_through)
+            decided = [(kind, x, _fired(case.pair, x)) for kind, x in inputs]
+        shape = _shape(fam, p, q)
+        for kind, x, fired in decided:
+            if kind == "slice":
+                slices.append((shape, fired))
+            if fired:
+                # never for sp or gl(p,q) with p >= q + 2
+                assert shape in _CYCLIC_SHAPES, (fam, p, q, kind)
+                if large:
+                    assert _centralizer_dim_is_half_n(case.pair, x), (fam, p, q, kind)
+                else:
+                    assert _exact_centralizer_dim(case.pair, x) == case.pair.rank_theta
+    # every conjugated slice point of the four shapes, and no other
+    assert all(fired == (shape is not None) for shape, fired in slices)
+    if not large:
+        assert {shape for shape, _ in slices} >= set(_CYCLIC_SHAPES)
+
+
+def test_cyclic_certificate_skips_the_ad_system(monkeypatch):
+    calls = []
+    real = nilpotent._ad_system
+    monkeypatch.setattr(nilpotent, "_ad_system", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(53)
+    for fam, p, q, expect in [(Family.GL, 3, 3, 0), (Family.ORTH, 4, 3, 0), (Family.SP, 4, 2, 1)]:
+        case = build_case(fam, p, q)
+        (x,) = _conjugated_slice_points(case, rng, 1)
+        calls.clear()
+        assert is_relatively_regular(case.pair, x)
+        assert len(calls) == expect, (fam, p, q)
+
+
+def test_cyclic_certificate_logs_its_line(caplog):
+    case = build_case(Family.ORTH, 4, 3)
+    x = slice_point(case.slc, [Fraction(k + 1, 2) for k in range(case.slc.dim)])
+    with caplog.at_level(logging.DEBUG, logger="symslice.nilpotent"):
+        assert is_relatively_regular(case.pair, x)
+    assert [r.getMessage() for r in caplog.records] == [
+        "regular by cyclic-vector certificate: Krylov rank 7"
+    ]
