@@ -1,7 +1,9 @@
 """Relatively regular nilpotent elements and their centralizers.
 
 Each family carries an explicit banded nilpotent element in the odd
-part of the symmetric pair.  The centralizer inside g(-1) is computed
+part of the symmetric pair, defined by one integer index formula per
+family for its upper-right block (and its lower-left block for gl),
+for every p >= q.  The centralizer inside g(-1) is computed
 generically as the kernel of ad_x in the g(-1) coordinates, the system
 `pairs.ad_rows` reads from x and the integer support of each basis
 matrix; the hand-parameterized banded solution families are kept
@@ -65,54 +67,28 @@ class NilpotentWitness:
     centralizer_dim: int
 
 
-def _e_star(q: int) -> RatMatrix:
-    """Identity with the first ceil(q/2) diagonal ones shifted right by one.
-
-    Entries shifted past the last column fall off; for q = 1 this gives
-    the zero matrix, which is the documented degenerate case.
-    """
-    out = [[_ZERO] * q for _ in range(q)]
-    shifted = (q + 1) // 2
-    for i in range(q):
-        if i < shifted:
-            if i + 1 < q:
-                out[i][i + 1] = _ONE
-        else:
-            out[i][i] = _ONE
-    return RatMatrix(out, cols=q)
-
-
 def regular_nilpotent(pair: SymmetricPair) -> RatMatrix:
     """The explicit banded nilpotent representative for the pair.
 
     Block shapes: A is p x q in the upper right, B is q x p in the lower
-    left.  For GL the two are chosen independently; for the orthogonal
-    and symplectic families only A is chosen and B is pinned to it by
-    the form (`from_matrix_space`).
+    left.  Row i of A holds its one in column c(i), none when c(i) falls
+    outside 0 .. q-1: c(i) = i + 1 - (p - q) / 2 for sp (p = q gives the
+    shift), i + [i < ceil(q/2)] for o(q,q) (so q = 1 gives e = 0, the
+    documented degenerate case), and c(i) = i for gl and o(q+1,q).  For
+    GL, B[i][j] = [j = i + 1]; for the orthogonal and symplectic families
+    B is pinned to A by the form (`from_matrix_space`).
     """
     p, q = pair.p, pair.q
-    if pair.family is Family.GL:
-        if p > q:
-            a = vstack([RatMatrix.identity(q), RatMatrix.zeros(p - q, q)])
-            b = hstack(
-                [RatMatrix.zeros(q, 1), RatMatrix.identity(q), RatMatrix.zeros(q, p - q - 1)]
-            )
-        else:
-            a = RatMatrix.identity(q)
-            b = shift_power(q, 1)
-        return block_antidiag(a, b)
     if pair.family is Family.SP:
-        if p > q:
-            r = (p - q) // 2
-            a = vstack(
-                [RatMatrix.zeros(r - 1, q), RatMatrix.identity(q), RatMatrix.zeros(r + 1, q)]
-            )
-        else:
-            a = shift_power(q, 1)
-    elif p == q + 1:
-        a = vstack([RatMatrix.identity(q), RatMatrix.zeros(1, q)])
+        offset = [1 - (p - q) // 2] * p
+    elif pair.family is Family.ORTH and p == q:
+        offset = [int(i < (q + 1) // 2) for i in range(p)]
     else:
-        a = _e_star(q)
+        offset = [0] * p
+    a = RatMatrix.from_ints([[int(j == i + offset[i]) for j in range(q)] for i in range(p)], cols=q)
+    if pair.family is Family.GL:
+        b = RatMatrix.from_ints([[int(j == i + 1) for j in range(p)] for i in range(q)], cols=p)
+        return block_antidiag(a, b)
     return from_matrix_space(pair, a)
 
 

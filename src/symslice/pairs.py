@@ -1,11 +1,12 @@
 """Symmetric pairs (g, theta) for the three classical matrix families.
 
 A pair is determined by a family tag and block sizes p >= q.  This is
-the one module that knows the form J and the involution theta; both act
+the module that defines the form J and the involution theta; both act
 on matrix entries as signed permutations.  theta negates the two
-off-diagonal blocks, and the monomial form is read once into index maps
-(`SymmetricPair.form_entries`) from which `adjoint` and the membership
-conditions are evaluated entrywise.  The same maps give the eigenspaces
+off-diagonal blocks, and J is defined by its index map
+(`SymmetricPair.form_entries`, integer formulas in (family, p, q)), from
+which `pair.form`, `adjoint` and the membership conditions are
+evaluated entrywise.  The same maps give the eigenspaces
 g(1) and g(-1) directly, by one rule for every family: theta keeps the
 positions of one block parity, and the form condition pairs position
 (i, j) with (kappa(j), kappa(i)).  Each basis is built as integer
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import RatMatrix, block_diag, integer_rows
+from .exact import RatMatrix, integer_rows
 
 # Largest p + q accepted.  The eigenspaces are read off index maps, but
 # the centralizer and sl2 systems have dim g(-1) unknowns, and slice
@@ -86,32 +87,26 @@ class SymmetricPair:
     def basis_minus(self) -> tuple:
         return tuple(combine(self.n, (t,), (1,)) for t in self.minus_support)
 
-    @cached_property
-    def _signs(self) -> tuple:
-        """form_entries with each v_i as the int +-1."""
-        return tuple((k, int(v)) for k, v in self.form_entries or ())
-
     def __repr__(self):
         return f"SymmetricPair({self.family.value}, p={self.p}, q={self.q})"
 
 
-def _form_entries(form: RatMatrix) -> tuple:
+def _form_entries(family: Family, p: int, q: int) -> tuple | None:
     """(kappa(i), v_i) for each row i of the monomial form: J[i, kappa(i)] = v_i.
 
-    Every v_i must be +-1: the integer `adjoint` and `in_algebra` use
-    v_i / v_j = v_i * v_j.
+    None for gl, which has no form.  Each diagonal block of J is
+    antidiagonal, so kappa(i) mirrors i inside its block.  For o, v_i is
+    +1 on the p block and -1 on the q block; for sp, v_i = (-1)^k on the
+    k-th row of each block.  Every v_i is the int +-1, so `adjoint` and
+    `in_algebra` read v_i / v_j as v_i * v_j.
     """
-    out = []
-    for i in range(form.rows):
-        nz = [(j, form[i, j]) for j in range(form.cols) if form[i, j]]
-        if len(nz) != 1:
-            raise AssertionError("form matrix is not monomial")
-        if abs(nz[0][1]) != 1:
-            raise AssertionError("form entries must be +-1")
-        out.append(nz[0])
-    if sorted(k for k, _ in out) != list(range(form.cols)):
-        raise AssertionError("form matrix is not monomial")
-    return tuple(out)
+    if family is Family.GL:
+        return None
+    return tuple(
+        (start + size - 1 - k, (-1) ** k if family is Family.SP else sign)
+        for start, size, sign in ((0, p, 1), (p, q, -1))
+        for k in range(size)
+    )
 
 
 def _eigenspace_support(n, p, entries, sign) -> tuple:
@@ -137,7 +132,7 @@ def _eigenspace_support(n, p, entries, sign) -> tuple:
                 if v_i == -v_j:
                     out.append(((i, j, 1),))
             elif partner < (i, j):
-                out.append(((k_j, k_i, int(-v_j * v_i)), (i, j, 1)))
+                out.append(((k_j, k_i, -v_j * v_i), (i, j, 1)))
     return tuple(out)
 
 
@@ -190,13 +185,10 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
     """Build the symmetric pair for (family, p, q), validating the constraints."""
     family = check_constraints(family, p, q)
     n = p + q
-    if family is Family.GL:
-        form = None
-    elif family is Family.ORTH:
-        form = block_diag(exchange(p), -exchange(q))
-    else:
-        form = block_diag(signed_exchange(p), signed_exchange(q))
-    entries = None if form is None else _form_entries(form)
+    entries = _form_entries(family, p, q)
+    form = None
+    if entries is not None:
+        form = RatMatrix.from_ints([[v * (j == k) for j in range(n)] for k, v in entries], cols=n)
 
     plus_support = _eigenspace_support(n, p, entries, +1)
     minus_support = _eigenspace_support(n, p, entries, -1)
@@ -246,7 +238,7 @@ def adjoint(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
     if pair.form_entries is None:
         raise ValueError("the gl family has no form")
     num, den = integer_rows(x)
-    signs = pair._signs
+    signs = pair.form_entries
     rows = [[v_i * v_j * num[k_j][k_i] for k_j, v_j in signs] for k_i, v_i in signs]
     return RatMatrix.from_ints(rows, cols=pair.n, den=den)
 
@@ -255,7 +247,7 @@ def in_algebra(pair: SymmetricPair, x: RatMatrix) -> bool:
     """Membership in g: vacuous for GL, otherwise the form condition
     X[i, j] = -v_i / v_j * X[kappa(j), kappa(i)], entry by entry."""
     _require_ambient(pair, x)
-    signs = pair._signs
+    signs = pair.form_entries or ()
     rows, _ = integer_rows(x)
     for (k_i, v_i), row in zip(signs, rows):
         for (k_j, v_j), a in zip(signs, row):

@@ -32,7 +32,9 @@ coordinates class by class, lightest first, from one small linear solve
 and the class's own invariants at that partial point, for which the
 recurrence runs to the class's own step only.  A final exact evaluation
 of every invariant decides the answer: a mismatch means no slice point
-has the target invariants.
+has the target invariants.  Before any slice work, a target off the
+image of the slice in the quotient's coordinates is refused by naming
+the relation it breaks.
 """
 
 from __future__ import annotations
@@ -302,13 +304,44 @@ def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     return coords
 
 
+def _broken_relation(pair: SymmetricPair, values) -> str | None:
+    """The first relation of the quotient's image that the target breaks.
+
+    With det(tI - X) = t^(p - q) P(t^2), P monic of degree q: c_m is 0
+    unless m = p - q + 2j; on o(q,q), c_0 = (-1)^q Pf^2; on sp, P = R^2
+    for a monic R, whose coefficients follow from P's top down.  A
+    target of the wrong length is left to `graded_solve` to refuse.
+    """
+    p, q, n = pair.p, pair.q, pair.n
+    if len(values) != invariant_length(pair):
+        return None
+    for m in range(n):
+        if values[m] and (m < p - q or (n - m) % 2):
+            return f"c_{m} must be 0"
+    if pair.family is Family.ORTH and p == q and values[0] != (-1) ** q * values[n] ** 2:
+        return f"c_0 must be {'-' if q % 2 else ''}Pf^2, Pf the last value"
+    if pair.family is Family.SP:
+        # P's coefficient of t^(q - k), highest first
+        top = [1, *(values[n - 2 * k] for k in range(1, q + 1))]
+        r = [1] + [_ZERO] * q
+        for k in range(1, q // 2 + 1):
+            r[k] = (top[k] - sum(r[i] * r[k - i] for i in range(1, k))) / 2
+        if any(sum(r[i] * r[k - i] for i in range(k + 1)) != top[k] for k in range(q + 1)):
+            return "P must be the square of a monic polynomial"
+    return None
+
+
 def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     """Coordinates a with invariants(slice_point(a)) equal to the target, exactly.
 
-    Takes the candidate of `graded_solve` and checks every invariant
-    exactly.  Raises NotFound when no slice point has the target
-    invariants.
+    A target off the quotient's image raises NotFound naming the first
+    relation it breaks (`_broken_relation`), before any slice work.
+    Otherwise takes the candidate of `graded_solve` and checks every
+    invariant exactly; a mismatch raises NotFound too.
     """
+    broken = _broken_relation(slc.pair, target.values)
+    if broken is not None:
+        raise NotFound(f"no slice point has these invariants: {broken}")
     coords = graded_solve(slc, target)
     at = _invariants_of_rows(slc.pair, *_point_rows(slc, coords), range(len(target.values)))
     if at != target.values:

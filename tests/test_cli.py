@@ -130,6 +130,19 @@ def test_certificate_fails_when_the_graded_solve_misses(monkeypatch):
         assert not cert["passing"]
 
 
+def test_certificate_fails_when_the_block_action_is_broken(monkeypatch):
+    # g1 A without the g2^-1 keeps the rank of A, so only the identity
+    # to_matrix_space(g x g^-1) = g1 A g2^-1 sees it, on every family
+    def broken(pair, ge, a):
+        return ge.g.submatrix(0, pair.p, 0, pair.p) * a
+
+    monkeypatch.setattr(cli, "act_mpq", broken)
+    for case in [("gl", 3, 2), ("gl", 4, 4), ("o", 3, 3), ("sp", 4, 2)]:
+        checks = dict(make_certificate(*case, seed=1, trials=2)["checks"])
+        assert not checks.pop("equivariance")
+        assert all(checks.values())
+
+
 def test_report_case_enumeration():
     assert len(report_cases(4, 0, 0)) == 10
     assert report_cases(0, 3, 0) == [("o", 1, 1), ("o", 2, 1)]
@@ -280,6 +293,28 @@ def test_slice_rep_unreachable_exits_3(tmp_path):
     )
     assert code == 3
     assert json.loads(out)["error"]["type"] == "NotFound"
+
+
+@pytest.mark.parametrize(
+    "case, values, message",
+    [
+        (("gl", 3, 2), ["0", "1", "2", "-3", "0"], "c_2 must be 0"),
+        (("o", 3, 3), ["4", "0", "1", "0", "2", "0", "2"], "c_0 must be -Pf^2"),
+        (("sp", 4, 4), ["2", "0", "0", "0", "2", "0", "0", "0"], "P must be the square"),
+    ],
+    ids=["structural-zero", "pfaffian", "square"],
+)
+def test_slice_rep_names_the_broken_relation(tmp_path, case, values, message):
+    fam, p, q = case
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps(values))
+    code, out, _ = run_cli(
+        ["slice-rep", "--family", fam, "--p", str(p), "--q", str(q), "--invariants", str(inv)]
+    )
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "NotFound"
+    assert err["message"].startswith(f"no slice point has these invariants: {message}")
 
 
 def test_canonicalize_slice_point_returns_own_coords(tmp_path):
@@ -468,7 +503,8 @@ def test_negative_trials_exit_2():
         assert json.loads(out)["error"]["type"] == "InputError"
 
 
-def test_runs_without_numpy(tmp_path):
+def test_runs_with_only_the_standard_library(tmp_path):
+    # numpy is not a dependency; sympy and hypothesis are test-only
     from symslice.cli import build_case
     from symslice.slice import invariants, invariants_to_json, slice_point
 
@@ -478,20 +514,26 @@ def test_runs_without_numpy(tmp_path):
     inv.write_text(invariants_to_json(invariants(case.pair, x)))
     script = (
         "import sys\n"
-        "sys.modules['numpy'] = None\n"
+        "for name in ('numpy', 'sympy', 'hypothesis'):\n"
+        "    sys.modules[name] = None\n"
         "import symslice\n"
         "from symslice.cli import main\n"
-        "sys.exit(main(['slice-rep', '--family', 'gl', '--p', '2', '--q', '2',"
-        " '--invariants', sys.argv[1]]))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(inv)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert matrix_from_text(proc.stdout) == x
+    argvs = [
+        ["slice-rep", "--family", "gl", "--p", "2", "--q", "2", "--invariants", str(inv)],
+        ["verify", "--family", "sp", "--p", "4", "--q", "2", "--trials", "2"],
+    ]
+    procs = [
+        subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=300
+        )
+        for argv in argvs
+    ]
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+    assert matrix_from_text(procs[0].stdout) == x
+    assert json.loads(procs[1].stdout)["passing"] is True
 
 
 def test_ks_log_is_read_on_every_in_process_call(monkeypatch):

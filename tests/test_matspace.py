@@ -109,13 +109,16 @@ def test_random_group_element_is_deterministic():
 
 def test_equivariance():
     rng = random.Random(9)
-    for fam, p, q in [(Family.ORTH, 3, 2), (Family.SP, 4, 4)]:
+    for fam, p, q in [(Family.ORTH, 3, 2), (Family.SP, 4, 4), (Family.GL, 4, 3)]:
         pair = make_pair(fam, p, q)
         for _ in range(5):
             a = RatMatrix(
                 [[Fraction(rng.randint(-4, 4)) for _ in range(q)] for _ in range(p)]
             )
-            x = from_matrix_space(pair, a)
+            b = None
+            if fam is Family.GL:
+                b = RatMatrix([[rng.randint(-4, 4) for _ in range(p)] for _ in range(q)])
+            x = from_matrix_space(pair, a, b)
             g = random_group_element(pair, seed=rng.randrange(2**63), height=3)
             assert to_matrix_space(pair, act(pair, g, x)) == act_mpq(pair, g, a)
 

@@ -10,16 +10,20 @@ from symslice.cli import build_case, report_cases
 from symslice import nilpotent
 from symslice.exact import (
     RatMatrix,
+    block_antidiag,
+    hstack,
     inverse,
     kernel_basis,
     lincomb,
     modular_rank,
     nilpotency_index,
     rank,
+    shift_power,
     spans_equal,
     vec,
+    vstack,
 )
-from symslice.matspace import GroupElement, act, cayley, random_group_element
+from symslice.matspace import GroupElement, act, cayley, from_matrix_space, random_group_element
 from symslice.nilpotent import (
     _PRIME,
     _ad_system,
@@ -29,7 +33,15 @@ from symslice.nilpotent import (
     make_witness,
     regular_nilpotent,
 )
-from symslice.pairs import Family, MembershipError, bracket, in_eigenspace, make_pair
+from symslice.pairs import (
+    MAX_SIZE,
+    ConstraintViolation,
+    Family,
+    MembershipError,
+    bracket,
+    in_eigenspace,
+    make_pair,
+)
 from symslice.slice import slice_point
 
 CASES = [
@@ -45,6 +57,58 @@ CASES = [
     (Family.SP, 4, 2),
     (Family.SP, 4, 4),
 ]
+
+
+def _block_assembled_nilpotent(pair):
+    """The representative assembled case by case from identity, zero and
+    shift blocks: the reference for the index formulas of
+    `regular_nilpotent`."""
+    p, q = pair.p, pair.q
+    if pair.family is Family.GL:
+        if p > q:
+            a = vstack([RatMatrix.identity(q), RatMatrix.zeros(p - q, q)])
+            b = hstack(
+                [RatMatrix.zeros(q, 1), RatMatrix.identity(q), RatMatrix.zeros(q, p - q - 1)]
+            )
+        else:
+            a = RatMatrix.identity(q)
+            b = shift_power(q, 1)
+        return block_antidiag(a, b)
+    if pair.family is Family.SP:
+        if p > q:
+            r = (p - q) // 2
+            a = vstack(
+                [RatMatrix.zeros(r - 1, q), RatMatrix.identity(q), RatMatrix.zeros(r + 1, q)]
+            )
+        else:
+            a = shift_power(q, 1)
+    elif p == q + 1:
+        a = vstack([RatMatrix.identity(q), RatMatrix.zeros(1, q)])
+    else:
+        # the identity with its first ceil(q/2) ones moved one column right;
+        # a one moved past the last column falls off, so q = 1 gives 0
+        rows = [[Fraction(0)] * q for _ in range(q)]
+        for i in range(q):
+            if i >= (q + 1) // 2:
+                rows[i][i] = Fraction(1)
+            elif i + 1 < q:
+                rows[i][i + 1] = Fraction(1)
+        a = RatMatrix(rows, cols=q)
+    return from_matrix_space(pair, a)
+
+
+def test_index_formulas_match_the_block_assembly():
+    pairs = []
+    for fam in Family:
+        for p in range(1, MAX_SIZE):
+            for q in range(1, min(p, MAX_SIZE - p) + 1):
+                try:
+                    pairs.append(make_pair(fam, p, q))
+                except ConstraintViolation:
+                    pass
+    assert len(pairs) == 351
+    for pair in pairs:
+        assert regular_nilpotent(pair) == _block_assembled_nilpotent(pair), pair
 
 
 def test_frozen_representatives():

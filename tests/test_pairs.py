@@ -119,17 +119,22 @@ def test_forms_match_hand_built_blocks():
     assert p.form.transpose() == p.form
 
 
-def test_form_entries_must_be_units():
-    # adjoint and in_algebra read v_i / v_j as v_i * v_j, true only for +-1
-    assert _form_entries(RatMatrix([[0, -1], [1, 0]])) == ((1, -1), (0, 1))
-    for form in (
-        RatMatrix([[0, 2], [1, 0]]),
-        RatMatrix([[0, 1, 0], [1, 0, 0], [0, 0, Fraction(-1, 2)]]),
-    ):
-        with pytest.raises(AssertionError, match="must be"):
-            _form_entries(form)
-    with pytest.raises(AssertionError, match="not monomial"):
-        _form_entries(RatMatrix([[1, 1], [0, 1]]))
+def test_form_entries_are_signed_permutations():
+    # adjoint and in_algebra read v_i / v_j as v_i * v_j, true only for +-1;
+    # the form they define is the one assembled from exchange blocks
+    for f, p, q in report_cases(8, 16, 8):
+        fam = Family(f)
+        entries = _form_entries(fam, p, q)
+        if fam is Family.GL:
+            assert entries is None
+            continue
+        assert sorted(k for k, _ in entries) == list(range(p + q))
+        assert all(type(v) is int and v in (1, -1) for _, v in entries)
+        if fam is Family.ORTH:
+            hand = block_diag(exchange(p), -1 * exchange(q))
+        else:
+            hand = block_diag(signed_exchange(p), signed_exchange(q))
+        assert make_pair(fam, p, q).form == hand
 
 
 def test_involution_squares_to_identity():
@@ -328,7 +333,7 @@ def _dense_eigenspace_basis(pr, sign):
                 (k_i, v_i), (k_j, v_j) = pr.form_entries[i], pr.form_entries[j]
                 row = [Fraction(0)] * (n * n)
                 row[i * n + j] += 1
-                row[k_j * n + k_i] += v_i / v_j
+                row[k_j * n + k_i] += v_i * v_j
                 rows.append(row)
             c = (1 if (i < p) == (j < p) else -1) - sign
             if c:

@@ -43,10 +43,10 @@ GROUP_ELEMENTS = {
 # slice points (`_cli_inputs`); o(3, 3) has a non-diagonal ad h on its
 # slice basis, o(2, 2) the Pfaffian
 SLICE_REP = {
-    ("gl", 3, 2): "c9fd62167c342e5116f772c0bd433702f868ba7d60649ef4d3d6e287424c7bd9",
-    ("o", 2, 2): "4a3fed706cada4b3a86ac0c5533378337758094425f75d812690f4e2a8e4f0b1",
-    ("o", 3, 3): "5eaacecf8280dcf250988d3d85c9904093b6270a84d5c06db4fa20e6117147b3",
-    ("sp", 4, 2): "48518549b7439fe30ddf38695868c13cbe6e9e5306ea522bb8db6a344fe48670",
+    ("gl", 3, 2): "ab3d1b9c56a1499a20848310745f58c607089982be9c9c54bd6d9cbdebe66372",
+    ("o", 2, 2): "18f56f7b4253a48120499bf3ec0c761bc131022245db8b9c8012da599f9a7ef7",
+    ("o", 3, 3): "1ece8fbd84b65fd83eeb42eee63fb491c174148e2e845e745749705aa64dff0c",
+    ("sp", 4, 2): "4a3ecae5f604086bac1c25ae8ce5c65f18ca9143dbe68c662acc6a67a03fd52d",
 }
 CANONICALIZE = {
     ("gl", 3, 2): "d7780219a8bf8adedd1dc10b9d2188f65f1185322322488ca6d66ded4fdcae45",
