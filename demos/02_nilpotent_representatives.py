@@ -3,8 +3,9 @@
 For every valid pair the constructed element is nilpotent, lies in the
 odd part, and its centralizer there has the minimal possible dimension
 (the rank of the involution), which is the relative-regularity
-criterion.  The hand-written banded solution families agree with the
-generic kernel computation, span for span.
+criterion.  The closed-form oracle, the odd powers e, e^3, ... of e
+(with one extra element on o(q,q)), agrees with the generic kernel
+computation, span for span.
 """
 
 from symslice import (

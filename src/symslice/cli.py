@@ -121,12 +121,20 @@ def _mat_json(m: RatMatrix | None):
 
 
 def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
+    """g x g^-1 against (g1, g2) . A = g1 A g2^-1 on the upper-right
+    block; on gl, whose lower-left block B is free, also against g2 B g1^-1."""
+    p, n = pair.p, pair.n
     for _ in range(_EQUIVARIANCE_DRAWS):
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
         coeffs = [rng.randint(-5, 5) for _ in pair.minus_support]
         x = combine(pair.n, pair.minus_support, coeffs)
-        if to_matrix_space(pair, act(pair, g, x)) != act_mpq(pair, g, to_matrix_space(pair, x)):
+        y = act(pair, g, x)
+        if to_matrix_space(pair, y) != act_mpq(pair, g, to_matrix_space(pair, x)):
             return False
+        if pair.family is Family.GL:
+            g2, g1_inv = g.g.submatrix(p, n, p, n), g.g_inv.submatrix(0, p, 0, p)
+            if y.submatrix(p, n, 0, p) != g2 * x.submatrix(p, n, 0, p) * g1_inv:
+                return False
     return True
 
 

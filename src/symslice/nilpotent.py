@@ -6,9 +6,13 @@ family for its upper-right block (and its lower-left block for gl),
 for every p >= q.  The centralizer inside g(-1) is computed
 generically as the kernel of ad_x in the g(-1) coordinates, the system
 `pairs.ad_rows` reads from x and the integer support of each basis
-matrix; the hand-parameterized banded solution families are kept
-alongside purely as an independent oracle and never feed the
-production path.
+matrix.  An independent oracle, `closed_form_centralizer`, reads the
+same space off the powers of e: the odd powers of an x in g(-1) lie in
+g(-1) and commute with x, and e, e^3, ..., e^(2 rank theta - 1) span
+z(e) on every pair but o(q,q), where e has Jordan type (2q-1, 1) and
+one element w u^t J - u w^t J built from the two kernel vectors u, w
+of e replaces the vanishing e^(2q-1).  It never feeds the production
+path.
 
 Relative regularity is decided on three paths, cheapest first.  When
 x is cyclic in gl(n), its commutant is Q[x]; theta(x^k) = (-1)^k x^k,
@@ -26,19 +30,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import (
     RatMatrix,
     block_antidiag,
-    hstack,
     integer_rows,
     kernel_basis,
     modular_rank,
     nilpotency_index,
     rank,
-    shift_power,
-    vstack,
 )
 from .matspace import from_matrix_space
 from .pairs import (
@@ -47,14 +47,11 @@ from .pairs import (
     SymmetricPair,
     ad_rows,
     combine,
-    exchange,
     in_eigenspace,
 )
 
 log = logging.getLogger(__name__)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # Modulus of the regularity certificate, the Mersenne prime 2^61 - 1.
 _PRIME = 2**61 - 1
 
@@ -173,155 +170,33 @@ def make_witness(pair: SymmetricPair) -> NilpotentWitness:
     )
 
 
-# ---------------------------------------------------------------------------
-# Closed-form centralizer bases (test oracle only).
-#
-# These are the banded solution families written out case by case, one
-# basis matrix per free parameter, assembled directly from shift
-# patterns.  They are deliberately independent of the kernel computation
-# above; tests compare the two by span.
-# ---------------------------------------------------------------------------
-
-
-def _gl_like_patterns(p: int, q: int) -> list[RatMatrix]:
-    """Upper block: banded upper-triangular Toeplitz over zero padding.
-
-    Lower block: the same bands shifted one column right, truncated to
-    width p.  Covers GL (any p >= q) and the orthogonal p = q + 1 case.
-    """
-    out = []
-    for m in range(1, q + 1):
-        a = vstack([shift_power(q, m - 1), RatMatrix.zeros(p - q, q)])
-        brows = [[_ZERO] * p for _ in range(q)]
-        for i in range(q):
-            j = i + m
-            if j <= q and j < p:  # bands live in columns 2..q+1 only
-                brows[i][j] = _ONE
-        out.append(block_antidiag(a, RatMatrix(brows, cols=p)))
-    return out
-
-
-def _sp_patterns(p: int, q: int) -> list[RatMatrix]:
-    out = []
-    if p > q:
-        r = (p - q) // 2
-        sgn = _ONE if r % 2 == 0 else -_ONE
-        for m in range(1, q, 2):  # parameters sit on even superdiagonals
-            core = shift_power(q, m - 1)
-            a = vstack([RatMatrix.zeros(r - 1, q), core, RatMatrix.zeros(r + 1, q)])
-            b = hstack([RatMatrix.zeros(q, r + 1), sgn * core, RatMatrix.zeros(q, r - 1)])
-            out.append(block_antidiag(a, b))
-    else:
-        for m in range(2, q + 1, 2):  # p = q: parameters on odd superdiagonals
-            core = shift_power(q, m - 1)
-            out.append(block_antidiag(core, core))
-    return out
-
-
-def _orth_even_patterns(k: int) -> list[RatMatrix]:
-    """Upper-right block patterns for the orthogonal p = q = 2k case.
-
-    Block layout of the q x q upper-right block Z, with k x k blocks
-    ((A, B), (C, D)): A strictly upper banded, C zero, D upper banded
-    with a corrected top-right corner, B a sum of three banded pieces
-    with corrected corners.
-    """
-    q = 2 * k
-    pats = []
-    for m in range(1, 2 * k + 1):
-        z = [[_ZERO] * q for _ in range(q)]
-        if m <= k - 1:
-            for i in range(k - m):  # A: band m
-                z[i][i + m] += _ONE
-        if m <= k:
-            for i in range(k - (m - 1)):  # D: band m-1
-                z[k + i][k + i + m - 1] += _ONE
-        if m == 2 * k:
-            z[k][2 * k - 1] -= _ONE  # D corner (1,k) carries a_k - a_{2k}
-        if k <= m <= 2 * k - 1:
-            d = m - k
-            for i in range(k - d):  # B1: band d at a_{k+d}
-                z[i][k + i + d] += _ONE
-            if m == k:
-                z[k - 1][2 * k - 1] -= _ONE  # B1 corner (k,k) is a_{2k}, not a_k
-        if m == 2 * k:
-            z[k - 1][2 * k - 1] += _ONE
-        if 1 <= m <= k - 1:
-            c = k - m
-            for i in range(c, k):  # B2: subdiagonal band k-m
-                z[i][k + i - c] += _ONE
-        if 2 <= m <= k - 1:
-            c = k - m
-            for i in range(c, k - 1):  # B3: same bands, last row omitted
-                z[i][k + i - c] += _ONE
-        pats.append(RatMatrix(z, cols=q))
-    return pats
-
-
-def _orth_odd_patterns(k: int) -> list[RatMatrix]:
-    """Upper-right block patterns for the orthogonal p = q = 2k+1 case.
-
-    Block layout ((A, B), (C, D)) with A of size (k+1) x (k+1), B of
-    size (k+1) x k, C zero, D of size k x k.
-    """
-    q = 2 * k + 1
-    if k == 0:
-        # q = 1: the construction degenerates to e = 0, whose centralizer
-        # is all of g(-1); the single pattern is the full 1 x 1 block.
-        return [RatMatrix.identity(1)]
-    off = k + 1  # column origin of B, row/column origin of D
-    pats = []
-    for m in range(1, 2 * k + 2):
-        z = [[_ZERO] * q for _ in range(q)]
-        if m <= k:
-            for i in range(k + 1 - m):  # A: band m
-                z[i][i + m] += _ONE
-            for i in range(k - (m - 1)):  # D: band m-1
-                z[off + i][off + i + m - 1] += _ONE
-        if k + 1 <= m <= 2 * k:
-            d = m - (k + 1)
-            if d == 0:
-                for i in range(k - 1):  # B1 diagonal stops above the corner
-                    z[i][off + i] += _ONE
-            else:
-                for i in range(k - d):
-                    z[i][off + i + d] += _ONE
-        if m == 2 * k + 1:
-            z[k - 1][off + k - 1] += _ONE  # B1 corner pair a_{2k+1}, -a_{2k+1}
-            z[k][off + k - 1] -= _ONE
-        if 1 <= m <= k - 1:
-            c = k + 1 - m
-            for i in range(c, k + 1):  # B2: full subdiagonal band
-                z[i][off + i - c] += _ONE
-        if m == k:
-            for i in range(1, k):  # B2: band 1 without its last row
-                z[i][off + i - 1] += _ONE
-        if m == k + 1:
-            z[k][off + k - 1] += _ONE  # B2 corner (k+1, k)
-        if 2 <= m <= k - 1:
-            c = k - m
-            for i in range(c, k - 1):  # B3: same bands as B2's family, shifted
-                z[i][off + i - c] += _ONE
-        pats.append(RatMatrix(z, cols=q))
-    return pats
-
-
 def closed_form_centralizer(pair: SymmetricPair) -> list[RatMatrix]:
-    """Hand-parameterized centralizer basis of the regular nilpotent element.
+    """A centralizer basis of the regular nilpotent e read off its powers.
 
-    Purely an oracle: tests check that its span agrees with the generic
-    kernel computation.
+    For x in g(-1), theta(x^k) = (-1)^k x^k, odd powers of a form-skew x
+    are form-skew, and every power commutes with x, so x, x^3, x^5, ...
+    lie in z_{g(-1)}(x).  For every pair except o(q,q), e is nilpotent of
+    index at least 2 rank theta, so e, e^3, ..., e^(2r-1) with r = rank
+    theta are independent and span z(e).  On o(q,q), e has Jordan type
+    (2q-1, 1), so e^(2q-1) = 0 and only e, ..., e^(2q-3) remain.  The
+    last direction is w u^t J - u w^t J for the two kernel vectors
+    u = e_m - e_(m-1) (m = floor(q/2)) and w = e_p of e: it lies in
+    so(J) and commutes with e because e u = e w = 0.  Its upper-right
+    block holds 1 at (m, q-1) and -1 at (m-1, q-1); q = 1 leaves the
+    single entry 1.
+
+    Purely an oracle: built from products and `from_matrix_space` alone,
+    without any elimination; tests and certificates check that its span
+    agrees with the kernel computation of `centralizer`.
     """
-    p, q = pair.p, pair.q
-    if pair.family is Family.GL:
-        return _gl_like_patterns(p, q)
-    if pair.family is Family.SP:
-        return _sp_patterns(p, q)
-    if p == q + 1:
-        return _gl_like_patterns(p, q)
-    jq = exchange(q)
-    if q % 2 == 0:
-        blocks = _orth_even_patterns(q // 2)
-    else:
-        blocks = _orth_odd_patterns(q // 2)
-    return [block_antidiag(z, jq * z.transpose() * jq) for z in blocks]
+    e = regular_nilpotent(pair)
+    count, extra = pair.rank_theta, []
+    if pair.family is Family.ORTH and pair.p == pair.q:
+        q, m = pair.q, pair.q // 2
+        a = [[int(j == q - 1) * ((i == m) - (i == m - 1)) for j in range(q)] for i in range(q)]
+        count -= 1
+        extra = [from_matrix_space(pair, RatMatrix.from_ints(a, cols=q))]
+    powers, e2 = [e], e * e
+    while len(powers) < count:
+        powers.append(powers[-1] * e2)
+    return powers[:count] + extra

@@ -55,18 +55,6 @@ class MembershipError(ValueError):
     """Raised when a matrix is not in the subspace an operation requires."""
 
 
-def exchange(r: int) -> RatMatrix:
-    """Antidiagonal matrix of ones."""
-    return RatMatrix.from_ints([[int(i + j == r - 1) for j in range(r)] for i in range(r)], cols=r)
-
-
-def signed_exchange(r: int) -> RatMatrix:
-    """Antidiagonal with alternating signs, +1 in the top right corner."""
-    return RatMatrix.from_ints(
-        [[(-1) ** i if i + j == r - 1 else 0 for j in range(r)] for i in range(r)], cols=r
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricPair:
     family: Family

@@ -12,7 +12,7 @@ import pytest
 
 from symslice import cli
 from symslice.cli import main, make_certificate, report_cases
-from symslice.exact import MAX_DIGITS, matrix_from_text, matrix_to_text, RatMatrix
+from symslice.exact import MAX_DIGITS, RatMatrix, block_antidiag, matrix_from_text, matrix_to_text
 from symslice.pairs import MAX_SIZE
 from symslice.slice import invariants, invariants_to_json, slice_point
 
@@ -141,6 +141,42 @@ def test_certificate_fails_when_the_block_action_is_broken(monkeypatch):
         checks = dict(make_certificate(*case, seed=1, trials=2)["checks"])
         assert not checks.pop("equivariance")
         assert all(checks.values())
+
+
+def test_gl_equivariance_sees_the_lower_left_block(monkeypatch):
+    # on gl the lower-left block B is free and to_matrix_space drops it,
+    # so only the check g2 B g1^-1 sees a broken B
+    real = cli.act
+
+    def broken(pair, ge, x):
+        y = real(pair, ge, x)
+        b = y.submatrix(pair.p, pair.n, 0, pair.p)
+        return y + block_antidiag(RatMatrix.zeros(pair.p, pair.q), b)
+
+    monkeypatch.setattr(cli, "act", broken)
+    for case in [("gl", 3, 2), ("gl", 4, 4)]:
+        checks = dict(make_certificate(*case, seed=1, trials=2)["checks"])
+        assert not checks["equivariance"], case
+
+
+def test_certificate_fails_when_the_centralizer_has_the_wrong_span(monkeypatch):
+    # the right count with one basis element outside z(e): only the
+    # closed-form oracle sees it
+    from symslice import nilpotent
+    from symslice.pairs import bracket
+
+    real = nilpotent.centralizer
+
+    def swapped(pair, x):
+        outside = next(b for b in pair.basis_minus if not bracket(x, b).is_zero())
+        return [outside] + real(pair, x)[1:]
+
+    monkeypatch.setattr(cli, "_case", functools.lru_cache(maxsize=None)(cli._case.__wrapped__))
+    monkeypatch.setattr(nilpotent, "centralizer", swapped)
+    for case in [("gl", 3, 2), ("o", 3, 3), ("o", 4, 4), ("sp", 4, 2)]:
+        checks = dict(make_certificate(*case, seed=1, trials=2)["checks"])
+        assert not checks["closed_form_match"], case
+        assert checks["centralizer_dim_eq_rank"], case
 
 
 def test_report_case_enumeration():

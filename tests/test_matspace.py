@@ -17,7 +17,12 @@ from symslice.matspace import (
     to_matrix_space,
 )
 from symslice.nilpotent import centralizer, regular_nilpotent
-from symslice.pairs import Family, MembershipError, exchange, in_eigenspace, make_pair
+from symslice.pairs import Family, MembershipError, in_eigenspace, make_pair
+
+
+def exchange(r):
+    """Antidiagonal matrix of ones."""
+    return RatMatrix.from_ints([[int(i + j == r - 1) for j in range(r)] for i in range(r)], cols=r)
 
 
 def test_projection_of_zero():

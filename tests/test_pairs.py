@@ -21,12 +21,23 @@ from symslice.pairs import (
     bracket,
     check_constraints,
     combine,
-    exchange,
     in_algebra,
     in_eigenspace,
     make_pair,
-    signed_exchange,
 )
+
+
+def exchange(r):
+    """Antidiagonal matrix of ones."""
+    return RatMatrix.from_ints([[int(i + j == r - 1) for j in range(r)] for i in range(r)], cols=r)
+
+
+def signed_exchange(r):
+    """Antidiagonal with alternating signs, +1 in the top right corner."""
+    return RatMatrix.from_ints(
+        [[(-1) ** i if i + j == r - 1 else 0 for j in range(r)] for i in range(r)], cols=r
+    )
+
 
 SMALL = [
     (Family.GL, 2, 1),
