@@ -17,14 +17,14 @@ separation, with exact derivatives from adjugates (see jacobian_rank_at).
 
 Inversion is exact and direct (Kostant-Rallis).  The slice directions
 have an eigenbasis G_j of ad h, [h, G_j] = w_j G_j with every w_j >= 0
-even, checked exactly when the eigenbasis is built, and [h, f] = -2f,
-checked exactly by `complete_triple`.  h is semisimple with integer
-eigenvalues (sl2 theory), so for rational t != 0 the group element t^h
-(t^l on the l-eigenspace of h, determinant t^tr(h) = 1) scales f by
-t^-2 and G_j by t^w_j.  An invariant I of degree k takes t^2 Y to
-t^(2k) I(Y), so I(f + sum_j t^(w_j + 2) u_j G_j) = t^(2k) I(f + sum_j
-u_j G_j): every monomial of I on the slice has weighted degree 2k, u_j
-counting w_j + 2 >= 2.  An invariant of degree (w + 2) / 2 is therefore
+even (see `_graded_blocks`), and [h, f] = -2f, checked exactly by
+`complete_triple`.  h is semisimple with integer eigenvalues (sl2
+theory), so for rational t != 0 the group element t^h (t^l on the
+l-eigenspace of h, determinant t^tr(h) = 1) scales f by t^-2 and G_j by
+t^w_j.  An invariant I of degree k takes t^2 Y to t^(2k) I(Y), so
+I(f + sum_j t^(w_j + 2) u_j G_j) = t^(2k) I(f + sum_j u_j G_j): every
+monomial of I on the slice has weighted degree 2k, u_j counting
+w_j + 2 >= 2.  An invariant of degree (w + 2) / 2 is therefore
 linear in the weight-w coordinates, free of the heavier ones, and
 otherwise a polynomial in the lighter ones.  With the class and every
 heavier one set to 0 it is that polynomial, so `graded_solve` finds the
@@ -53,11 +53,8 @@ from .exact import (
     faddeev_leverrier,
     integer_rows,
     inverse,
-    kernel_basis,
     rank as matrix_rank,
     rational_from_text,
-    solve_unique,
-    vec,
 )
 from .nilpotent import centralizer
 from .pairs import Family, MembershipError, SymmetricPair, bracket, combine_rows, in_eigenspace
@@ -68,9 +65,10 @@ _ZERO = Fraction(0)
 
 class SliceDimensionError(RuntimeError):
     """The slice does not have the shape the invariants need: the
-    centralizer of e does not have dimension rank theta, ad h does not
-    preserve it, or a weight class of the slice is not matched by as
-    many independent invariants of its degree."""
+    centralizer of e does not have dimension rank theta, the invariants
+    with a linear part at f do not solve for the slice coordinates, or
+    ad h does not scale the direction each one solves for by the weight
+    2k - 2 of its degree k."""
 
 
 class NotFound(RuntimeError):
@@ -79,9 +77,9 @@ class NotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class _Block:
-    """One weight class: the invariants paired with it, and its step, the
-    class's graded directions in seed coordinates times the inverse of
-    those invariants' linear part in the class's graded coordinates."""
+    """One weight class: the invariants that solve for it, and its step,
+    their columns of the inverse of the solving invariants' Jacobian at
+    f, the class's directions in seed coordinates."""
 
     invariants: tuple
     step: RatMatrix
@@ -92,7 +90,10 @@ class KostantSlice:
     pair: SymmetricPair
     triple: Sl2Triple
     slice_basis: tuple
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.slice_basis)
 
     @cached_property
     def _blocks(self) -> tuple:
@@ -140,7 +141,7 @@ def make_slice(pair: SymmetricPair, triple: Sl2Triple) -> KostantSlice:
         raise SliceDimensionError(
             f"centralizer dimension {len(basis)} != rank theta {pair.rank_theta}"
         )
-    return KostantSlice(pair=pair, triple=triple, slice_basis=tuple(basis), dim=len(basis))
+    return KostantSlice(pair=pair, triple=triple, slice_basis=tuple(basis))
 
 
 def slice_point(slc: KostantSlice, coords) -> RatMatrix:
@@ -168,16 +169,12 @@ def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
 def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
     """The values of `invariants` without the membership check, for
     points the caller already knows lie in g(-1)."""
-    return _invariants_at(pair, x, range(invariant_length(pair)))
-
-
-def _invariants_at(pair: SymmetricPair, x: RatMatrix, indices) -> tuple:
-    """The invariants of x in g(-1) at the given indices, in their order."""
-    return _invariants_of_rows(pair, *integer_rows(x), indices)
+    return _invariants_of_rows(pair, *integer_rows(x), range(invariant_length(pair)))
 
 
 def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
-    """`_invariants_at` for x = num / den, read off the integer rows.
+    """The invariants of x = num / den in g(-1) at the given indices, in
+    their order, read off the integer rows.
 
     c_m, m < n, is 0 when n - m is odd or above 2q, else step (n - m) / 2
     of the recurrence over B A = (B' A') / den^2, B' and A' the blocks of
@@ -238,43 +235,40 @@ def _matvec(m: RatMatrix, v) -> list[Fraction]:
 
 
 def _graded_blocks(slc: KostantSlice) -> tuple:
-    """The `_Block` of each weight class, lightest first."""
-    pair, n, d = slc.pair, slc.pair.n, slc.dim
-    basis = slc.slice_basis
+    """The `_Block` of each weight class, lightest first, from one inverse.
 
-    # ad h on the slice directions and an eigenbasis of it, lightest first
-    stacked = RatMatrix([list(r) for r in zip(*(vec(b) for b in basis))], cols=d)
-    brackets = [vec(bracket(slc.triple.h, b)) for b in basis]
-    ad = solve_unique(stacked, RatMatrix([list(r) for r in zip(*brackets)], cols=d))
-    if ad is None:
-        raise SliceDimensionError("ad h does not preserve the slice directions")
-    weights, eigvecs = [], []
-    for w in range(0, 2 * n, 2):
-        for v in kernel_basis(ad - w * RatMatrix.identity(d)):
-            weights.append(w)
-            eigvecs.append([v[i, 0] for i in range(d)])
-    if len(eigvecs) != d:
-        raise SliceDimensionError("ad h has no even-weight eigenbasis on the slice")
-
+    At f an invariant of degree k that solves for its class is its own
+    graded coordinate plus lighter terms, so the Jacobian at f of the
+    invariants with a nonzero row there is Lambda E^-1: E holds the
+    graded directions and Lambda is block diagonal by class.  Its inverse
+    E Lambda^-1 holds every class's step.  Column c, read as a slice
+    direction G_c, must have [h, G_c] = (2k - 2) G_c, checked exactly:
+    then ad h is diagonal on the slice with even weights >= 0, and in the
+    coordinates u = J a each solving invariant is u_m plus lighter terms.
+    """
+    pair, d = slc.pair, slc.dim
+    jac = _jacobian(slc, [_ZERO] * d)
+    # an invariant with no linear part at f cannot solve for its class;
+    # only the final check reads it
+    invs = [m for m in range(invariant_length(pair)) if any(jac.row(m))]
+    try:
+        steps = inverse(RatMatrix([jac.row(m) for m in invs], cols=d))
+    except ValueError:
+        raise SliceDimensionError(
+            f"the invariants with a linear part at f ({len(invs)}) "
+            f"do not solve for the {d} slice coordinates"
+        ) from None
+    degrees = [_invariant_degree(pair, m) for m in invs]
+    cols = steps.transpose()
+    for c, k in enumerate(degrees):
+        g = slice_point(slc, cols.row(c)) - slc.triple.f
+        if bracket(slc.triple.h, g) != (2 * k - 2) * g:
+            raise SliceDimensionError(f"ad h does not preserve the slice directions at degree {k}")
     blocks = []
-    for w in sorted(set(weights)):
-        cls = [j for j in range(d) if weights[j] == w]
-        # at f + G_j an invariant of G_j's degree is its coefficient of u_j
-        own = [m for m in range(invariant_length(pair)) if 2 * _invariant_degree(pair, m) == w + 2]
-        at = [_invariants_of_rows(pair, *_point_rows(slc, eigvecs[j]), own) for j in cls]
-        # an invariant of the class's degree with no linear part in it
-        # cannot solve for it; only the final check reads it
-        invs = [m for m, col in zip(own, zip(*at)) if any(col)]
-        lin = RatMatrix([col for col in zip(*at) if any(col)], cols=len(cls))
-        try:
-            lin_inv = inverse(lin)
-        except ValueError:
-            raise SliceDimensionError(
-                f"weight class {w} has {len(cls)} coordinates but its "
-                f"{len(invs)} invariants of degree {(w + 2) // 2} do not solve for them"
-            ) from None
-        directions = RatMatrix([[eigvecs[j][i] for j in cls] for i in range(d)], cols=len(cls))
-        blocks.append(_Block(tuple(invs), directions * lin_inv))
+    for k in sorted(set(degrees)):
+        cls = [c for c in range(d) if degrees[c] == k]
+        step = RatMatrix([[steps[i, c] for c in cls] for i in range(d)], cols=len(cls))
+        blocks.append(_Block(tuple(invs[c] for c in cls), step))
     return tuple(blocks)
 
 
@@ -363,8 +357,8 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
         n0 = adjugate_coefficients(x.submatrix(0, pair.p, pair.p, n))[0]
         nks += (block_antidiag(RatMatrix.zeros(pair.q, pair.q), n0),)
     rows = [
-        [-s * sum((nk[j, i] * v for i, j, v in entries), _ZERO) for entries, s in directions]
-        for nk in nks
+        [-s * Fraction(sum(num[j][i] * v for i, j, v in terms), den) for terms, s in directions]
+        for num, den in map(integer_rows, nks)
     ]
     return RatMatrix(rows, cols=slc.dim)
 
@@ -375,8 +369,8 @@ def jacobian_rank_at(slc: KostantSlice, coords) -> int:
     adj(tI - X) = sum_k t^k N_k from one Faddeev-LeVerrier pass gives
     the derivative -tr(N_k b) of the charpoly coefficient c_k along a
     slice direction b.  The Pfaffian row (orthogonal p = q) is the same
-    trace for c_0 of the upper-right block A: -tr(N_0(A) b_A).  Neither
-    B A nor the graded blocks are used, so this checks their premise
-    independently.
+    trace for c_0 of the upper-right block A: -tr(N_0(A) b_A).  B A is
+    not used, so this checks the premise of the evaluation over it
+    independently; the graded blocks are read off the same Jacobian at f.
     """
     return matrix_rank(_jacobian(slc, coords))

@@ -380,7 +380,7 @@ def test_canonicalize_checks_membership_once(tmp_path, monkeypatch):
     mat = tmp_path / "x.txt"
     mat.write_text(matrix_to_text(slice_point(case.slc, [Fraction(5), Fraction(1, 2)])))
     argv = ["canonicalize", "--family", "o", "--p", "3", "--q", "2", "--matrix", str(mat)]
-    assert run_cli(argv)[0] == 0  # builds the slice's inversion tables
+    assert run_cli(argv)[0] == 0  # builds the case and its slice's graded blocks
     calls = []
     in_algebra = pairs.in_algebra
     monkeypatch.setattr(pairs, "in_algebra", lambda *a: calls.append(1) or in_algebra(*a))

@@ -10,6 +10,7 @@ from symslice.exact import (
     MAX_DIGITS,
     RatMatrix,
     charpoly,
+    integer_rows,
     inverse,
     kernel_basis,
     lincomb,
@@ -29,7 +30,7 @@ from symslice.slice import (
     SliceDimensionError,
     _Block,
     _invariant_degree,
-    _invariants_at,
+    _invariants_of_rows,
     _jacobian,
     graded_solve,
     invariant_length,
@@ -255,8 +256,8 @@ def test_invariants_at_is_invariant_values_at_the_named_indices(point, data):
         named.append(data.draw(st.permutations(range(length))))
         named.append(data.draw(st.lists(st.integers(0, length - 1), max_size=length)))
     for idx in named:
-        assert _invariants_at(pair, x, idx) == tuple(full[m] for m in idx)
-    assert _invariants_at(pair, x, range(length)) == full
+        assert _invariants_of_rows(pair, *integer_rows(x), idx) == tuple(full[m] for m in idx)
+    assert _invariants_of_rows(pair, *integer_rows(x), range(length)) == full
 
 
 def _sampled_derivative_weights(n):
@@ -360,7 +361,11 @@ def _reference_blocks(slc):
     return tuple(blocks)
 
 
-@pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
+@pytest.mark.parametrize(
+    "case",
+    GRID_UP_TO_10 + [("gl", 16, 16), ("o", 16, 16), ("sp", 16, 16)],
+    ids=lambda c: "%s%d%d" % c,
+)
 def test_graded_tables_match_system_by_system_reference(case):
     slc = build_case(*case).slc
     assert slc._blocks == _reference_blocks(slc)
@@ -414,7 +419,7 @@ def test_graded_solve_is_the_candidate_invert_on_slice_checks(case):
 def test_slice_directions_not_stable_under_ad_h_are_refused():
     pair, slc = build(Family.GL, 1, 1)
     # [h, e + f] = 2e - 2f leaves the span of e + f
-    bent = KostantSlice(pair, slc.triple, (slc.triple.e + slc.triple.f,), 1)
+    bent = KostantSlice(pair, slc.triple, (slc.triple.e + slc.triple.f,))
     with pytest.raises(SliceDimensionError, match="ad h does not preserve"):
         bent._blocks
 
@@ -423,9 +428,28 @@ def test_weight_class_without_as_many_invariants_is_refused():
     # two weight-2 directions, and one invariant of degree 2 to solve for them
     pair, slc = build(Family.GL, 2, 2)
     two = tuple(b for b in pair.basis_minus if bracket(slc.triple.h, b) == 2 * b)[:2]
-    bent = KostantSlice(pair, slc.triple, two, 2)
-    with pytest.raises(SliceDimensionError, match="weight class 2 has 2 coordinates but its 1"):
+    bent = KostantSlice(pair, slc.triple, two)
+    with pytest.raises(SliceDimensionError, match=r"at f \(1\) do not solve for the 2 slice"):
         bent._blocks
+
+
+def test_dependent_slice_directions_are_refused():
+    pair, slc = build(Family.ORTH, 4, 4)
+    e = slc.triple.e
+    e3 = e * e * e
+    # e^3 twice: four directions spanning three
+    bent = KostantSlice(pair, slc.triple, (e, e3, e3, e3 * e * e))
+    with pytest.raises(SliceDimensionError):
+        bent._blocks
+
+
+def test_slice_dimension_is_the_number_of_directions():
+    # a slice carries no separate count that could disagree with its basis
+    pair, slc = build(Family.GL, 1, 1)
+    with pytest.raises(TypeError):
+        KostantSlice(pair, slc.triple, slc.slice_basis, 2)
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+        slice_point(slc, [5, 7])
 
 
 def test_invariants_json_roundtrip():
