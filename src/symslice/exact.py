@@ -385,34 +385,6 @@ def rank(m: RatMatrix) -> int:
     return len(_echelon(m._num, m.cols)[1])
 
 
-def modular_rank(rows: list[list[int]], prime: int) -> int:
-    """Rank over GF(prime) of an integer matrix given by its rows.
-
-    Reduction mod a prime can only make minors vanish, so this is a
-    lower bound on the rank over Q.  Elimination runs column by column
-    and drops each column once it is cleared.
-    """
-    rows = [r for r in ([a % prime for a in row] for row in rows) if any(r)]
-    found = 0
-    while rows and rows[0]:
-        pick = next((i for i, r in enumerate(rows) if r[0]), None)
-        if pick is None:
-            rows = [r[1:] for r in rows]
-            continue
-        pivot = rows.pop(pick)
-        inv = pow(pivot[0], -1, prime)
-        tail = pivot[1:]
-        reduced = []
-        for r in rows:
-            f = r[0] * inv % prime
-            r = [(a - f * b) % prime for a, b in zip(r[1:], tail)] if f else r[1:]
-            if any(r):
-                reduced.append(r)
-        rows = reduced
-        found += 1
-    return found
-
-
 def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """The solution X of a X = b from one elimination of [a | b], or None
     unless it is unique: a of full column rank, every column consistent.

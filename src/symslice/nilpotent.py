@@ -14,29 +14,26 @@ one element w u^t J - u w^t J built from the two kernel vectors u, w
 of e replaces the vanishing e^(2q-1).  It never feeds the production
 path.
 
-Relative regularity is decided on three paths, cheapest first.  When
-x is cyclic in gl(n), its commutant is Q[x]; theta(x^k) = (-1)^k x^k,
-and the odd powers of a form-skew x are form-skew, so z_{g(-1)}(x) is
-spanned by the odd powers of x below n and has dimension floor(n/2).
-For the pairs with floor(n/2) = rank theta (gl(q,q), gl(q+1,q), o(q,q)
-and o(q+1,q)) that is regularity, and a Krylov matrix [v, x v, ...,
-x^(n-1) v] of rank n modulo a prime proves x cyclic in O(n^3).
-Otherwise the rank of the same ad_x system modulo the prime can
-certify it, and the exact rank of that integer system decides every
-remaining case; it is the only source of False.
+Relative regularity is decided on two paths.  Krylov chains of fixed
+vectors modulo a prime bound the commutant of x in gl(n) from above
+(Frobenius), and the family's count of odd Jordan blocks at 0 turns
+that into an upper bound on dim z_{g(-1)}(x) in O(n^3) on every
+family; a bound of rank theta certifies regularity.  Any other case is
+decided by the exact rank of the ad_x system, the only source of
+False.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import mul
 
 from .exact import (
     RatMatrix,
     block_antidiag,
     integer_rows,
     kernel_basis,
-    modular_rank,
     nilpotency_index,
     rank,
 )
@@ -110,50 +107,80 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     return [combine(pair.n, support, [v[j, 0] for j in range(v.rows)]) for v in vectors]
 
 
-def _cyclic(a: list[list[int]]) -> bool:
-    """Whether the Krylov vectors v, a v, ..., a^(n-1) v of the square
-    integer rows a, for a fixed integer v, have rank n mod _PRIME.  Then
-    the Krylov determinant is nonzero over Z, so v is a cyclic vector."""
-    n = len(a)
-    a = [[x % _PRIME for x in row] for row in a]
-    v = [i * i + 3 * i + 1 for i in range(n)]
-    krylov = []
-    for _ in range(n):
-        krylov.append(v)
-        v = [sum(x * y for x, y in zip(row, v) if x) % _PRIME for row in a]
-    return modular_rank(krylov, _PRIME) == n
+def _krylov_bound(pair: SymmetricPair, ints: list[list[int]]) -> tuple[int, int, int]:
+    """An upper bound on dim z_{g(-1)}(x) from Krylov chains mod _PRIME,
+    for the integer rows `ints` of d * x; returns (bound, seeds, c).
+
+    The seeds v_i[j] = (i + 2)^(j^2 + 3j + 1) add their chains v, a v,
+    a^2 v, ... to one echelon basis, each up to its first vector already
+    in the span.  The span after i seeds is a-invariant and generated by
+    i vectors, and reduction mod a prime only lowers ranks, so c = n +
+    2 sum_(i <= n) (n - size_i) >= dim C(x), the commutant of x in gl(n)
+    (Frobenius; Gantmacher, ch. VIII), and s, the seeds used to reach n
+    (n if they never do), is at least the number of invariant factors.
+    With odd_0 the number of odd Jordan blocks of x at 0, dim z_g(x) is
+    dim C(x) on gl, (dim C(x) - odd_0) / 2 on o, where odd_0 >= n mod 2,
+    and (dim C(x) + odd_0) / 2 on sp, where odd_0 is even and at most
+    dim ker x <= s (Collingwood-McGovern 1993, 6.1).  ad_x maps g(1) ->
+    g(-1) and g(-1) -> g(1) with equal rank (adjoint under the trace
+    form), so dim z_{g(-1)}(x) = (dim z_g(x) - dim g(1) + dim g(-1)) / 2.
+    """
+    n = pair.n
+    a = [[v % _PRIME for v in row] for row in ints]
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row with 1 there)
+    c, seeds = n, 0
+    while len(basis) < n and seeds < n:
+        v = [pow(seeds + 2, j * j + 3 * j + 1, _PRIME) for j in range(n)]
+        seeds += 1
+        while True:
+            r = v  # reduced mod _PRIME only at the end
+            for pc, row in basis:
+                if f := r[pc] % _PRIME:
+                    r = [x - f * y for x, y in zip(r, row)]
+            r = [x % _PRIME for x in r]
+            pc = next((j for j, x in enumerate(r) if x), None)
+            if pc is None:
+                break
+            inv = pow(r[pc], -1, _PRIME)
+            basis.append((pc, [x * inv % _PRIME for x in r]))
+            v = [sum(map(mul, ar, v)) % _PRIME for ar in a]
+        c += 2 * (n - len(basis))
+    if pair.family is Family.ORTH:
+        z = (c - n % 2) // 2
+    elif pair.family is Family.SP:
+        z = (c + seeds - seeds % 2) // 2
+    else:
+        z = c
+    return (z - len(pair.plus_support) + len(pair.minus_support)) // 2, seeds, c
 
 
 def is_relatively_regular(pair: SymmetricPair, x: RatMatrix) -> bool:
     """Minimal-centralizer test: the centralizer in g(-1) has dimension rank theta.
 
-    dim z(x) >= rank theta for every x in g(-1) (Kostant-Rallis).  If x
-    is cyclic in gl(n), its commutant is Q[x], and since theta(x^k) =
-    (-1)^k x^k and odd powers of a form-skew x are form-skew, z(x) is
-    spanned by x, x^3, ... below n: dimension floor(n/2).  So where
-    floor(n/2) = rank theta, a cyclic vector of d x (`_cyclic`, d the
-    denominator of x) certifies regularity.  Next, the rank of ad_x mod
-    _PRIME is at most its rank over Q, so a mod-p rank of dim g(-1) -
-    rank theta certifies it.  Any other result is decided by the exact
-    rank of the same integer system, the only source of False.
+    dim z(x) >= rank theta for every x in g(-1) (Kostant-Rallis), and
+    `_krylov_bound` is never below dim z(x), so a bound of rank theta
+    certifies regularity in O(n^3) on every family.  Any other result is
+    decided by the exact rank of the ad_x system over Q (`_ad_system`),
+    the only source of False.
     """
     if not in_eigenspace(pair, x, -1):
         raise MembershipError("element is not in g(-1)")
-    if pair.n // 2 == pair.rank_theta and _cyclic(integer_rows(x)[0]):
-        log.debug("regular by cyclic-vector certificate: Krylov rank %d", pair.n)
+    bound, seeds, c = _krylov_bound(pair, integer_rows(x)[0])
+    if bound == pair.rank_theta:
+        log.debug(
+            "regular by Krylov-chain certificate: seeds %d, commutant bound %d, centralizer dim %d",
+            seeds,
+            c,
+            bound,
+        )
         return True
     rows = _ad_system(pair, x)
     dim = len(pair.minus_support)
-    r = modular_rank(rows, _PRIME)
-    if dim - r == pair.rank_theta:
-        log.debug("regular by mod-p certificate: ad system %d x %d, rank %d", len(rows), dim, r)
-        return True
     cdim = dim - rank(RatMatrix.from_ints(rows, cols=dim))
     log.debug(
-        "regularity by exact fallback: ad system %d x %d, mod-p rank %d, centralizer dim %d",
+        "regularity by exact fallback: ad system %d x %d, centralizer dim %d",
         len(rows),
         dim,
-        r,
         cdim,
     )
     return cdim == pair.rank_theta

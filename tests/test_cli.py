@@ -525,7 +525,7 @@ def test_debug_log_names_the_regularity_path_and_leaves_certificates_unchanged()
         runs[level] = subprocess.run(argv, capture_output=True, timeout=300, env=env)
         assert runs[level].returncode == 0, runs[level].stderr
     assert runs["debug"].stdout == runs["error"].stdout
-    assert b"regular by mod-p certificate: ad system" in runs["debug"].stderr
+    assert b"regular by Krylov-chain certificate: seeds " in runs["debug"].stderr
     assert runs["error"].stderr == b""
 
 
@@ -629,15 +629,19 @@ def test_requests_build_no_dense_pair_basis(tmp_path, monkeypatch):
         assert "basis_minus" not in case.pair.__dict__
 
 
-def test_canonicalize_decides_a_conjugated_gl16_point_by_its_cyclic_vector(tmp_path, monkeypatch):
-    # gl(16, 16) has floor(n/2) = rank theta, so a conjugated slice point
-    # is certified regular from a cyclic vector, without the ad_x system
+@pytest.mark.parametrize("fam,p,q", [("gl", 16, 16), ("sp", 16, 16), ("gl", 16, 14)])
+def test_canonicalize_decides_a_conjugated_16_point_by_krylov_chains(
+    fam, p, q, tmp_path, monkeypatch
+):
+    # a conjugated slice point is certified regular from Krylov chains,
+    # without the ad_x system, on every family: a cyclic vector exists on
+    # gl(16,16) only, several chains are needed on sp(16,16) and gl(16,14)
     from symslice import nilpotent
     from symslice.matspace import act, random_group_element
 
+    case = cli.build_case(fam, p, q)
     pinned = ["-3", "-1", "-1/3", "0", "1", "2/5", "7/3", "-3/4",
-              "-2", "-1/2", "10", "1/4", "2", "3/2", "-9/7", "-1/2"]
-    case = cli.build_case("gl", 16, 16)
+              "-2", "-1/2", "10", "1/4", "2", "3/2", "-9/7", "-1/2"][: case.slc.dim]
     x = slice_point(case.slc, [Fraction(c) for c in pinned])
     y = act(case.pair, random_group_element(case.pair, seed=16, height=3), x)
     mat = tmp_path / "y.txt"
@@ -646,7 +650,7 @@ def test_canonicalize_decides_a_conjugated_gl16_point_by_its_cyclic_vector(tmp_p
     ad_system = nilpotent._ad_system
     monkeypatch.setattr(nilpotent, "_ad_system", lambda *a: calls.append(a) or ad_system(*a))
     code, out, _ = run_cli(
-        ["canonicalize", "--family", "gl", "--p", "16", "--q", "16", "--matrix", str(mat)]
+        ["canonicalize", "--family", fam, "--p", str(p), "--q", str(q), "--matrix", str(mat)]
     )
     assert code == 0
     first, rest = out.split("\n", 1)

@@ -13,7 +13,6 @@ from symslice.exact import (
     kernel_basis,
     matrix_from_text,
     matrix_to_text,
-    modular_rank,
     nilpotency_index,
     pfaffian,
     rank,
@@ -257,20 +256,6 @@ def test_string_entries_and_right_hand_sides_are_bounded_literals():
 def test_integer_rows_clear_the_least_common_denominator():
     ints, den = integer_rows(RatMatrix([[F(1, 2), F(-1, 3)], [F(0), F(5)]]))
     assert (ints, den) == ([[3, -2], [0, 30]], 6)
-
-
-def test_modular_rank_is_a_lower_bound_equal_for_a_large_prime():
-    big = 2**61 - 1
-    rng = random.Random(17)
-    for _ in range(40):
-        m, n = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
-        assert modular_rank(rows, big) == rank(RatMatrix(rows))
-        assert modular_rank(rows, 3) <= rank(RatMatrix(rows))
-    assert modular_rank([[big, 0], [0, 2 * big]], big) == 0
-    assert modular_rank([[1, 1], [1, 1 + big]], big) == 1
-    assert modular_rank([[1, 1], [1, 4]], 3) == 1 < rank(RatMatrix([[1, 1], [1, 4]]))
-    assert modular_rank([], big) == 0
 
 
 def test_spans_equal():

@@ -323,7 +323,7 @@ def test_ad_rows_match_dense_brackets(family, p, q):
             rows = ad_rows(pr, [x.row(i) for i in range(n)], support)
             assert rows == _dense_ad_rows(x, basis)
             assert list(rows) == sorted(rows)
-        # integer entries, as the mod-p regularity certificate passes them
+        # integer entries, as `nilpotent._ad_system` passes them
         e = regular_nilpotent(pr)
         int_rows = [[int(a) for a in e.row(i)] for i in range(n)]
         assert ad_rows(pr, int_rows, support) == _dense_ad_rows(e, basis)
