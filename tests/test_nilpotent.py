@@ -409,3 +409,63 @@ def test_krylov_bound_is_never_below_the_exact_dimension_and_certifies_regular_i
                 # find every d_i, as they do on every input here
                 assert bound == exact, (fam, p, q, kind)
     assert certified == set(Family)
+
+
+# floor(n/2) = rank theta: the pair shapes whose regular points are cyclic
+_CYCLIC_SHAPES = ("gl(q,q)", "gl(q+1,q)", "o(q,q)", "o(q+1,q)")
+
+
+def _shape(fam, p, q):
+    if fam is Family.SP or p - q > 1:
+        return None
+    return f"{fam.value}(q{'+1' if p > q else ''},q)"
+
+
+def _odd_powers_rank(pair, x):
+    """The exact rank of x, x^3, ... below n: all lie in z(x), so this is
+    a lower bound on dim z(x) without the ad_x system."""
+    powers, y, x2 = [], x, x * x
+    for _ in range(pair.n // 2):
+        assert in_eigenspace(pair, y, -1) and bracket(x, y).is_zero()
+        powers.append(y)
+        y = y * x2
+    return rank(RatMatrix([list(vec(z)) for z in powers]))
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["grid", "12x12"])
+def test_cyclic_certificate_agrees_with_exact_kernel(large):
+    """The cyclic case of the Krylov-chain certificate: the first seed's
+    chain spans Q^n (one seed, commutant bound n).  It happens on every
+    conjugated slice point of the four cyclic shapes and on no other, and
+    wherever it happens the bound is rank theta and exact."""
+    if large:
+        cases = [(Family.GL, 12, 12), (Family.ORTH, 12, 12)]
+    else:
+        cases = [(f, p, q) for f, p, q in GRID if p + q <= 10]
+    rng = random.Random(47)
+    slices = []
+    for fam, p, q in cases:
+        case = build_case(fam, p, q)
+        pair = case.pair
+        shape = _shape(fam, p, q)
+        for kind, x in _certificate_inputs(case, rng, 1 if large else 2):
+            bound, seeds, c = nilpotent._krylov_bound(pair, integer_rows(x)[0])
+            cyclic = c == pair.n
+            assert cyclic == (seeds == 1), (fam, p, q, kind)
+            if kind == "slice":
+                slices.append((shape, cyclic))
+            if not cyclic:
+                continue
+            # never for sp or gl(p,q) with p >= q + 2
+            assert shape in _CYCLIC_SHAPES, (fam, p, q, kind)
+            assert bound == pair.rank_theta, (fam, p, q, kind)
+            if large:
+                # lower bound = upper bound: dim z(x) = floor(n/2) exactly
+                assert _odd_powers_rank(pair, x) == bound, (fam, p, q, kind)
+            else:
+                assert _exact_centralizer_dim(pair, x) == bound, (fam, p, q, kind)
+    # every conjugated slice point of the four shapes, and no other
+    assert slices
+    assert all(cyclic == (shape is not None) for shape, cyclic in slices)
+    if not large:
+        assert {shape for shape, _ in slices} >= set(_CYCLIC_SHAPES)
