@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .exact import (
     RatMatrix,
-    adjugate_coefficients,
     charpoly,
     inverse,
     kernel_basis,

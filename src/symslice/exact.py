@@ -7,11 +7,12 @@ positive common denominator, in lowest terms; products, sums and
 stacking run on those integers.  Kernels, particular and unique solves,
 inverses, ranks and `spans_equal` share one elimination, a Gauss-Jordan
 pass on integer rows that divides each changed row by its content, and
-characteristic polynomials and adjugates come from an integer
-Faddeev-LeVerrier recurrence, one step at a time so that callers stop
-early.  Entries leave as `fractions.Fraction` at the API edge
-(`RatMatrix.row`, `m[i, j]`).  Outputs are canonical so that
-certificates built on top are reproducible byte for byte.
+characteristic polynomial coefficients and the adjugate matrices that
+differentiate them come from one integer Faddeev-LeVerrier recurrence,
+one step at a time so that callers stop early.  Entries leave as
+`fractions.Fraction` at the API edge (`RatMatrix.row`, `m[i, j]`).
+Outputs are canonical so that certificates built on top are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -456,9 +457,10 @@ def _matmul(a, b, m):
 def faddeev_leverrier(a):
     """Yield (c_(n-k), M_k), k = 1, ..., n, for the square integer rows a:
     c_i is the coefficient of t^i in det(tI - a), M_1 = I and M_k =
-    a M_(k-1) + c_(n-k+1) I, so adj(tI - a) = sum_k t^(n-k) M_k.  Each
-    step after the first is one integer product, run only when asked for:
-    a caller that needs only the leading coefficients stops early."""
+    a M_(k-1) + c_(n-k+1) I, so adj(tI - a) = sum_k t^(n-k) M_k and
+    c_(n-k) has derivative -tr(M_k b) in the direction b.  Each step
+    after the first is one integer product, run only when asked for: a
+    caller that needs only the leading coefficients stops early."""
     n = len(a)
     c, amk = 1, [[0] * n for _ in range(n)]  # c_n = 1 and a M_0 = 0
     for k in range(1, n + 1):
@@ -482,24 +484,6 @@ def charpoly(m: RatMatrix) -> tuple[Fraction, ...]:
     a, den = integer_rows(m)
     cs = [Fraction(c, den**k) for k, (c, _) in enumerate(faddeev_leverrier(a), start=1)]
     return tuple(reversed(cs)) + (_ONE,)
-
-
-def adjugate_coefficients(m: RatMatrix) -> tuple:
-    """The tuple (N_0, ..., N_(n-1)) with adj(tI - m) = sum_k t^k N_k,
-    exactly, lowest power first like `charpoly`.
-
-    They are the Faddeev-LeVerrier matrices that `charpoly` runs through,
-    and they give its derivatives: the coefficient c_k of t^k in
-    det(tI - m), entry k of `charpoly(m)`, has derivative -tr(N_k b) in
-    the direction b.
-    """
-    if m.rows != m.cols:
-        raise ValueError("adjugate of a non-square matrix")
-    a, den = integer_rows(m)
-    # m = a / den, and M_k is homogeneous of degree k - 1 in a
-    out = [RatMatrix._reduced(mk, den ** (k - 1), m.cols)
-           for k, (_, mk) in enumerate(faddeev_leverrier(a), start=1)]
-    return tuple(reversed(out))
 
 
 def pfaffian(m: RatMatrix) -> Fraction:

@@ -50,7 +50,7 @@ class GroupElement:
 
 def group_element(pair: SymmetricPair, g: RatMatrix) -> GroupElement:
     """Wrap and validate a matrix as an element of the fixed subgroup."""
-    g_inv = inverse(g) if pair.form is None else adjoint(pair, g)
+    g_inv = inverse(g) if pair.form_entries is None else adjoint(pair, g)
     ge = GroupElement(g=g, g_inv=g_inv)
     _check_group_element(pair, ge)
     return ge
@@ -70,7 +70,7 @@ def _check_group_element(pair: SymmetricPair, ge: GroupElement):
     if any(any(row[p:]) for row in num[:p]) or any(any(row[:p]) for row in num[p:]):
         raise ValueError("group element must be block diagonal")
     if g * ge.g_inv != RatMatrix.identity(pair.n):
-        what = "the form condition" if pair.form is not None else "g g_inv = I"
+        what = "the form condition" if pair.form_entries is not None else "g g_inv = I"
         raise ValueError(f"group element fails {what}")
 
 

@@ -58,7 +58,10 @@ class NilpotentWitness:
     e: RatMatrix
     nilp_index: int
     centralizer_basis: tuple
-    centralizer_dim: int
+
+    @property
+    def centralizer_dim(self) -> int:
+        return len(self.centralizer_basis)
 
 
 def regular_nilpotent(pair: SymmetricPair) -> RatMatrix:
@@ -119,7 +122,7 @@ def _krylov_bound(pair: SymmetricPair, ints: list[list[int]]) -> tuple[int, int,
     (Frobenius; Gantmacher, ch. VIII), and s, the seeds used to reach n
     (n if they never do), is at least the number of invariant factors.
     With odd_0 the number of odd Jordan blocks of x at 0, dim z_g(x) is
-    dim C(x) on gl, (dim C(x) - odd_0) / 2 on o, where odd_0 >= n mod 2,
+    dim C(x) on gl, (dim C(x) - odd_0) / 2 on o, an integer <= c // 2,
     and (dim C(x) + odd_0) / 2 on sp, where odd_0 is even and at most
     dim ker x <= s (Collingwood-McGovern 1993, 6.1).  ad_x maps g(1) ->
     g(-1) and g(-1) -> g(1) with equal rank (adjoint under the trace
@@ -146,7 +149,7 @@ def _krylov_bound(pair: SymmetricPair, ints: list[list[int]]) -> tuple[int, int,
             v = [sum(map(mul, ar, v)) % _PRIME for ar in a]
         c += 2 * (n - len(basis))
     if pair.family is Family.ORTH:
-        z = (c - n % 2) // 2
+        z = c // 2
     elif pair.family is Family.SP:
         z = (c + seeds - seeds % 2) // 2
     else:
@@ -191,10 +194,7 @@ def make_witness(pair: SymmetricPair) -> NilpotentWitness:
     idx = nilpotency_index(e)
     if idx is None:
         raise AssertionError("constructed element is not nilpotent")
-    cent = centralizer(pair, e)
-    return NilpotentWitness(
-        e=e, nilp_index=idx, centralizer_basis=tuple(cent), centralizer_dim=len(cent)
-    )
+    return NilpotentWitness(e=e, nilp_index=idx, centralizer_basis=tuple(centralizer(pair, e)))
 
 
 def closed_form_centralizer(pair: SymmetricPair) -> list[RatMatrix]:

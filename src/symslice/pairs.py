@@ -5,16 +5,17 @@ the module that defines the form J and the involution theta; both act
 on matrix entries as signed permutations.  theta negates the two
 off-diagonal blocks, and J is defined by its index map
 (`SymmetricPair.form_entries`, integer formulas in (family, p, q)), from
-which `pair.form`, `adjoint` and the membership conditions are
-evaluated entrywise.  The same maps give the eigenspaces
-g(1) and g(-1) directly, by one rule for every family: theta keeps the
-positions of one block parity, and the form condition pairs position
-(i, j) with (kappa(j), kappa(i)).  Each basis is built as integer
-supports (`plus_support`, `minus_support`).  Library code works on the
-supports alone: `combine` forms a linear combination of a basis from
-its support, and `ad_rows` writes z -> [x, z] from a support, so every
-bracket equation of `nilpotent` and `sl2` is a system built by it.  The
-basis matrices (`basis_plus`, `basis_minus`) are built on first access.
+which `adjoint` and the membership conditions are evaluated entrywise
+and the dense `pair.form` is built on first access.  The same maps give
+the eigenspaces g(1) and g(-1) directly, by one rule for every family:
+theta keeps the positions of one block parity, and the form condition
+pairs position (i, j) with (kappa(j), kappa(i)).  Each basis is built
+as integer supports (`plus_support`, `minus_support`).  Library code
+works on the supports alone: `combine` forms a linear combination of a
+basis from its support, and `ad_rows` writes z -> [x, z] from a
+support, so every bracket equation of `nilpotent` and `sl2` is a
+system built by it.  The basis matrices (`basis_plus`, `basis_minus`)
+are built on first access.
 """
 
 from __future__ import annotations
@@ -61,11 +62,18 @@ class SymmetricPair:
     p: int
     q: int
     n: int
-    form: RatMatrix | None
     form_entries: tuple | None
     plus_support: tuple
     minus_support: tuple
     rank_theta: int
+
+    @cached_property
+    def form(self) -> RatMatrix | None:
+        """J from `form_entries`, J[i, kappa(i)] = v_i; None for gl."""
+        if self.form_entries is None:
+            return None
+        rows = [[v * (j == k) for j in range(self.n)] for k, v in self.form_entries]
+        return RatMatrix.from_ints(rows, cols=self.n)
 
     @cached_property
     def basis_plus(self) -> tuple:
@@ -174,10 +182,6 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
     family = check_constraints(family, p, q)
     n = p + q
     entries = _form_entries(family, p, q)
-    form = None
-    if entries is not None:
-        form = RatMatrix.from_ints([[v * (j == k) for j in range(n)] for k, v in entries], cols=n)
-
     plus_support = _eigenspace_support(n, p, entries, +1)
     minus_support = _eigenspace_support(n, p, entries, -1)
 
@@ -193,7 +197,6 @@ def make_pair(family, p: int, q: int) -> SymmetricPair:
         p=p,
         q=q,
         n=n,
-        form=form,
         form_entries=entries,
         plus_support=plus_support,
         minus_support=minus_support,

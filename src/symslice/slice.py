@@ -13,7 +13,8 @@ slice are +- pairs, so exactly there one extra coordinate is appended:
 the Pfaffian of X J, invariant under every Cayley-generated (determinant
 one) group element.  X J is block anti-diagonal, so Pf(X J) =
 (-1)^q det A = c_0 of A.  The Jacobian rank check below measures
-separation, with exact derivatives from adjugates (see jacobian_rank_at).
+separation, with exact derivatives from the same recurrence over B A
+(see `_jacobian`).
 
 Inversion is exact and direct (Kostant-Rallis).  The slice directions
 have an eigenbasis G_j of ad h, [h, G_j] = w_j G_j with every w_j >= 0
@@ -48,8 +49,6 @@ from functools import cached_property
 from .exact import (
     RatMatrix,
     _matmul,
-    adjugate_coefficients,
-    block_antidiag,
     faddeev_leverrier,
     integer_rows,
     inverse,
@@ -345,32 +344,46 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
 
 def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     """The Jacobian of the invariant map at a slice point, one row per
-    invariant and one column per slice coordinate, exactly."""
-    x = slice_point(slc, coords)
-    pair, n = slc.pair, slc.pair.n
-    directions = tuple(zip(slc._terms[1:], slc._scales[1:]))
-    # the charpoly coefficient c_k has derivative -tr(N_k b) along b
-    nks = adjugate_coefficients(x)
-    if invariant_length(pair) > n:
-        # the Pfaffian is c_0 of the upper-right block A, so its derivative
-        # -tr(N_0(A) b_A) is that trace with N_0(A) as the lower-left block
-        n0 = adjugate_coefficients(x.submatrix(0, pair.p, pair.p, n))[0]
-        nks += (block_antidiag(RatMatrix.zeros(pair.q, pair.q), n0),)
-    rows = [
-        [-s * Fraction(sum(num[j][i] * v for i, j, v in terms), den) for terms, s in directions]
-        for num, den in map(integer_rows, nks)
+    invariant and one column per slice coordinate, exactly.
+
+    c_(n - 2k) is c_(q - k) of B A, with derivative -tr(M_k d(B A)) =
+    -tr(A M_k dB) - tr(M_k B dA), M_k step k of the recurrence over B A
+    that gives the values: over the integer rows A' / d and B' / d of
+    the point, A M_k and M_k B are A' M'_k and M'_k B' over d^(2k - 1),
+    M'_k step k over B' A'.  The Pfaffian, c_0 of A, has derivative
+    -tr(M_q dA), M_q = M'_q / d^(q - 1) the last step over A'.  Each row
+    reads its gradient ((0, A M_k), (M_k B, 0)), or ((0, 0), (M_q, 0)),
+    against the slice directions; structurally zero invariants keep zero
+    rows.
+    """
+    pair, (num, den) = slc.pair, integer_rows(slice_point(slc, coords))
+    p, q, n = pair.p, pair.q, pair.n
+    a = [row[p:] for row in num[:p]]
+    b = [row[:p] for row in num[p:]]
+    grads = [
+        (n - 2 * k, _matmul(a, mk, q), _matmul(mk, b, p), den ** (2 * k - 1))
+        for k, (_, mk) in zip(range(1, q + 1), faddeev_leverrier(_matmul(b, a, q)))
     ]
+    if invariant_length(pair) > n:
+        *_, (_, mq) = faddeev_leverrier(a)
+        grads.append((n, [[0] * q] * p, mq, den ** (q - 1)))
+    directions = tuple(zip(slc._terms[1:], slc._scales[1:]))
+    rows = [[_ZERO] * slc.dim] * invariant_length(pair)
+    for m, upper, lower, d in grads:
+        g = [[0] * p + row for row in upper] + [row + [0] * q for row in lower]
+        rows[m] = [-s * Fraction(sum(g[j][i] * v for i, j, v in t), d) for t, s in directions]
     return RatMatrix(rows, cols=slc.dim)
 
 
 def jacobian_rank_at(slc: KostantSlice, coords) -> int:
     """Exact rank of the Jacobian of the invariant map at the given point.
 
-    adj(tI - X) = sum_k t^k N_k from one Faddeev-LeVerrier pass gives
-    the derivative -tr(N_k b) of the charpoly coefficient c_k along a
-    slice direction b.  The Pfaffian row (orthogonal p = q) is the same
-    trace for c_0 of the upper-right block A: -tr(N_0(A) b_A).  B A is
-    not used, so this checks the premise of the evaluation over it
-    independently; the graded blocks are read off the same Jacobian at f.
+    The rows are the derivatives of `_jacobian`, read off the recurrence
+    over B A that gives the values, and the graded blocks are read off
+    the same Jacobian at f.  The independent check is the sampled
+    characteristic polynomial test (`test_jacobian_matches_line_sampling`
+    in tests/test_slice.py): it differentiates the full n x n
+    `exact.charpoly`, and on o(q,q) `exact.pfaffian` of X J, along each
+    coordinate line, without B A.
     """
     return matrix_rank(_jacobian(slc, coords))

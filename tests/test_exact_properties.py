@@ -11,7 +11,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from symslice.exact import (
     RatMatrix,
-    adjugate_coefficients,
     block_diag,
     charpoly,
     faddeev_leverrier,
@@ -147,21 +146,33 @@ def test_charpoly_matches_sympy(m):
     assert list(charpoly(m)) == expected[::-1]
 
 
+def sympy_adjugate_steps(m: RatMatrix) -> list[RatMatrix]:
+    """M_1, ..., M_n with adj(tI - m) = sum_k t^(n-k) M_k, from sympy's adjugate."""
+    t, n = sympy.Symbol("t"), m.rows
+    shifted = DomainMatrix.from_Matrix(t * sympy.eye(n) - to_sympy(m)).convert_to(sympy.QQ[t])
+    adj = shifted.adjugate().to_Matrix()
+    return [
+        RatMatrix([[from_sympy(sympy.Poly(adj[i, j], t).coeff_monomial(t ** (n - k)))
+                    for j in range(n)] for i in range(n)])
+        for k in range(1, n + 1)
+    ]
+
+
 @SETTINGS
 @given(st.integers(0, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
                        min_size=n, max_size=n)))
 def test_faddeev_leverrier_steps_are_the_leading_coefficients(rows):
     # a caller that stops after k steps has c_(n-1), ..., c_(n-k) of charpoly
-    # and M_1, ..., M_k of adjugate_coefficients; the rows are not mutated
+    # and M_1, ..., M_k of sympy's adj(tI - m); the rows are not mutated
     n = len(rows)
     m = RatMatrix(rows, cols=n)
     copy = [row[:] for row in rows]
-    cs, adj = charpoly(m), adjugate_coefficients(m)
+    cs, adj = charpoly(m), sympy_adjugate_steps(m) if n else []
     for k in range(n + 1):
         steps = list(islice(faddeev_leverrier(rows), k))
         assert [c for c, _ in steps] == [cs[n - j] for j in range(1, k + 1)]
-        assert [RatMatrix(mk) for _, mk in steps] == [adj[n - j] for j in range(1, k + 1)]
+        assert [RatMatrix(mk) for _, mk in steps] == adj[:k]
     assert len(list(faddeev_leverrier(rows))) == n
     assert rows == copy
 
@@ -169,15 +180,20 @@ def test_faddeev_leverrier_steps_are_the_leading_coefficients(rows):
 @SETTINGS
 @given(square_matrices())
 def test_adjugate_coefficients_match_sympy(m):
+    # the steps M_k over the integer rows a of m = a / den, each over
+    # den^(k - 1), are the coefficients of adj(tI - m) = sum_k t^(n-k) M_k
     t = sympy.Symbol("t")
     n = m.rows
+    a, den = integer_rows(m)
 
     def over_qq_t(x):
         return DomainMatrix.from_Matrix(x).convert_to(sympy.QQ[t])
 
     shifted = over_qq_t(t * sympy.eye(n) - to_sympy(m))
+    steps = enumerate(faddeev_leverrier(a), start=1)
     adj = over_qq_t(
-        sum((to_sympy(c) * t**k for k, c in enumerate(adjugate_coefficients(m))), sympy.zeros(n, n))
+        sum((to_sympy(RatMatrix(mk)) / den ** (k - 1) * t ** (n - k) for k, (_, mk) in steps),
+            sympy.zeros(n, n))
     )
     assert adj == shifted.adjugate()
     char = sum(sympy.Rational(c.numerator, c.denominator) * t**k

@@ -29,7 +29,6 @@ PUBLIC = [
     "act",
     "act_mpq",
     "adjoint",
-    "adjugate_coefficients",
     "apply_theta",
     "bracket",
     "cayley",

@@ -266,6 +266,15 @@ def _sampled_derivative_weights(n):
     return solve(vt, [Fraction(int(m == 1)) for m in range(n + 1)])
 
 
+def _sampled_values(pair, x):
+    """The invariants without B A: the full n x n characteristic
+    polynomial and, on o(q,q), the congruence-elimination Pfaffian of X J."""
+    values = charpoly(x)[: pair.n]
+    if invariant_length(pair) > pair.n:
+        values += (pfaffian(x * pair.form),)
+    return values
+
+
 def _sampled_jacobian(slc, coords):
     """Reference: every invariant interpolated along each coordinate line
     at n + 1 points and differentiated by Vandermonde weights."""
@@ -277,7 +286,7 @@ def _sampled_jacobian(slc, coords):
         for t in range(n + 1):
             shifted = list(coords)
             shifted[i] += t
-            samples.append(invariant_values(slc.pair, slice_point(slc, shifted)))
+            samples.append(_sampled_values(slc.pair, slice_point(slc, shifted)))
         values = zip(*samples)
         cols.append([sum(w * s for w, s in zip(weights, vals)) for vals in values])
     return RatMatrix([list(row) for row in zip(*cols)], cols=slc.dim)
@@ -286,7 +295,11 @@ def _sampled_jacobian(slc, coords):
 GRID_UP_TO_8 = [c for c in report_cases(8, 16, 8) if c[1] + c[2] <= 8 and c != ("o", 1, 1)]
 
 
-@pytest.mark.parametrize("case", GRID_UP_TO_8, ids=lambda c: "%s%d%d" % c)
+@pytest.mark.parametrize(
+    "case",
+    GRID_UP_TO_8 + [("gl", 6, 6), ("o", 6, 6), ("sp", 6, 6), ("gl", 7, 5), ("o", 7, 6)],
+    ids=lambda c: "%s%d%d" % c,
+)
 def test_jacobian_matches_line_sampling(case):
     slc = build_case(*case).slc
     rng = random.Random(repr(case))
@@ -341,8 +354,10 @@ def _reference_eigenbasis(slc):
 def _reference_blocks(slc):
     """The graded blocks built system by system and without
     `invariant_values`: per class a rank and an inverse of the rows and
-    columns of the Jacobian at f (from adjugates) in graded coordinates,
-    where every invariant is its linear part."""
+    columns of the Jacobian at f (`_jacobian`, which
+    `test_jacobian_matches_line_sampling` checks against the sampled
+    characteristic polynomial) in graded coordinates, where every
+    invariant is its linear part."""
     pair, d = slc.pair, slc.dim
     weights, to_seed = _reference_eigenbasis(slc)
     linear = _jacobian(slc, [Fraction(0)] * d) * to_seed
