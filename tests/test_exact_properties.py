@@ -150,10 +150,9 @@ def sympy_adjugate_steps(m: RatMatrix) -> list[RatMatrix]:
     """M_1, ..., M_n with adj(tI - m) = sum_k t^(n-k) M_k, from sympy's adjugate."""
     t, n = sympy.Symbol("t"), m.rows
     shifted = DomainMatrix.from_Matrix(t * sympy.eye(n) - to_sympy(m)).convert_to(sympy.QQ[t])
-    adj = shifted.adjugate().to_Matrix()
+    adj = [[sympy.Poly(x, t) for x in row] for row in shifted.adjugate().to_Matrix().tolist()]
     return [
-        RatMatrix([[from_sympy(sympy.Poly(adj[i, j], t).coeff_monomial(t ** (n - k)))
-                    for j in range(n)] for i in range(n)])
+        RatMatrix([[from_sympy(x.coeff_monomial(t ** (n - k))) for x in row] for row in adj])
         for k in range(1, n + 1)
     ]
 
