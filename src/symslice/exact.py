@@ -5,14 +5,17 @@ completions, slice inversions) reduces to the primitives in this module,
 and all of them are exact.  A matrix is stored as integer rows over one
 positive common denominator, in lowest terms; products, sums and
 stacking run on those integers.  Kernels, particular and unique solves,
-inverses, ranks and `spans_equal` share one elimination, a Gauss-Jordan
-pass on integer rows that divides each changed row by its content, and
-characteristic polynomial coefficients and the adjugate matrices that
+inverses, ranks and `spans_equal` share one elimination on integer rows
+that divides each changed row by its content: ranks and `spans_equal`
+stop after its forward pass, the solves run its back-substitution too.
+Characteristic polynomial coefficients and the adjugate matrices that
 differentiate them come from one integer Faddeev-LeVerrier recurrence,
 one step at a time so that callers stop early.  Entries leave as
-`fractions.Fraction` at the API edge (`RatMatrix.row`, `m[i, j]`).
-Outputs are canonical so that certificates built on top are
-reproducible byte for byte.
+`fractions.Fraction` only at the API edge (`RatMatrix.row`, `m[i, j]`,
+`vec`, `solve`, `charpoly`, `pfaffian`); slice inversion and the group
+action work on the integer rows (`integer_rows`) and make Fractions
+only for what they return.  Outputs are canonical so that certificates
+built on top are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -230,29 +233,6 @@ def _common(blocks):
     return [_scale(b._num, den // b._den) for b in blocks], den
 
 
-def hstack(blocks) -> RatMatrix:
-    blocks = [b for b in blocks]
-    if not blocks:
-        raise ValueError("hstack of nothing")
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("hstack row mismatch")
-    nums, den = _common(blocks)
-    num = [list(chain.from_iterable(b[i] for b in nums)) for i in range(rows)]
-    return RatMatrix._raw(num, den, sum(b.cols for b in blocks))
-
-
-def vstack(blocks) -> RatMatrix:
-    blocks = [b for b in blocks]
-    if not blocks:
-        raise ValueError("vstack of nothing")
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise ValueError("vstack column mismatch")
-    nums, den = _common(blocks)
-    return RatMatrix._raw([row for b in nums for row in b], den, cols)
-
-
 def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Assemble ((a, 0), (0, b)) from the integer rows of both blocks."""
     (an, bn), den = _common((a, b))
@@ -265,11 +245,6 @@ def block_antidiag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     (an, bn), den = _common((a, b))
     za, zb = [0] * a.cols, [0] * b.cols
     return RatMatrix._raw([zb + r for r in an] + [r + za for r in bn], den, a.cols + b.cols)
-
-
-def shift_power(n: int, m: int) -> RatMatrix:
-    """n x n matrix with ones on the m-th superdiagonal (m=0 gives the identity)."""
-    return RatMatrix._raw([[int(j == i + m) for j in range(n)] for i in range(n)], 1, n)
 
 
 def vec(m: RatMatrix) -> tuple[Fraction, ...]:
@@ -291,16 +266,16 @@ def lincomb(coeffs, mats, rows: int, cols: int) -> RatMatrix:
     return RatMatrix(acc, cols=cols)
 
 
-def _echelon(rows, ncols: int):
-    """(rows, pivots): Gauss-Jordan elimination of integer rows in their
-    first ncols columns.  The input rows are not mutated.
+def _forward(rows, ncols: int):
+    """(rows, pivots): the forward pass of the elimination of integer rows
+    in their first ncols columns, which is all a rank needs.  The input
+    rows are not mutated.
 
-    A step with pivot p = r_k[c] replaces each other row r_i with a
+    A step with pivot p = r_k[c] replaces each later row r_i with a
     nonzero f = r_i[c] by (p/g) r_i - (f/g) r_k, g = gcd(p, f), and
     divides it by its content; zero rows are dropped as they appear.
-    The first len(pivots) rows come out as nonzero multiples of the rows
-    of the reduced echelon form, so canonical outputs are read off them
-    exactly.  The rows after them are zero in the first ncols columns.
+    The first len(pivots) rows are in echelon form; the rows after them
+    are zero in the first ncols columns.
     """
     done, pivots = [], []
     rest = [r for r in rows if any(r)]
@@ -312,11 +287,24 @@ def _echelon(rows, ncols: int):
             continue
         prow = rest.pop(k)
         p = prow[c]
-        done = [_combine(r, prow, p, c) for r in done]
         rest = [r for r in (_combine(r, prow, p, c) for r in rest) if r]
         done.append(prow)
         pivots.append(c)
     return done + rest, pivots
+
+
+def _echelon(rows, ncols: int):
+    """(rows, pivots): Gauss-Jordan elimination, the forward pass
+    (`_forward`) and then back-substitution, which clears each pivot
+    column in the rows above it by the same step.  The first
+    len(pivots) rows come out as nonzero multiples of the rows of the
+    reduced echelon form, so canonical outputs are read off them
+    exactly."""
+    rows, pivots = _forward(rows, ncols)
+    for k, c in enumerate(pivots):
+        prow = rows[k]
+        rows[:k] = [_combine(r, prow, prow[c], c) for r in rows[:k]]
+    return rows, pivots
 
 
 def _combine(row, prow, p: int, c: int) -> list[int]:
@@ -381,9 +369,9 @@ def solve(a: RatMatrix, b) -> list[Fraction] | None:
 
 
 def rank(m: RatMatrix) -> int:
-    """Rank over Q: the pivot count of the one integer elimination
-    (`_echelon`) on the stored rows."""
-    return len(_echelon(m._num, m.cols)[1])
+    """Rank over Q: the pivot count of the forward pass of the one integer
+    elimination (`_forward`) on the stored rows."""
+    return len(_forward(m._num, m.cols)[1])
 
 
 def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -397,14 +385,19 @@ def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """
     if a.rows != b.rows:
         raise ValueError(f"solve_unique: {a.rows} rows but {b.rows} right-hand rows")
-    n = a.cols
     rows = [ra + rb for ra, rb in zip(_scale(a._num, b._den), _scale(b._num, a._den))]
+    return _unique_solution(rows, a.cols, b.cols)
+
+
+def _unique_solution(rows, n: int, cols: int) -> RatMatrix | None:
+    """X with A X = B from the integer rows of [A | B], A with n columns
+    and B with cols, or None unless X is unique (see `solve_unique`)."""
     rows, pivots = _echelon(rows, n)
     if len(pivots) < n or len(rows) > n:
         return None
     den = math.lcm(*(row[r] for r, row in enumerate(rows)))
     return RatMatrix._reduced(
-        [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(rows)], den, b.cols
+        [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(rows)], den, cols
     )
 
 
@@ -427,7 +420,7 @@ def spans_equal(mats_a, mats_b) -> bool:
     rows_a = [list(chain.from_iterable(m._num)) for m in mats_a]
     rows_b = [list(chain.from_iterable(m._num)) for m in mats_b]
     width = max(map(len, rows_a + rows_b), default=0)
-    ra, rb, rab = (len(_echelon(r, width)[1]) for r in (rows_a, rows_b, rows_a + rows_b))
+    ra, rb, rab = (len(_forward(r, width)[1]) for r in (rows_a, rows_b, rows_a + rows_b))
     return ra == rb == rab
 
 

@@ -21,7 +21,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import RatMatrix, block_antidiag, block_diag, integer_rows, inverse, solve_unique
+from .exact import (
+    RatMatrix,
+    _matmul,
+    _unique_solution,
+    block_antidiag,
+    block_diag,
+    integer_rows,
+    inverse,
+)
 from .pairs import (
     Family,
     MembershipError,
@@ -62,14 +70,18 @@ def _check_group_element(pair: SymmetricPair, ge: GroupElement):
     For o and sp, g_inv is the form adjoint of g, so g g_inv = I is the
     form condition.
     """
-    g = ge.g
-    if g.shape != (pair.n, pair.n):
-        raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {g.shape}")
-    p = pair.p
-    num = integer_rows(g)[0]
+    g, n, p = ge.g, pair.n, pair.p
+    if g.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix, got {g.shape}")
+    if ge.g_inv.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} inverse, got {ge.g_inv.shape}")
+    num, den = integer_rows(g)
     if any(any(row[p:]) for row in num[:p]) or any(any(row[:p]) for row in num[p:]):
         raise ValueError("group element must be block diagonal")
-    if g * ge.g_inv != RatMatrix.identity(pair.n):
+    # g g_inv = I read on the integer rows: their product is den * den' I
+    inv_num, inv_den = integer_rows(ge.g_inv)
+    scale = den * inv_den
+    if _matmul(num, inv_num, n) != [[scale * (i == j) for j in range(n)] for i in range(n)]:
         what = "the form condition" if pair.form_entries is not None else "g g_inv = I"
         raise ValueError(f"group element fails {what}")
 
@@ -106,10 +118,15 @@ def from_matrix_space(
 
 
 def act(pair: SymmetricPair, ge: GroupElement, x: RatMatrix) -> RatMatrix:
-    """Conjugation action on g(-1)."""
-    if x.shape != (pair.n, pair.n):
-        raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {x.shape}")
-    return ge.g * x * ge.g_inv
+    """Conjugation action on g(-1): g x g^{-1} as two products of integer
+    rows, reduced to lowest terms once."""
+    n = pair.n
+    if x.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix, got {x.shape}")
+    if ge.g.shape != (n, n) or ge.g_inv.shape != (n, n):
+        raise ValueError(f"expected a group element of {n} x {n} matrices")
+    (g, gd), (y, yd), (h, hd) = map(integer_rows, (ge.g, x, ge.g_inv))
+    return RatMatrix.from_ints(_matmul(_matmul(g, y, n), h, n), cols=n, den=gd * yd * hd)
 
 
 def act_mpq(pair: SymmetricPair, ge: GroupElement, a: RatMatrix) -> RatMatrix:
@@ -126,13 +143,22 @@ def cayley(pair: SymmetricPair, s: RatMatrix) -> RatMatrix:
     """(I - S)(I + S)^{-1}; lands in the group when S is form-skew.
 
     The two factors commute, so this is the solution X of (I + S) X =
-    I - S, from one elimination.  Raises ValueError when I + S is
-    singular.
+    I - S.  With S = S' / d over its integer rows S', that is (d I + S')
+    X = d I - S': one elimination of the integer rows [d I + S' | d I -
+    S'], read off as in `exact.solve_unique`.  Raises ValueError when
+    I + S is singular.
     """
-    if s.shape != (pair.n, pair.n):
-        raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {s.shape}")
-    ident = RatMatrix.identity(pair.n)
-    out = solve_unique(ident + s, ident - s)
+    n = pair.n
+    if s.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix, got {s.shape}")
+    num, den = integer_rows(s)
+    rows = []
+    for i, row in enumerate(num):
+        plus, minus = list(row), [-x for x in row]
+        plus[i] += den
+        minus[i] += den
+        rows.append(plus + minus)
+    out = _unique_solution(rows, n, n)
     if out is None:
         raise ValueError("matrix is singular")
     return out

@@ -36,6 +36,13 @@ of every invariant decides the answer: a mismatch means no slice point
 has the target invariants.  Before any slice work, a target off the
 image of the slice in the quotient's coordinates is refused by naming
 the relation it breaks.
+
+All of this runs on integers.  A slice point is built as integer rows
+over one denominator, each invariant comes off the recurrence as an
+integer pair (c, d) for c / d, and the final check cross-multiplies.
+Fractions are made only for what leaves the module: the coordinates
+that `graded_solve` and `invert_on_slice` return and the values of
+`invariants` and `invariant_values`.
 """
 
 from __future__ import annotations
@@ -104,7 +111,7 @@ class KostantSlice:
     def _terms(self) -> tuple:
         """The (i, j, v) nonzero entries of d b for f and each slice basis
         matrix b, d its denominator: their integer support for
-        `pairs.combine_rows`, with 1 / d in `_scales`."""
+        `pairs.combine_rows`, with l / d in `_scales`."""
         return tuple(
             tuple((i, j, v) for i, row in enumerate(num) for j, v in enumerate(row) if v)
             for num, _ in map(integer_rows, (self.triple.f, *self.slice_basis))
@@ -112,7 +119,12 @@ class KostantSlice:
 
     @cached_property
     def _scales(self) -> tuple:
-        return tuple(Fraction(1, integer_rows(b)[1]) for b in (self.triple.f, *self.slice_basis))
+        """(l, (l / d, ...)): l the lcm of the denominators d of f and of
+        each slice basis matrix, and the integer weight that brings each
+        one's `_terms` over l."""
+        dens = [integer_rows(b)[1] for b in (self.triple.f, *self.slice_basis)]
+        lcm = math.lcm(*dens)
+        return lcm, tuple(lcm // d for d in dens)
 
 
 @dataclass(frozen=True)
@@ -147,16 +159,23 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
     coords = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
-    rows, den = _point_rows(slc, coords)
+    rows, den = _point_rows(slc, *_over_one_den(coords))
     return RatMatrix.from_ints(rows, cols=slc.pair.n, den=den)
 
 
-def _point_rows(slc: KostantSlice, coords) -> tuple:
-    """(rows, d) with rows / d = f + sum_k coords[k] b_k, from the integer
-    terms, each coefficient carrying its matrix's 1 / d."""
-    return combine_rows(
-        slc.pair.n, slc._terms, [c * s for c, s in zip((1, *coords), slc._scales)]
-    )
+def _over_one_den(values) -> tuple:
+    """(numerators, d): Fractions as integers over their lcm d."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _point_rows(slc: KostantSlice, num, den: int) -> tuple:
+    """(rows, d) with rows / d = f + sum_k (num[k] / den) b_k, not reduced:
+    the integer terms of f and each b_k weighted over den l, l the lcm
+    of their denominators (`_scales`)."""
+    lcm, weights = slc._scales
+    coeffs = [den * weights[0], *(x * w for x, w in zip(num, weights[1:]))]
+    return combine_rows(slc.pair.n, slc._terms, coeffs)[0], den * lcm
 
 
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
@@ -167,13 +186,18 @@ def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
 
 def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
     """The values of `invariants` without the membership check, for
-    points the caller already knows lie in g(-1)."""
-    return _invariants_of_rows(pair, *integer_rows(x), range(invariant_length(pair)))
+    points the caller already knows lie in g(-1): the Fractions of
+    `_invariants_of_rows` at every index."""
+    return tuple(
+        Fraction(c, d) if c else _ZERO
+        for c, d in _invariants_of_rows(pair, *integer_rows(x), range(invariant_length(pair)))
+    )
 
 
 def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
     """The invariants of x = num / den in g(-1) at the given indices, in
-    their order, read off the integer rows.
+    their order, read off the integer rows as pairs (c, d), the value
+    c / d not reduced.
 
     c_m, m < n, is 0 when n - m is odd or above 2q, else step (n - m) / 2
     of the recurrence over B A = (B' A') / den^2, B' and A' the blocks of
@@ -181,7 +205,7 @@ def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
     Pf(X J) = (-1)^q det A, is c_0 of the upper-right block A.
     """
     p, q, n = pair.p, pair.q, pair.n
-    vals = [_ZERO] * n
+    vals = [(0, 1)] * n
     a = [row[p:] for row in num[:p]]
     last = min(q, (n - min(indices, default=n)) // 2)
     if last:
@@ -194,8 +218,8 @@ def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
 
 def _leading(a, den: int, last: int) -> list:
     """Steps 1 to `last` of the recurrence over the square integer rows a:
-    c_(r - k) of a / den, r x r, is c_(r - k) of a over den^k."""
-    return [Fraction(c, den**k) for k, (c, _) in zip(range(1, last + 1), faddeev_leverrier(a))]
+    c_(r - k) of a / den, r x r, is the pair (c_(r - k) of a, den^k)."""
+    return [(c, den**k) for k, (c, _) in zip(range(1, last + 1), faddeev_leverrier(a))]
 
 
 def invariants_to_json(v: InvariantVector) -> str:
@@ -221,16 +245,6 @@ def _invariant_degree(pair: SymmetricPair, index: int) -> int:
     # value k is the coefficient of t^k, of degree n - k; the Pfaffian
     # of X J has degree n / 2
     return pair.n - index if index < pair.n else pair.n // 2
-
-
-def _matvec(m: RatMatrix, v) -> list[Fraction]:
-    """m v from the integer rows of m and v over one denominator: one
-    integer dot product and one Fraction per entry."""
-    num, den = integer_rows(m)
-    vden = math.lcm(*(x.denominator for x in v))
-    w = [x.numerator * (vden // x.denominator) for x in v]
-    den *= vden
-    return [Fraction(sum(a * b for a, b in zip(row, w) if a), den) for row in num]
 
 
 def _graded_blocks(slc: KostantSlice) -> tuple:
@@ -282,19 +296,36 @@ def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     and the block's step adds the solution to the slice coordinates.
     Every slice point with the target invariants has these coordinates;
     when no slice point has them, the candidate has other invariants.
+
+    The coordinates are carried as integers over one denominator and
+    become Fractions only on the way out.  Per class, the right-hand
+    side t - c / d is formed over the lcm of the target's denominators
+    times that of the d, the step S / s multiplies it as integers, and
+    one gcd brings the sum back to lowest terms.
     """
     expect = invariant_length(slc.pair)
     if len(target.values) != expect:
         raise ValueError(f"expected {expect} invariant values, got {len(target.values)}")
-    coords = [_ZERO] * slc.dim
+    num, den = [0] * slc.dim, 1
     for block in slc._blocks:
-        rhs = [target.values[m] for m in block.invariants]
-        if any(coords):
+        rhs, rden = _over_one_den([target.values[m] for m in block.invariants])
+        if any(num):
             # at coordinates 0 the point is the nilpotent f, where each invariant is 0
-            at = _invariants_of_rows(slc.pair, *_point_rows(slc, coords), block.invariants)
-            rhs = [r - a for r, a in zip(rhs, at)]
-        coords = [c + s for c, s in zip(coords, _matvec(block.step, rhs))]
-    return coords
+            at = _invariants_of_rows(slc.pair, *_point_rows(slc, num, den), block.invariants)
+            aden = math.lcm(*(d for _, d in at))
+            rhs = [t * aden - c * (aden // d) * rden for t, (c, d) in zip(rhs, at)]
+            rden *= aden
+        step, sden = integer_rows(block.step)
+        scale = sden * rden
+        num = [
+            x * scale + den * sum(a * r for a, r in zip(row, rhs) if a)
+            for x, row in zip(num, step)
+        ]
+        den *= scale
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+    return [Fraction(x, den) if x else _ZERO for x in num]
 
 
 def _broken_relation(pair: SymmetricPair, values) -> str | None:
@@ -336,8 +367,11 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
     if broken is not None:
         raise NotFound(f"no slice point has these invariants: {broken}")
     coords = graded_solve(slc, target)
-    at = _invariants_of_rows(slc.pair, *_point_rows(slc, coords), range(len(target.values)))
-    if at != target.values:
+    at = _invariants_of_rows(
+        slc.pair, *_point_rows(slc, *_over_one_den(coords)), range(len(target.values))
+    )
+    # t = c / d, decided on the integers
+    if any(t.numerator * d != c * t.denominator for t, (c, d) in zip(target.values, at)):
         raise NotFound("no slice point has these invariants")
     return coords
 
@@ -367,11 +401,14 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     if invariant_length(pair) > n:
         *_, (_, mq) = faddeev_leverrier(a)
         grads.append((n, [[0] * q] * p, mq, den ** (q - 1)))
-    directions = tuple(zip(slc._terms[1:], slc._scales[1:]))
+    lcm, weights = slc._scales
+    directions = tuple(zip(slc._terms[1:], weights[1:]))
     rows = [[_ZERO] * slc.dim] * invariant_length(pair)
     for m, upper, lower, d in grads:
         g = [[0] * p + row for row in upper] + [row + [0] * q for row in lower]
-        rows[m] = [-s * Fraction(sum(g[j][i] * v for i, j, v in t), d) for t, s in directions]
+        rows[m] = [
+            Fraction(-w * sum(g[j][i] * v for i, j, v in t), d * lcm) for t, w in directions
+        ]
     return RatMatrix(rows, cols=slc.dim)
 
 

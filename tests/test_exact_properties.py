@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from reference import hstack, vstack
 from symslice.exact import (
     RatMatrix,
     block_diag,
     charpoly,
     faddeev_leverrier,
-    hstack,
     integer_rows,
     inverse,
     kernel_basis,
@@ -24,7 +24,6 @@ from symslice.exact import (
     solve_unique,
     spans_equal,
     vec,
-    vstack,
 )
 
 # derandomized, so every tier-1 run draws the same examples

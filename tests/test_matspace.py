@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from symslice.exact import RatMatrix, block_diag, inverse, rank, shift_power
+from reference import shift_power
+from symslice.exact import RatMatrix, block_diag, inverse, rank
 from symslice.cli import report_cases
 from symslice.matspace import (
     GroupElement,
@@ -17,7 +20,7 @@ from symslice.matspace import (
     to_matrix_space,
 )
 from symslice.nilpotent import centralizer, regular_nilpotent
-from symslice.pairs import Family, MembershipError, in_eigenspace, make_pair
+from symslice.pairs import Family, MembershipError, adjoint, combine, in_eigenspace, make_pair
 
 
 def exchange(r):
@@ -79,6 +82,60 @@ def test_membership_checked_on_projection():
 def test_cayley_of_zero_is_identity():
     pair = make_pair(Family.SP, 4, 2)
     assert cayley(pair, RatMatrix.zeros(6, 6)) == RatMatrix.identity(6)
+
+
+def to_sympy(m: RatMatrix) -> sympy.Matrix:
+    return sympy.Matrix(
+        m.rows, m.cols, lambda i, j: sympy.Rational(m[i, j].numerator, m[i, j].denominator)
+    )
+
+
+FORM_CASES = [c for c in report_cases(6, 10, 6) if c[0] != "gl" and c[1] + c[2] <= 8]
+
+
+@pytest.mark.parametrize("case", FORM_CASES, ids=lambda c: "%s%d%d" % c)
+def test_cayley_and_act_match_sympy(case):
+    # (I - S)(I + S)^-1 for random rational form-skew S, and g x g^-1
+    # for the element it gives, against sympy's inverse
+    pair = make_pair(*case)
+    n = pair.n
+    rng = random.Random(repr(case))
+    ident = sympy.eye(n)
+    for _ in range(4):
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        s = scale * combine(n, pair.plus_support, [rng.randint(-5, 5) for _ in pair.plus_support])
+        x = combine(
+            n,
+            pair.minus_support,
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in pair.minus_support],
+        )
+        ss = to_sympy(s)
+        if (ident + ss).det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                cayley(pair, s)
+            continue
+        g = cayley(pair, s)
+        sg = (ident - ss) * (ident + ss).inv()
+        assert to_sympy(g) == sg
+        ge = GroupElement(g=g, g_inv=adjoint(pair, g))
+        assert to_sympy(act(pair, ge, x)) == sg * to_sympy(x) * sg.inv()
+        assert to_sympy(act(pair, ge.inverse(), x)) == sg.inv() * to_sympy(x) * sg
+
+
+@pytest.mark.parametrize("case", [("o", 2, 1), ("o", 2, 2), ("sp", 2, 2)], ids=lambda c: "%s%d%d" % c)
+def test_cayley_refuses_a_singular_i_plus_s(case):
+    # a singular draw raises ValueError, which random_group_element
+    # retries on, so the draws it takes stay the same
+    pair = make_pair(*case)
+    n, support = pair.n, pair.plus_support
+    for coeffs in itertools.product((-1, 0, 1), repeat=len(support)):
+        s = combine(n, support, coeffs)
+        if (sympy.eye(n) + to_sympy(s)).det() == 0:
+            break
+    else:
+        pytest.fail("no singular I + S among the small draws")
+    with pytest.raises(ValueError, match="singular"):
+        cayley(pair, s)
 
 
 def test_act_is_a_group_action():

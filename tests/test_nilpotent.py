@@ -11,18 +11,16 @@ from symslice import nilpotent
 from symslice.exact import (
     RatMatrix,
     block_antidiag,
-    hstack,
     integer_rows,
     inverse,
     kernel_basis,
     lincomb,
     nilpotency_index,
     rank,
-    shift_power,
     spans_equal,
     vec,
-    vstack,
 )
+from reference import hstack, shift_power, vstack
 from symslice.matspace import GroupElement, act, cayley, from_matrix_space, random_group_element
 from symslice.nilpotent import (
     _PRIME,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from symslice.cli import build_case, main, make_certificate
+from symslice.cli import build_case, main, make_certificate, report_cases
 from symslice.exact import matrix_to_text
 from symslice.matspace import act, random_group_element
 from symslice.pairs import make_pair
@@ -30,6 +30,11 @@ CERTIFICATES = {
     ("o", 3, 3): "3decdffd64139fd903e5c5b3ba64ba3c6e95b4613c8c55d242dbda4c7c513194",
     ("sp", 4, 2): "cf10948067185169e3126230321706ddcdaa9dc6d0551f0681deaf752da18615",
 }
+
+# sha256 over the `verify` JSON texts at seed 1 with the 50 round trips
+# of `report`, in `report_cases` order, of the 15 grid cases with
+# p + q <= 6 (all but o(1, 1), which has no sl2 triple)
+GRID_CERTIFICATES = "c3bbba8dece83ec1ff2b6277b1def925e9144c7f2b10bd76b44969f5445ca887"
 
 # sha256 over seeds 0-9 of matrix_to_text(g) + matrix_to_text(g_inv)
 GROUP_ELEMENTS = {
@@ -110,6 +115,17 @@ def test_certificate_bytes_are_pinned(case):
     assert cert["passing"]
     text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATES[case]
+
+
+def test_certificate_bytes_of_the_small_grid_are_pinned():
+    cases = [c for c in report_cases(8, 16, 8) if c != ("o", 1, 1) and c[1] + c[2] <= 6]
+    assert len(cases) == 15
+    h = hashlib.sha256()
+    for case in cases:
+        cert = make_certificate(*case, seed=1, trials=50)
+        assert cert["passing"]
+        h.update((json.dumps(cert, sort_keys=True, indent=2) + "\n").encode())
+    assert h.hexdigest() == GRID_CERTIFICATES
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d%d" % c)

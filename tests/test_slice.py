@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from symslice.cli import build_case, report_cases
 from symslice.exact import (
     MAX_DIGITS,
@@ -255,9 +257,10 @@ def test_invariants_at_is_invariant_values_at_the_named_indices(point, data):
     if data is not None:
         named.append(data.draw(st.permutations(range(length))))
         named.append(data.draw(st.lists(st.integers(0, length - 1), max_size=length)))
-    for idx in named:
-        assert _invariants_of_rows(pair, *integer_rows(x), idx) == tuple(full[m] for m in idx)
-    assert _invariants_of_rows(pair, *integer_rows(x), range(length)) == full
+    # each value comes as an integer pair (c, d) for c / d
+    for idx in [*named, range(length)]:
+        pairs = _invariants_of_rows(pair, *integer_rows(x), idx)
+        assert tuple(Fraction(c, d) for c, d in pairs) == tuple(full[m] for m in idx)
 
 
 def _sampled_derivative_weights(n):
@@ -429,6 +432,40 @@ def test_graded_solve_is_the_candidate_invert_on_slice_checks(case):
         assert invert_on_slice(slc, target) == candidate
     with pytest.raises(ValueError, match="invariant values"):
         graded_solve(slc, InvariantVector(values[:-1]))
+
+
+GRID_UP_TO_8 = [c for c in GRID_UP_TO_10 if c[1] + c[2] <= 8]
+
+
+@pytest.mark.parametrize("height", [10, 10**6])
+@pytest.mark.parametrize("case", GRID_UP_TO_8, ids=lambda c: "%s%d%d" % c)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_graded_solve_matches_the_fraction_reference(case, height, data):
+    # the integer-row solve against the Fraction-per-entry solve it
+    # replaced, on slice points and on targets moved off the image
+    slc = build_case(*case).slc
+    pair, n = slc.pair, slc.pair.n
+    value = st.fractions(-height, height, max_denominator=height)
+    coords = data.draw(st.lists(value, min_size=slc.dim, max_size=slc.dim))
+    target = invariants(pair, slice_point(slc, coords))
+    assert graded_solve(slc, target) == reference.graded_solve(slc, target) == coords
+    assert invert_on_slice(slc, target) == reference.invert(slc, target) == coords
+    # c_(n-1) = -tr X is 0 on g(-1); c_0 is free only on gl(q, q)
+    moved = [n - 1] if case[0] == "gl" and case[1] == case[2] else [n - 1, 0]
+    for m in moved:
+        values = list(target.values)
+        values[m] += 1
+        off = InvariantVector(values)
+        assert graded_solve(slc, off) == reference.graded_solve(slc, off)
+        with pytest.raises(NotFound):
+            reference.invert(slc, off)
+        with pytest.raises(NotFound, match="must be"):
+            invert_on_slice(slc, off)
+        # the final exact check refuses it on its own
+        with mock.patch("symslice.slice._broken_relation", return_value=None):
+            with pytest.raises(NotFound, match="no slice point has these invariants$"):
+                invert_on_slice(slc, off)
 
 
 def test_slice_directions_not_stable_under_ad_h_are_refused():
