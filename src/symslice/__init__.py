@@ -13,7 +13,6 @@ from .exact import (
     charpoly,
     inverse,
     kernel_basis,
-    lincomb,
     matrix_from_text,
     matrix_to_text,
     nilpotency_index,

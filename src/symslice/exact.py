@@ -10,11 +10,11 @@ that divides each changed row by its content: ranks and `spans_equal`
 stop after its forward pass, the solves run its back-substitution too.
 Characteristic polynomial coefficients and the adjugate matrices that
 differentiate them come from one integer Faddeev-LeVerrier recurrence,
-one step at a time so that callers stop early.  Entries leave as
-`fractions.Fraction` only at the API edge (`RatMatrix.row`, `m[i, j]`,
-`vec`, `solve`, `charpoly`, `pfaffian`); slice inversion and the group
-action work on the integer rows (`integer_rows`) and make Fractions
-only for what they return.  Outputs are canonical so that certificates
+one step at a time so that callers stop early.  The integer rows are a
+matrix's only representation: entries leave as `fractions.Fraction`,
+made per call, only at the API edge (`RatMatrix.row`, `m[i, j]`,
+`solve`, `charpoly`, `pfaffian`); the rest of the library reads
+`integer_rows`.  Outputs are canonical so that certificates
 built on top are reproducible byte for byte.
 """
 
@@ -59,14 +59,14 @@ class RatMatrix:
     Entry (i, j) is _num[i][j] / _den: integer rows over one positive
     common denominator, in lowest terms (the gcd of _den and every
     numerator is 1, so the zero matrix has _den = 1 and equal matrices
-    have equal storage).  The stored rows are shared, never mutated.
-    `row(i)` and `m[i, j]` give Fractions, from a view built on first
-    use.  Zero-row and zero-column matrices are allowed (they appear as
+    have equal storage).  The stored rows are shared, never mutated, and
+    are all the state: `row(i)` and `m[i, j]` make Fractions per call.
+    Zero-row and zero-column matrices are allowed (they appear as
     degenerate blocks in the structured constructions); a matrix with no
     rows needs an explicit column count.
     """
 
-    __slots__ = ("rows", "cols", "_num", "_den", "_view")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries, cols: int | None = None):
         data = [[_entry(x) for x in row] for row in entries]
@@ -76,7 +76,6 @@ class RatMatrix:
         self.cols = cols
         self._num = [[x.numerator * (den // x.denominator) for x in row] for row in data]
         self._den = den
-        self._view = None
 
     @classmethod
     def _raw(cls, num, den: int, cols: int) -> "RatMatrix":
@@ -86,7 +85,6 @@ class RatMatrix:
         m.cols = cols
         m._num = num
         m._den = den
-        m._view = None
         return m
 
     @classmethod
@@ -122,21 +120,14 @@ class RatMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def _fractions(self) -> tuple:
-        view = self._view
-        if view is None:
-            den = self._den
-            view = self._view = tuple(
-                tuple(Fraction(x, den) if x else _ZERO for x in row) for row in self._num
-            )
-        return view
-
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._fractions()[i][j]
+        x = self._num[i][j]
+        return Fraction(x, self._den) if x else _ZERO
 
-    def row(self, i: int):
-        return self._fractions()[i]
+    def row(self, i: int) -> tuple:
+        den = self._den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self._num[i])
 
     def transpose(self) -> "RatMatrix":
         if not self.rows:
@@ -210,7 +201,7 @@ class RatMatrix:
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"RatMatrix.zeros({self.rows}, {self.cols})"
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._fractions())
+        body = ", ".join("[" + ", ".join(map(str, self.row(i))) + "]" for i in range(self.rows))
         return f"RatMatrix([{body}])"
 
 
@@ -245,25 +236,6 @@ def block_antidiag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     (an, bn), den = _common((a, b))
     za, zb = [0] * a.cols, [0] * b.cols
     return RatMatrix._raw([zb + r for r in an] + [r + za for r in bn], den, a.cols + b.cols)
-
-
-def vec(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Row-major flattening, the coordinate convention used everywhere."""
-    return tuple(chain.from_iterable(m._fractions()))
-
-
-def lincomb(coeffs, mats, rows: int, cols: int) -> RatMatrix:
-    """Sum of coeffs[i] * mats[i]; shape must be supplied for the empty case."""
-    acc = [[_ZERO] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for i in range(rows):
-                mi = m.row(i)
-                ai = acc[i]
-                for j in range(cols):
-                    if mi[j]:
-                        ai[j] += c * mi[j]
-    return RatMatrix(acc, cols=cols)
 
 
 def _forward(rows, ncols: int):
@@ -493,7 +465,7 @@ def pfaffian(m: RatMatrix) -> Fraction:
         raise ValueError("pfaffian needs an even-dimensional square matrix")
     if m.transpose() != -m:
         raise ValueError("pfaffian needs a skew-symmetric matrix")
-    a = [list(row) for row in m._fractions()]
+    a = [list(m.row(i)) for i in range(n)]
     pf = _ONE
     for k in range(0, n, 2):
         piv_j = None
@@ -543,7 +515,7 @@ def nilpotency_index(m: RatMatrix) -> int | None:
 def matrix_to_text(m: RatMatrix) -> str:
     """Serialize in the plain text exchange format: 'rows cols' then entries."""
     lines = [f"{m.rows} {m.cols}"]
-    for row in m._num if m._den == 1 else m._fractions():
+    for row in m._num if m._den == 1 else map(m.row, range(m.rows)):
         lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 

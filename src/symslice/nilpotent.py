@@ -43,7 +43,7 @@ from .pairs import (
     MembershipError,
     SymmetricPair,
     ad_rows,
-    combine,
+    combine_rows,
     in_eigenspace,
 )
 
@@ -106,8 +106,13 @@ def centralizer(pair: SymmetricPair, x: RatMatrix) -> list[RatMatrix]:
     if x.shape != (pair.n, pair.n):
         raise ValueError(f"expected a {pair.n} x {pair.n} matrix, got {x.shape}")
     support = pair.minus_support
-    vectors = kernel_basis(RatMatrix.from_ints(_ad_system(pair, x), cols=len(support)))
-    return [combine(pair.n, support, [v[j, 0] for j in range(v.rows)]) for v in vectors]
+    out = []
+    for v in kernel_basis(RatMatrix.from_ints(_ad_system(pair, x), cols=len(support))):
+        # the integer column of d * v, combined, over d
+        num, den = integer_rows(v)
+        rows, _ = combine_rows(pair.n, support, [c for c, in num])
+        out.append(RatMatrix.from_ints(rows, cols=pair.n, den=den))
+    return out
 
 
 def _krylov_bound(pair: SymmetricPair, ints: list[list[int]]) -> tuple[int, int, int]:

@@ -134,8 +134,8 @@ def _eigenspace_support(n, p, entries, sign) -> tuple:
 
 def combine(n: int, support, coeffs) -> RatMatrix:
     """The n x n matrix sum coeffs[j] * b_j, b_j = sum c E_kl over (k, l, c)
-    in support[j]: `exact.lincomb` of the basis matrices, entry for entry,
-    without building them."""
+    in support[j]: entry for entry the dense `lincomb` of tests/reference.py
+    on the basis matrices, without building them."""
     rows, den = combine_rows(n, support, coeffs)
     return RatMatrix.from_ints(rows, cols=n, den=den)
 

@@ -10,7 +10,8 @@ unique solution anyway, which the tests check.
 In [e, y] = h, y ranges over g(-1) only: h lies in g(1), and ad_e maps
 g(1) into g(-1), so h is in [e, g] exactly when it is in [e, g(-1)].
 Every system is written by `pairs.ad_rows` from the integer rows d e of
-e (and of h), each equation multiplied through by d, which leaves the
+e (and of h), and its right-hand side from the integer rows d' t of the
+target t, each equation multiplied through by d and d', which leaves the
 canonical solutions unchanged.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatMatrix, integer_rows, solve, vec
+from .exact import RatMatrix, integer_rows, solve
 from .nilpotent import is_relatively_regular
 from .pairs import MembershipError, SymmetricPair, ad_rows, bracket, combine, in_eigenspace
 
@@ -47,9 +48,10 @@ def _solve(equations, width: int) -> list[Fraction] | None:
     right-hand matrix) pairs."""
     rows, rhs = [], []
     for system, target in equations:
-        for idx, b in enumerate(vec(target)):
+        num, den = integer_rows(target)
+        for idx, b in enumerate(x for row in num for x in row):
             if idx in system or b:
-                rows.append(system.get(idx, [0] * width))
+                rows.append([den * a for a in system.get(idx, [0] * width)])
                 rhs.append(b)
     return solve(RatMatrix.from_ints(rows, cols=width), rhs)
 

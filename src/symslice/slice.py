@@ -260,27 +260,28 @@ def _graded_blocks(slc: KostantSlice) -> tuple:
     coordinates u = J a each solving invariant is u_m plus lighter terms.
     """
     pair, d = slc.pair, slc.dim
-    jac = _jacobian(slc, [_ZERO] * d)
+    jac, jden = integer_rows(_jacobian(slc, [0] * d))
     # an invariant with no linear part at f cannot solve for its class;
     # only the final check reads it
-    invs = [m for m in range(invariant_length(pair)) if any(jac.row(m))]
+    invs = [m for m in range(invariant_length(pair)) if any(jac[m])]
     try:
-        steps = inverse(RatMatrix([jac.row(m) for m in invs], cols=d))
+        steps = inverse(RatMatrix.from_ints([jac[m] for m in invs], cols=d, den=jden))
     except ValueError:
         raise SliceDimensionError(
             f"the invariants with a linear part at f ({len(invs)}) "
             f"do not solve for the {d} slice coordinates"
         ) from None
     degrees = [_invariant_degree(pair, m) for m in invs]
-    cols = steps.transpose()
+    num, den = integer_rows(steps)
     for c, k in enumerate(degrees):
-        g = slice_point(slc, cols.row(c)) - slc.triple.f
+        rows, rden = _point_rows(slc, [row[c] for row in num], den)
+        g = RatMatrix.from_ints(rows, cols=pair.n, den=rden) - slc.triple.f
         if bracket(slc.triple.h, g) != (2 * k - 2) * g:
             raise SliceDimensionError(f"ad h does not preserve the slice directions at degree {k}")
     blocks = []
     for k in sorted(set(degrees)):
         cls = [c for c in range(d) if degrees[c] == k]
-        step = RatMatrix([[steps[i, c] for c in cls] for i in range(d)], cols=len(cls))
+        step = RatMatrix.from_ints([[row[c] for c in cls] for row in num], cols=len(cls), den=den)
         blocks.append(_Block(tuple(invs[c] for c in cls), step))
     return tuple(blocks)
 
@@ -387,29 +388,28 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     M'_k step k over B' A'.  The Pfaffian, c_0 of A, has derivative
     -tr(M_q dA), M_q = M'_q / d^(q - 1) the last step over A'.  Each row
     reads its gradient ((0, A M_k), (M_k B, 0)), or ((0, 0), (M_q, 0)),
-    against the slice directions; structurally zero invariants keep zero
-    rows.
+    against the slice directions, as integers over d^(2q - 1) l, l of
+    `_scales`; structurally zero invariants keep zero rows.
     """
     pair, (num, den) = slc.pair, integer_rows(slice_point(slc, coords))
     p, q, n = pair.p, pair.q, pair.n
     a = [row[p:] for row in num[:p]]
     b = [row[:p] for row in num[p:]]
     grads = [
-        (n - 2 * k, _matmul(a, mk, q), _matmul(mk, b, p), den ** (2 * k - 1))
+        (n - 2 * k, _matmul(a, mk, q), _matmul(mk, b, p), 2 * k - 1)
         for k, (_, mk) in zip(range(1, q + 1), faddeev_leverrier(_matmul(b, a, q)))
     ]
     if invariant_length(pair) > n:
         *_, (_, mq) = faddeev_leverrier(a)
-        grads.append((n, [[0] * q] * p, mq, den ** (q - 1)))
+        grads.append((n, [[0] * q] * p, mq, q - 1))
     lcm, weights = slc._scales
     directions = tuple(zip(slc._terms[1:], weights[1:]))
-    rows = [[_ZERO] * slc.dim] * invariant_length(pair)
-    for m, upper, lower, d in grads:
+    rows = [[0] * slc.dim] * invariant_length(pair)
+    for m, upper, lower, e in grads:
         g = [[0] * p + row for row in upper] + [row + [0] * q for row in lower]
-        rows[m] = [
-            Fraction(-w * sum(g[j][i] * v for i, j, v in t), d * lcm) for t, w in directions
-        ]
-    return RatMatrix(rows, cols=slc.dim)
+        s = den ** (2 * q - 1 - e)
+        rows[m] = [-s * w * sum(g[j][i] * v for i, j, v in t) for t, w in directions]
+    return RatMatrix.from_ints(rows, cols=slc.dim, den=den ** (2 * q - 1) * lcm)
 
 
 def jacobian_rank_at(slc: KostantSlice, coords) -> int:

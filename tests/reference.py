@@ -1,9 +1,12 @@
 """Reference constructions for the tests, kept out of the library.
 
-Block stacking and shift matrices, which no library path needs, and the
-Fraction-per-entry graded solve that `slice.graded_solve` replaced with
-integer rows over one denominator: every coordinate is a Fraction, each
-partial point is f + sum_k a_k b_k built by `exact.lincomb`, and its
+Dense Fraction-per-entry constructions, which no library path needs:
+row-major flattening (`vec`), linear combinations entry by entry
+(`lincomb`, what `pairs.combine` forms from integer supports), block
+stacking and shift matrices, all read through `RatMatrix.row`.  Also
+the Fraction-per-entry graded solve that `slice.graded_solve` replaced
+with integer rows over one denominator: every coordinate is a Fraction,
+each partial point is f + sum_k a_k b_k built by `lincomb`, and its
 invariants are the full n x n characteristic polynomial (with the
 Pfaffian of X J on o(q,q)), not the recurrence over B A.
 """
@@ -11,8 +14,25 @@ Pfaffian of X J on o(q,q)), not the recurrence over B A.
 from fractions import Fraction
 from itertools import chain
 
-from symslice.exact import RatMatrix, charpoly, lincomb, pfaffian
+from symslice.exact import RatMatrix, charpoly, pfaffian
 from symslice.slice import NotFound, invariant_length
+
+
+def vec(m: RatMatrix) -> tuple:
+    """Row-major flattening, the coordinate convention used everywhere."""
+    return tuple(chain.from_iterable(map(m.row, range(m.rows))))
+
+
+def lincomb(coeffs, mats, rows: int, cols: int) -> RatMatrix:
+    """Sum of coeffs[i] * mats[i]; shape must be supplied for the empty case."""
+    acc = [[Fraction(0)] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for i in range(rows):
+                for j, x in enumerate(m.row(i)):
+                    if x:
+                        acc[i][j] += c * x
+    return RatMatrix(acc, cols=cols)
 
 
 def hstack(blocks) -> RatMatrix:

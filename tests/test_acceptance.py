@@ -20,8 +20,9 @@ from fractions import Fraction
 
 import pytest
 
+from reference import lincomb
 from symslice.cli import build_case, main
-from symslice.exact import RatMatrix, lincomb, matrix_to_text, rank, spans_equal
+from symslice.exact import RatMatrix, matrix_to_text, rank, spans_equal
 from symslice.matspace import act, act_mpq, random_group_element, to_matrix_space
 from symslice.pairs import in_eigenspace
 from symslice.sl2 import NoTriple, complete_triple, verify_triple

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from reference import hstack, vstack
+from reference import hstack, vec, vstack
 from symslice.exact import (
     RatMatrix,
     block_diag,
@@ -23,7 +23,6 @@ from symslice.exact import (
     solve,
     solve_unique,
     spans_equal,
-    vec,
 )
 
 # derandomized, so every tier-1 run draws the same examples

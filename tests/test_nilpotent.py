@@ -14,13 +14,11 @@ from symslice.exact import (
     integer_rows,
     inverse,
     kernel_basis,
-    lincomb,
     nilpotency_index,
     rank,
     spans_equal,
-    vec,
 )
-from reference import hstack, shift_power, vstack
+from reference import hstack, lincomb, shift_power, vec, vstack
 from symslice.matspace import GroupElement, act, cayley, from_matrix_space, random_group_element
 from symslice.nilpotent import (
     _PRIME,

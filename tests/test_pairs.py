@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import lincomb, vec
 from symslice.cli import report_cases
-from symslice.exact import RatMatrix, block_diag, inverse, kernel_basis, lincomb, rank, vec
+from symslice.exact import RatMatrix, block_diag, inverse, kernel_basis, rank
 from symslice.nilpotent import regular_nilpotent
 from symslice.pairs import (
     MAX_SIZE,

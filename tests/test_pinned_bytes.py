@@ -1,5 +1,6 @@
-"""Pinned output bytes: certificates, random group elements, and the
-stdout of `slice-rep` and `canonicalize`.
+"""Pinned output bytes: certificates, random group elements, the set-up
+of every grid case, the benchmark's certify digest, and the stdout of
+`slice-rep` and `canonicalize`.
 
 Any change in how a matrix is stored, multiplied or inverted, or in how
 slice inversion solves for its coordinates, must leave these digests as
@@ -7,10 +8,13 @@ they are.
 """
 
 import hashlib
+import importlib.util
 import io
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,16 @@ CERTIFICATES = {
 # of `report`, in `report_cases` order, of the 15 grid cases with
 # p + q <= 6 (all but o(1, 1), which has no sl2 triple)
 GRID_CERTIFICATES = "c3bbba8dece83ec1ff2b6277b1def925e9144c7f2b10bd76b44969f5445ca887"
+
+# sha256 over matrix_to_text of e, f and h, of each slice basis matrix,
+# and of each `_blocks` entry (its invariant indices, then its step), for
+# every `report_cases(8, 16, 8)` case with a slice
+SETUP = "a1b460ba9deb199b3761fd13af3537cb552656d32583df787091019538522323"
+
+# what `perfbench/run.py --workload certify --seed 1` prints as
+# certificate_sha256: one pass over its 105 requests
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+CERTIFY = "27c5cd5c463fd6234844a07c648bbf65ef2e58ac12eae89a75ba93246b9bf2c7"
 
 # sha256 over seeds 0-9 of matrix_to_text(g) + matrix_to_text(g_inv)
 GROUP_ELEMENTS = {
@@ -126,6 +140,34 @@ def test_certificate_bytes_of_the_small_grid_are_pinned():
         assert cert["passing"]
         h.update((json.dumps(cert, sort_keys=True, indent=2) + "\n").encode())
     assert h.hexdigest() == GRID_CERTIFICATES
+
+
+def test_setup_bytes_of_the_full_grid_are_pinned():
+    h = hashlib.sha256()
+    for case in report_cases(8, 16, 8):
+        built = build_case(*case)
+        if built.slc is None:
+            continue
+        t = built.triple
+        for m in (t.e, t.f, t.h, *built.slc.slice_basis):
+            h.update(matrix_to_text(m).encode())
+        for block in built.slc._blocks:
+            h.update(f"{list(block.invariants)}\n".encode())
+            h.update(matrix_to_text(block.step).encode())
+    assert h.hexdigest() == SETUP
+
+
+def test_benchmark_certify_digest_is_pinned(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    wl = workloads.Certify()
+    for i, req in enumerate(wl.requests(1, None, None)):
+        assert wl.op(i, req)
+    assert len(wl.first_bytes) == 105
+    assert wl.digest() == CERTIFY
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d%d" % c)

@@ -50,7 +50,6 @@ PUBLIC = [
     "is_relatively_regular",
     "jacobian_rank_at",
     "kernel_basis",
-    "lincomb",
     "make_pair",
     "make_slice",
     "make_witness",

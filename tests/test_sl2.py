@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from reference import lincomb, vec
 from symslice.cli import report_cases
-from symslice.exact import RatMatrix, kernel_basis, lincomb, solve, vec
+from symslice.exact import RatMatrix, kernel_basis, solve
 from symslice.nilpotent import is_relatively_regular, regular_nilpotent
 from symslice.pairs import Family, MembershipError, bracket, make_pair
 from symslice.sl2 import NoTriple, Sl2Triple, complete_triple, verify_triple
