@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .exact import RatMatrix, matrix_from_text, matrix_to_text, spans_equal
+from .exact import RatMatrix, matrix_from_text, matrix_to_text, spans_equal, unlimited_int_text
 from .matspace import act, act_mpq, random_group_element, to_matrix_space
 from .nilpotent import (
     NilpotentWitness,
@@ -114,6 +114,7 @@ def _sub_rng(seed: int, family: Family, p: int, q: int, tag: str) -> random.Rand
     return random.Random(int.from_bytes(hashlib.sha256(blob).digest()[:8], "big"))
 
 
+@unlimited_int_text()
 def _mat_json(m: RatMatrix | None):
     if m is None:
         return None
@@ -372,7 +373,8 @@ def cmd_canonicalize(args, out, err) -> int:
         raise _Refused(EXIT_NOT_REGULAR, "NotRegular", "input is not relatively regular")
     # is_relatively_regular has checked membership
     coords = _slice_coords(case, InvariantVector(invariant_values(pair, x)))
-    out.write(json.dumps([str(c) for c in coords]) + "\n")
+    with unlimited_int_text():
+        out.write(json.dumps([str(c) for c in coords]) + "\n")
     out.write(matrix_to_text(slice_point(case.slc, coords)))
     return EXIT_PASS
 

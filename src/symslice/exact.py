@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 
@@ -518,6 +520,22 @@ def nilpotency_index(m: RatMatrix) -> int | None:
     return None
 
 
+@contextmanager
+def unlimited_int_text():
+    """Lift CPython's int-to-str digit limit (PYTHONINTMAXSTRDIGITS) for
+    a block or, as a decorator, a writer: an exact answer is written out
+    whatever its length.  Input stays bounded by MAX_DIGITS."""
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
+@unlimited_int_text()
 def matrix_to_text(m: RatMatrix) -> str:
     """Serialize in the plain text exchange format: 'rows cols' then entries."""
     lines = [f"{m.rows} {m.cols}"]

@@ -206,10 +206,11 @@ def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> Gro
     on o(2, 2), the worst grid pair (each block of S is diag(a, -a),
     singular at a = +-1: rate 1 - (1 - 2/(2h + 1))^2 at height h).  All
     _MAX_RETRIES = 64 draws fail with probability under 0.64^64 < 1e-12
-    for h >= 2; at h = 1 it is (8/9)^64 ~ 5e-4, a height no caller uses.
+    for h >= 2.  At h = 1 it would be (8/9)^64 ~ 5e-4, so every family
+    refuses a height below 2.
     """
-    if height < 1:
-        raise ValueError("height must be at least 1")
+    if height < 2:
+        raise ValueError("height must be at least 2")
     rng = random.Random(seed)
     if pair.family is Family.GL:
         g1, g1_inv = _unimodular(rng, pair.p, height)

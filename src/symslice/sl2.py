@@ -1,20 +1,24 @@
 """Completion of a nilpotent element to a rational sl2 triple.
 
-Both solves run over g(-1) and take canonical solutions (zero in every
-non-pivot coordinate).  The first finds y with ad_e^2 y = -2e, that is
-[[e, y], e] = 2e, and sets h = [e, y]; the second pins f down by
-[e, f] = h and [h, f] = -2f, uniquely given (e, h).  This is the h of
-the joint system over (h, y) in g(1) x g(-1) for [e, h] = -2e and
-[e, y] - h = 0: (h, y) solves it exactly when y solves ad_e^2 y = -2e
-and h = [e, y]; its h-columns come first and are all pivots, by the -I
-they carry; and a y-column j is free exactly when ad_e^2 b_j lies in the
-span of the ad_e^2 b_k, k < j, the pivot rule of the g(-1) system.  So
-both canonical solutions have the same y, hence the same h.
+One solve runs over g(-1) and takes the canonical solution (zero in
+every non-pivot coordinate): y with ad_e^2 y = -2e, that is
+[[e, y], e] = 2e, and h = [e, y].  This is the h of the joint system
+over (h, y) in g(1) x g(-1) for [e, h] = -2e and [e, y] - h = 0: (h, y)
+solves it exactly when y solves ad_e^2 y = -2e and h = [e, y]; its
+h-columns come first and are all pivots, by the -I they carry; and a
+y-column j is free exactly when ad_e^2 b_j lies in the span of the
+ad_e^2 b_k, k < j, the pivot rule of the g(-1) system.  So both
+canonical solutions have the same y, hence the same h.
 
-Systems are written by `pairs.ad_rows` from the integer rows d e of e
-(or of h), right-hand sides from the integer rows d' t of the target t,
-each equation multiplied through by d and d', which leaves the canonical
-solutions unchanged.
+f is read off y with no second solve.  [h, e] = 2e and h lies in im ad_e,
+so by Morozov's lemma some f in g(-1) has [e, f] = h and [h, f] = -2f,
+unique given (e, h).  Then y - f lies in z(e), whose ad_h weights (the
+highest weights of the sl2 modules of g) are >= 0, and f has weight -2:
+(ad_h - w) / (-2 - w) for w = 0, 1, ..., 2n - 2 removes the rest of y.
+
+The system is written by `pairs.ad_rows` from the integer rows d e of
+e, each equation multiplied through by d^2, which leaves the canonical
+solution unchanged.
 """
 
 from __future__ import annotations
@@ -38,23 +42,10 @@ class Sl2Triple:
     h: RatMatrix
 
 
-def _solve(equations, width: int) -> list[Fraction] | None:
-    """Canonical solution of stacked (integer system keyed by vec index,
-    right-hand matrix) pairs."""
-    rows, rhs = [], []
-    for system, target in equations:
-        num, den = integer_rows(target)
-        for idx, b in enumerate(x for row in num for x in row):
-            if idx in system or b:
-                rows.append([den * a for a in system.get(idx, [0] * width)])
-                rhs.append(b)
-    return solve(RatMatrix.from_ints(rows, cols=width), rhs)
-
-
 def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
     """Complete a nonzero nilpotent e in g(-1) to a triple (e, f, h).
 
-    Raises NoTriple when either solve is inconsistent, which happens
+    Raises NoTriple when the h system is inconsistent, which happens
     exactly for degenerate inputs (e = 0, e not nilpotent, or e not
     relatively regular in a way that starves the h system).
     """
@@ -69,21 +60,24 @@ def complete_triple(pair: SymmetricPair, e: RatMatrix) -> Sl2Triple:
     # Column j of ef is vec(de [e, b_j]); as supports they give de^2 ad_e^2.
     ef = ad_rows(pair, e_rows, pair.minus_support)
     e_support = [[(i // n, i % n, row[j]) for i, row in ef.items() if row[j]] for j in range(dm)]
-    sol = _solve([(ad_rows(pair, e_rows, e_support), -2 * de * de * e)], dm)
+    system = ad_rows(pair, e_rows, e_support)
+    rhs = [-2 * de * x for row in e_rows for x in row]
+    keep = [i for i, b in enumerate(rhs) if i in system or b]
+    sol = solve(
+        RatMatrix.from_ints([system.get(i, [0] * dm) for i in keep], cols=dm),
+        [rhs[i] for i in keep],
+    )
     if sol is None:
         raise NoTriple("no h in g(1) with [h,e] = 2e lies in the image of ad_e")
     h = combine(n, e_support, [a / de for a in sol])
 
-    # With h fixed: f in g(-1) with [e, f] = h and [h, f] = -2f.
-    h_rows, dh = integer_rows(h)
-    hf = ad_rows(pair, h_rows, pair.minus_support)
-    for col, terms in enumerate(pair.minus_support):
-        for k, l, c in terms:
-            hf.setdefault(k * n + l, [0] * dm)[col] += 2 * dh * c
-    sol = _solve([(ef, de * h), (hf, RatMatrix.zeros(n, n))], dm)
-    if sol is None:
-        raise NoTriple("the f system is inconsistent for this (e, h)")
+    # y = f + z with z in z(e): project y onto ad_h weight -2
     f = combine(n, pair.minus_support, sol)
+    for w in range(2 * n - 1):
+        hf = bracket(h, f)
+        if hf == -2 * f:
+            break
+        f = (hf - w * f) * Fraction(1, -2 - w)
 
     if bracket(h, e) != 2 * e or bracket(h, f) != -2 * f or bracket(e, f) != h:
         raise NoTriple("completion failed exact verification")

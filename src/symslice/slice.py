@@ -61,6 +61,7 @@ from .exact import (
     inverse,
     rank as matrix_rank,
     rational_from_text,
+    unlimited_int_text,
 )
 from .nilpotent import centralizer
 from .pairs import Family, MembershipError, SymmetricPair, bracket, combine_rows, in_eigenspace
@@ -222,6 +223,7 @@ def _leading(a, den: int, last: int) -> list:
     return [(c, den**k) for k, (c, _) in zip(range(1, last + 1), faddeev_leverrier(a))]
 
 
+@unlimited_int_text()
 def invariants_to_json(v: InvariantVector) -> str:
     return json.dumps([str(x) for x in v.values])
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +15,29 @@ from symslice import cli
 from symslice.cli import main, make_certificate, report_cases
 from symslice.exact import MAX_DIGITS, RatMatrix, block_antidiag, matrix_from_text, matrix_to_text
 from symslice.pairs import MAX_SIZE
-from symslice.slice import invariants, invariants_to_json, slice_point
+from symslice.slice import (
+    invariants,
+    invariants_from_json,
+    invariants_to_json,
+    invert_on_slice,
+    slice_point,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def child_env(**extra):
+    """The environment with src first on PYTHONPATH, so that a child
+    interpreter imports this checkout however pytest was started."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_verify_gl21_passes():
@@ -476,11 +493,44 @@ def test_digit_bound_holds_without_the_interpreter_limit(tmp_path, command, text
         capture_output=True,
         text=True,
         timeout=300,
-        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="0"),
+        env=child_env(PYTHONINTMAXSTRDIGITS="0"),
     )
     assert proc.returncode == 2, proc.stderr
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "InputError" and f"more than {MAX_DIGITS} digits" in err["message"]
+
+
+def test_outputs_beyond_the_interpreter_limit_are_written(tmp_path):
+    # CPython refuses str() of an int of more than 4300 digits unless
+    # PYTHONINTMAXSTRDIGITS says otherwise; the output writers lift it
+    env = child_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+
+    def run(command, p, q, flag, text):
+        path = tmp_path / command
+        path.write_text(text)
+        return subprocess.run(
+            [sys.executable, "-m", "symslice", command, "--family", "gl", "--p", str(p),
+             "--q", str(q), flag, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+
+    # slice-rep on gl(2, 2): the second coordinate has about 8000 digits
+    values = json.dumps(["0", "0", "1" + "0" * 3999, "0"])
+    proc = run("slice-rep", 2, 2, "--invariants", values)
+    assert proc.returncode == 0, proc.stderr
+    slc = cli.build_case("gl", 2, 2).slc
+    coords = invert_on_slice(slc, invariants_from_json(values))
+    assert proc.stdout == matrix_to_text(slice_point(slc, coords))
+    # canonicalize on gl(1, 1): [[0, a], [b, 0]] has the one coordinate ab
+    zeros = "0" * (MAX_DIGITS - 1)
+    proc = run("canonicalize", 1, 1, "--matrix", f"2 2\n0 1{zeros}\n1{zeros} 0\n")
+    assert proc.returncode == 0, proc.stderr
+    big = "1" + zeros + zeros
+    assert proc.stdout == f'["{big}"]\n2 2\n0 {big}\n1 0\n'
 
 
 def test_canonicalize_rejects_non_member(tmp_path):
@@ -511,6 +561,7 @@ def test_module_entry_point_smoke():
         capture_output=True,
         text=True,
         timeout=300,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passing"] is True
@@ -521,7 +572,7 @@ def test_debug_log_names_the_regularity_path_and_leaves_certificates_unchanged()
             "--p", "3", "--q", "3", "--trials", "2"]
     runs = {}
     for level in ("error", "debug"):
-        env = dict(os.environ, KS_LOG=level)
+        env = child_env(KS_LOG=level)
         runs[level] = subprocess.run(argv, capture_output=True, timeout=300, env=env)
         assert runs[level].returncode == 0, runs[level].stderr
     assert runs["debug"].stdout == runs["error"].stdout
@@ -562,7 +613,11 @@ def test_runs_with_only_the_standard_library(tmp_path):
     ]
     procs = [
         subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=child_env(),
         )
         for argv in argvs
     ]

@@ -148,6 +148,17 @@ def test_act_is_a_group_action():
     assert act(pair, ident, e) == e
 
 
+@pytest.mark.parametrize("fam, p, q", [("gl", 2, 2), ("o", 2, 2), ("sp", 2, 2)])
+def test_height_below_2_is_refused_on_every_family(fam, p, q):
+    # at height 1 the Cayley retries on o(2, 2) all fail with probability
+    # (8/9)^64 ~ 5e-4; one rule refuses the height on every family
+    pair = make_pair(Family(fam), p, q)
+    for height in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            random_group_element(pair, seed=0, height=height)
+    assert random_group_element(pair, seed=0, height=2).g.shape == (pair.n, pair.n)
+
+
 def test_random_group_elements_satisfy_group_conditions():
     for fam, p, q in report_cases(8, 16, 8):
         if p + q > 10:

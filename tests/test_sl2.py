@@ -78,10 +78,17 @@ def test_verify_triple_fails_every_check_on_a_wrongly_shaped_triple():
 
 def test_f_is_unique_given_e_and_h():
     # the homogeneous f system has trivial kernel, and re-solving with the
-    # coordinate order reversed lands on the same f
-    for fam, p, q in [(Family.GL, 2, 2), (Family.ORTH, 3, 2), (Family.SP, 4, 2)]:
+    # coordinate order reversed lands on the same f.  On o(q, q), q odd,
+    # the canonical y of ad_e^2 y = -2e is not f, so complete_triple's
+    # projection onto ad_h weight -2 does work there.
+    cases = [(Family.GL, 2, 2, None), (Family.ORTH, 3, 2, None), (Family.SP, 4, 2, None)]
+    cases += [(Family.ORTH, q, q, None) for q in (3, 5, 7, 11)]
+    cases.append((Family.ORTH, 5, 5, 4))
+    for fam, p, q, seed in cases:
         pair = make_pair(fam, p, q)
         e = regular_nilpotent(pair)
+        if seed is not None:
+            e = act(pair, random_group_element(pair, seed, height=3), e)
         t = complete_triple(pair, e)
         minus = list(pair.basis_minus)
         nn = pair.n * pair.n
@@ -98,6 +105,10 @@ def test_f_is_unique_given_e_and_h():
         rhs = list(vec(t.h)) + [Fraction(0)] * nn
         sol = solve(build_rows(rev), rhs)
         assert lincomb(sol, rev, pair.n, pair.n) == t.f
+        if fam is Family.ORTH and p == q and q % 2:
+            ad2 = _stacked([[vec(bracket(e, bracket(e, b))) for b in minus]], nn)
+            y = solve(RatMatrix(ad2, cols=len(minus)), vec(-2 * e))
+            assert lincomb(y, minus, pair.n, pair.n) != t.f
 
 
 def _stacked(column_blocks, nn):
