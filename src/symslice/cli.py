@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -31,6 +32,7 @@ from functools import lru_cache
 
 from . import __version__
 from .exact import RatMatrix, matrix_from_text, matrix_to_text, spans_equal, unlimited_int_text
+from .exact import integer_rows
 from .matspace import act, act_mpq, random_group_element, to_matrix_space
 from .nilpotent import (
     NilpotentWitness,
@@ -54,10 +56,11 @@ from .slice import (
     InvariantVector,
     KostantSlice,
     NotFound,
-    graded_solve,
+    _graded_solve_pairs,
+    _invariants_of_rows,
+    _point_rows,
     invariant_length,
     invariant_values,
-    invariants,
     invariants_from_json,
     invert_on_slice,
     make_slice,
@@ -128,9 +131,10 @@ def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
     for _ in range(_EQUIVARIANCE_DRAWS):
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
         coeffs = [rng.randint(-5, 5) for _ in pair.minus_support]
+        # x, combined over the g(-1) basis, lies in g(-1): only g x g^-1 is checked
         x = combine(pair.n, pair.minus_support, coeffs)
         y = act(pair, g, x)
-        if to_matrix_space(pair, y) != act_mpq(pair, g, to_matrix_space(pair, x)):
+        if to_matrix_space(pair, y) != act_mpq(pair, g, x.submatrix(0, p, p, n)):
             return False
         if pair.family is Family.GL:
             g2, g1_inv = g.g.submatrix(p, n, p, n), g.g_inv.submatrix(0, p, 0, p)
@@ -139,8 +143,17 @@ def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
     return True
 
 
-def _random_coords(rng: random.Random, dim: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(dim)]
+def _random_coords(rng: random.Random, dim: int) -> tuple[list[int], int]:
+    """dim draws a / b, a then b, as (numerators, d) over the lcm d of the b."""
+    draws = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(dim)]
+    den = math.lcm(*(b for _, b in draws))
+    return [a * (den // b) for a, b in draws], den
+
+
+def _solves_back(slc: KostantSlice, pairs, num, den: int) -> bool:
+    """Whether the graded solve of the invariant pairs gives back num / den."""
+    got, gden = _graded_solve_pairs(slc, pairs)
+    return all(a * gden == b * den for a, b in zip(num, got))
 
 
 def _check_invariant_conjugation(
@@ -148,14 +161,21 @@ def _check_invariant_conjugation(
 ) -> bool:
     if slc is None:
         return False
+    indices = range(invariant_length(pair))
     for _ in range(_CONJUGATION_DRAWS):
-        coords = _random_coords(rng, slc.dim)
-        x = slice_point(slc, coords)
+        num, den = _random_coords(rng, slc.dim)
+        rows, rden = _point_rows(slc, num, den)
+        x = RatMatrix.from_ints(rows, cols=pair.n, den=rden)
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
-        # x lies in g(-1) by construction; only g x is checked for membership
-        inv_y = invariants(pair, act(pair, g, x))
-        # equal coordinates decide the inversion, as in _roundtrip
-        if inv_y.values != invariant_values(pair, x) or graded_solve(slc, inv_y) != coords:
+        # x lies in g(-1) by construction; only g x g^-1 is checked for membership
+        y = act(pair, g, x)
+        if not in_eigenspace(pair, y, -1):
+            raise MembershipError("element is not in g(-1)")
+        inv_x = _invariants_of_rows(pair, *integer_rows(x), indices)
+        inv_y = _invariants_of_rows(pair, *integer_rows(y), indices)
+        # pairs c / d cross-multiplied; equal coordinates decide the inversion
+        same = all(c * e == b * d for (c, d), (b, e) in zip(inv_x, inv_y))
+        if not (same and _solves_back(slc, inv_y, num, den)):
             return False
     return True
 
@@ -163,21 +183,21 @@ def _check_invariant_conjugation(
 def _roundtrip(slc: KostantSlice | None, trials: int, rng: random.Random) -> int:
     """How many random slice points `invert_on_slice` would give back.
 
-    The graded solve returns the only candidate; when it equals the
-    generating coordinates it is that point, whose invariants are the
-    target, so the exact check in `invert_on_slice` would pass.  When it
-    differs, inversion either raises NotFound or returns other
-    coordinates, a failure either way.
+    On integer rows and pairs, the graded solve of the point's invariants
+    is the only candidate; when it equals the generating coordinates
+    (cross-multiplied) it is that point, whose invariants are the target,
+    so the exact check in `invert_on_slice` would pass.  When it differs,
+    inversion either raises NotFound or returns other coordinates.
     """
     if slc is None:
         return 0
+    indices = range(invariant_length(slc.pair))
     passes = 0
     for _ in range(trials):
-        coords = _random_coords(rng, slc.dim)
+        num, den = _random_coords(rng, slc.dim)
         # a slice point lies in g(-1) by construction: no membership check
-        target = InvariantVector(invariant_values(slc.pair, slice_point(slc, coords)))
-        if graded_solve(slc, target) == coords:
-            passes += 1
+        target = _invariants_of_rows(slc.pair, *_point_rows(slc, num, den), indices)
+        passes += _solves_back(slc, target, num, den)
     return passes
 
 

@@ -103,12 +103,12 @@ class RatMatrix:
 
     @classmethod
     def from_ints(cls, rows, cols: int | None = None, den: int = 1) -> "RatMatrix":
-        """The matrix rows / den from integer rows, built without Fractions."""
-        num = [list(row) for row in rows]
-        cols = _checked_cols(num, cols)
+        """The matrix rows / den from integer row lists, built without Fractions.
+        It takes ownership of the rows: the caller must not mutate them afterwards."""
+        cols = _checked_cols(rows, cols)
         if den == 0:
             raise ZeroDivisionError("matrix denominator is zero")
-        return cls._reduced(num, den, cols)
+        return cls._reduced(rows, den, cols)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":

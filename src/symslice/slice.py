@@ -160,14 +160,9 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
     coords = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
-    rows, den = _point_rows(slc, *_over_one_den(coords))
+    den = math.lcm(*(x.denominator for x in coords))
+    rows, den = _point_rows(slc, [x.numerator * (den // x.denominator) for x in coords], den)
     return RatMatrix.from_ints(rows, cols=slc.pair.n, den=den)
-
-
-def _over_one_den(values) -> tuple:
-    """(numerators, d): Fractions as integers over their lcm d."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _point_rows(slc: KostantSlice, num, den: int) -> tuple:
@@ -289,7 +284,15 @@ def _graded_blocks(slc: KostantSlice) -> tuple:
 
 
 def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
-    """The one candidate for `invert_on_slice`, unchecked.
+    """The one candidate for `invert_on_slice`, unchecked, as Fractions."""
+    num, den = _graded_solve_pairs(slc, [(v.numerator, v.denominator) for v in target.values])
+    return [Fraction(x, den) if x else _ZERO for x in num]
+
+
+def _graded_solve_pairs(slc: KostantSlice, target) -> tuple[list[int], int]:
+    """(num, den), the candidate coordinates num / den in lowest terms, for
+    a target given as one pair (c, d), d > 0, per invariant, the value
+    c / d not reduced: the pairs of `_invariants_of_rows` or of Fractions.
 
     Solves the graded coordinates class by class in ascending weight.
     With the class and every heavier one at 0, an invariant of the class
@@ -300,18 +303,18 @@ def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
     Every slice point with the target invariants has these coordinates;
     when no slice point has them, the candidate has other invariants.
 
-    The coordinates are carried as integers over one denominator and
-    become Fractions only on the way out.  Per class, the right-hand
-    side t - c / d is formed over the lcm of the target's denominators
-    times that of the d, the step S / s multiplies it as integers, and
-    one gcd brings the sum back to lowest terms.
+    Per class, the right-hand side t - c / d is formed as integers over
+    the lcm of the target's d times that of the partial point's, the step
+    S / s multiplies it as integers, and one gcd brings the sum back to
+    lowest terms.
     """
     expect = invariant_length(slc.pair)
-    if len(target.values) != expect:
-        raise ValueError(f"expected {expect} invariant values, got {len(target.values)}")
+    if len(target) != expect:
+        raise ValueError(f"expected {expect} invariant values, got {len(target)}")
     num, den = [0] * slc.dim, 1
     for block in slc._blocks:
-        rhs, rden = _over_one_den([target.values[m] for m in block.invariants])
+        rden = math.lcm(*(target[m][1] for m in block.invariants))
+        rhs = [c * (rden // d) for c, d in map(target.__getitem__, block.invariants)]
         if any(num):
             # at coordinates 0 the point is the nilpotent f, where each invariant is 0
             at = _invariants_of_rows(slc.pair, *_point_rows(slc, num, den), block.invariants)
@@ -328,7 +331,7 @@ def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
         g = math.gcd(den, *num)
         if g != 1:
             num, den = [x // g for x in num], den // g
-    return [Fraction(x, den) if x else _ZERO for x in num]
+    return num, den
 
 
 def _broken_relation(pair: SymmetricPair, values) -> str | None:
@@ -369,14 +372,12 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
     broken = _broken_relation(slc.pair, target.values)
     if broken is not None:
         raise NotFound(f"no slice point has these invariants: {broken}")
-    coords = graded_solve(slc, target)
-    at = _invariants_of_rows(
-        slc.pair, *_point_rows(slc, *_over_one_den(coords)), range(len(target.values))
-    )
+    num, den = _graded_solve_pairs(slc, [(v.numerator, v.denominator) for v in target.values])
+    at = _invariants_of_rows(slc.pair, *_point_rows(slc, num, den), range(len(target.values)))
     # t = c / d, decided on the integers
     if any(t.numerator * d != c * t.denominator for t, (c, d) in zip(target.values, at)):
         raise NotFound("no slice point has these invariants")
-    return coords
+    return [Fraction(x, den) if x else _ZERO for x in num]
 
 
 def _jacobian(slc: KostantSlice, coords) -> RatMatrix:

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from symslice import cli
 from symslice.cli import main, make_certificate, report_cases
 from symslice.exact import MAX_DIGITS, RatMatrix, block_antidiag, matrix_from_text, matrix_to_text
-from symslice.pairs import MAX_SIZE
+from symslice.matspace import act, random_group_element
+from symslice.pairs import MAX_SIZE, Family
 from symslice.slice import (
     invariants,
     invariants_from_json,
@@ -131,13 +134,13 @@ def test_certificate_is_deterministic():
 def test_certificate_fails_when_the_graded_solve_misses(monkeypatch):
     # the round trips compare the candidate with the generating coordinates,
     # so a candidate off by one in a coordinate fails both inversion checks
-    solve = cli.graded_solve
+    solve = cli._graded_solve_pairs
 
     def shifted(slc, target):
-        first, *rest = solve(slc, target)
-        return [first + 1, *rest]
+        (first, *rest), den = solve(slc, target)
+        return [first + den, *rest], den
 
-    monkeypatch.setattr(cli, "graded_solve", shifted)
+    monkeypatch.setattr(cli, "_graded_solve_pairs", shifted)
     for case in [("gl", 2, 2), ("o", 3, 3), ("sp", 4, 2)]:
         cert = make_certificate(*case, seed=1, trials=5)
         checks = dict(cert["checks"])
@@ -145,6 +148,76 @@ def test_certificate_fails_when_the_graded_solve_misses(monkeypatch):
         assert all(checks.values())
         assert cert["roundtrip_passes"] == 0
         assert not cert["passing"]
+
+
+# The inversion checks as they read before they ran on integer pairs:
+# Fraction coordinates, public invariants and the Fraction-per-entry
+# graded solve of tests/reference.py.
+def _fraction_coords(rng, dim):
+    return [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(dim)]
+
+
+def _fraction_roundtrip(slc, trials, rng):
+    passes = 0
+    for _ in range(trials):
+        coords = _fraction_coords(rng, slc.dim)
+        target = invariants(slc.pair, slice_point(slc, coords))
+        passes += reference.graded_solve(slc, target) == coords
+    return passes
+
+
+def _fraction_conjugation(pair, slc, rng):
+    for _ in range(cli._CONJUGATION_DRAWS):
+        coords = _fraction_coords(rng, slc.dim)
+        x = slice_point(slc, coords)
+        g = random_group_element(pair, seed=rng.randrange(2**63), height=cli._DRAW_HEIGHT)
+        inv_y = invariants(pair, act(pair, g, x))
+        if inv_y != invariants(pair, x) or reference.graded_solve(slc, inv_y) != coords:
+            return False
+    return True
+
+
+SMALL_CASES = [c for c in report_cases(8, 16, 8) if c[1] + c[2] <= 6 and c != ("o", 1, 1)]
+
+
+@pytest.mark.parametrize("miss", [False, True], ids=["exact", "missing"])
+@pytest.mark.parametrize("seed", range(5))
+def test_the_inversion_checks_agree_with_their_fraction_versions(seed, miss, monkeypatch):
+    if miss:
+        # both solves miss by one in the first coordinate wherever it is
+        # negative, so that only some round trips pass
+        core, ref = cli._graded_solve_pairs, reference.graded_solve
+
+        def core_missing(slc, target):
+            (first, *rest), den = core(slc, target)
+            return [first + den * (first < 0), *rest], den
+
+        def ref_missing(slc, target):
+            first, *rest = ref(slc, target)
+            return [first + (first < 0), *rest]
+
+        monkeypatch.setattr(cli, "_graded_solve_pairs", core_missing)
+        monkeypatch.setattr(reference, "graded_solve", ref_missing)
+    passes = []
+    for fam, p, q in SMALL_CASES:
+        slc = cli.build_case(fam, p, q).slc
+        for tag, ours, theirs in [
+            ("roundtrip", cli._roundtrip, _fraction_roundtrip),
+            ("conj", cli._check_invariant_conjugation, _fraction_conjugation),
+        ]:
+            a, b = (cli._sub_rng(seed, Family(fam), p, q, tag) for _ in range(2))
+            args = (slc, 10) if tag == "roundtrip" else (slc.pair, slc)
+            got = ours(*args, a)
+            assert got == theirs(*args, b), (fam, p, q, tag)
+            passes.append(int(got) * (10 if tag == "conj" else 1))
+            # both read the same stretch of the stream
+            assert a.random() == b.random()
+        # the integer draw is the Fraction draw of the same stream
+        a, b = random.Random(seed), random.Random(seed)
+        num, den = cli._random_coords(a, slc.dim)
+        assert [Fraction(x, den) for x in num] == _fraction_coords(b, slc.dim)
+    # out of 10, a conjugation check counting 0 or 10
+    assert all(k == 10 for k in passes) if not miss else any(0 < k < 10 for k in passes)
 
 
 def test_certificate_fails_when_the_block_action_is_broken(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -30,6 +31,7 @@ from symslice.slice import (
     NotFound,
     SliceDimensionError,
     _Block,
+    _graded_solve_pairs,
     _invariant_degree,
     _invariants_of_rows,
     _jacobian,
@@ -431,6 +433,34 @@ def test_graded_solve_is_the_candidate_invert_on_slice_checks(case):
         assert invert_on_slice(slc, target) == candidate
     with pytest.raises(ValueError, match="invariant values"):
         graded_solve(slc, InvariantVector(values[:-1]))
+
+
+@pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
+def test_the_integer_core_matches_the_fraction_reference(case):
+    # graded_solve is the core on the target's reduced pairs; the core
+    # gives the same lowest terms on the unreduced pairs of the point's
+    # integer rows and on pairs scaled by a common factor
+    slc = build_case(*case).slc
+    pair = slc.pair
+    indices = range(invariant_length(pair))
+    rng = random.Random(repr(case))
+    for _ in range(3):
+        coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(slc.dim)]
+        target = invariants(pair, slice_point(slc, coords))
+        assert graded_solve(slc, target) == reference.graded_solve(slc, target) == coords
+        num, den = integer_rows(slice_point(slc, coords))
+        pairs = _invariants_of_rows(pair, num, den, indices)
+        got, gden = _graded_solve_pairs(slc, pairs)
+        assert [Fraction(x, gden) for x in got] == coords
+        assert math.gcd(gden, *got) == 1
+        assert _graded_solve_pairs(slc, [(7 * c, 7 * d) for c, d in pairs]) == (got, gden)
+        # each invariant moved by one in turn: targets the reference solve
+        # reads the same way, on or off the image
+        for m in indices:
+            values = list(target.values)
+            values[m] += 1
+            off = InvariantVector(values)
+            assert graded_solve(slc, off) == reference.graded_solve(slc, off)
 
 
 GRID_UP_TO_8 = [c for c in GRID_UP_TO_10 if c[1] + c[2] <= 8]
