@@ -439,7 +439,7 @@ def test_graded_solve_is_the_candidate_invert_on_slice_checks(case):
 def test_the_integer_core_matches_the_fraction_reference(case):
     # graded_solve is the core on the target's reduced pairs; the core
     # gives the same lowest terms on the unreduced pairs of the point's
-    # integer rows and on pairs scaled by a common factor
+    # integer rows and on those pairs scaled by a different prime each
     slc = build_case(*case).slc
     pair = slc.pair
     indices = range(invariant_length(pair))
@@ -453,7 +453,9 @@ def test_the_integer_core_matches_the_fraction_reference(case):
         got, gden = _graded_solve_pairs(slc, pairs)
         assert [Fraction(x, gden) for x in got] == coords
         assert math.gcd(gden, *got) == 1
-        assert _graded_solve_pairs(slc, [(7 * c, 7 * d) for c, d in pairs]) == (got, gden)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        scaled = [(k * c, k * d) for k, (c, d) in zip(primes, pairs)]
+        assert _graded_solve_pairs(slc, scaled) == (got, gden)
         # each invariant moved by one in turn: targets the reference solve
         # reads the same way, on or off the image
         for m in indices:
