@@ -442,9 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _configure_logging():
     level = os.environ.get("KS_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    # basicConfig installs the handler once; the level follows KS_LOG on every call
+    # basicConfig installs a root handler once; KS_LOG sets the level of
+    # the package logger on every call and leaves the root logger's alone
     logging.basicConfig()
-    logging.getLogger().setLevel(levels.get(level, logging.ERROR))
+    logging.getLogger("symslice").setLevel(levels.get(level, logging.ERROR))
 
 
 def main(argv=None, out=None, err=None) -> int:

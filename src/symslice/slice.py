@@ -109,23 +109,17 @@ class KostantSlice:
         return _graded_blocks(self)
 
     @cached_property
-    def _terms(self) -> tuple:
-        """The (i, j, v) nonzero entries of d b for f and each slice basis
-        matrix b, d its denominator: their integer support for
-        `pairs.combine_rows`, with l / d in `_scales`."""
-        return tuple(
-            tuple((i, j, v) for i, row in enumerate(num) for j, v in enumerate(row) if v)
-            for num, _ in map(integer_rows, (self.triple.f, *self.slice_basis))
+    def _support(self) -> tuple:
+        """(l, terms): l the lcm of the denominators of f and of each slice
+        basis matrix, terms[0] the (i, j, v) nonzero entries of l f and
+        terms[k] those of l b_k, the integer support for
+        `pairs.combine_rows`."""
+        mats = [integer_rows(b) for b in (self.triple.f, *self.slice_basis)]
+        lcm = math.lcm(*(d for _, d in mats))
+        return lcm, tuple(
+            tuple((i, j, v * (lcm // d)) for i, row in enumerate(num) for j, v in enumerate(row) if v)
+            for num, d in mats
         )
-
-    @cached_property
-    def _scales(self) -> tuple:
-        """(l, (l / d, ...)): l the lcm of the denominators d of f and of
-        each slice basis matrix, and the integer weight that brings each
-        one's `_terms` over l."""
-        dens = [integer_rows(b)[1] for b in (self.triple.f, *self.slice_basis)]
-        lcm = math.lcm(*dens)
-        return lcm, tuple(lcm // d for d in dens)
 
 
 @dataclass(frozen=True)
@@ -167,11 +161,9 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
 
 def _point_rows(slc: KostantSlice, num, den: int) -> tuple:
     """(rows, d) with rows / d = f + sum_k (num[k] / den) b_k, not reduced:
-    the integer terms of f and each b_k weighted over den l, l the lcm
-    of their denominators (`_scales`)."""
-    lcm, weights = slc._scales
-    coeffs = [den * weights[0], *(x * w for x, w in zip(num, weights[1:]))]
-    return combine_rows(slc.pair.n, slc._terms, coeffs)[0], den * lcm
+    the terms of `_support` combined with (den, *num) over den l."""
+    lcm, terms = slc._support
+    return combine_rows(slc.pair.n, terms, [den, *num])[0], den * lcm
 
 
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
@@ -251,8 +243,9 @@ def _graded_blocks(slc: KostantSlice) -> tuple:
     graded coordinate plus lighter terms, so the Jacobian at f of the
     invariants with a nonzero row there is Lambda E^-1: E holds the
     graded directions and Lambda is block diagonal by class.  Its inverse
-    E Lambda^-1 holds every class's step.  Column c, read as a slice
-    direction G_c, must have [h, G_c] = (2k - 2) G_c, checked exactly:
+    E Lambda^-1 holds every class's step.  Column c, combined over the
+    basis terms of `_support`, is the slice direction G_c, which must
+    have [h, G_c] = (2k - 2) G_c, checked exactly:
     then ad h is diagonal on the slice with even weights >= 0, and in the
     coordinates u = J a each solving invariant is u_m plus lighter terms.
     """
@@ -270,9 +263,10 @@ def _graded_blocks(slc: KostantSlice) -> tuple:
         ) from None
     degrees = [_invariant_degree(pair, m) for m in invs]
     num, den = integer_rows(steps)
+    lcm, terms = slc._support
     for c, k in enumerate(degrees):
-        rows, rden = _point_rows(slc, [row[c] for row in num], den)
-        g = RatMatrix.from_ints(rows, cols=pair.n, den=rden) - slc.triple.f
+        rows = combine_rows(pair.n, terms[1:], [row[c] for row in num])[0]
+        g = RatMatrix.from_ints(rows, cols=pair.n, den=den * lcm)
         if bracket(slc.triple.h, g) != (2 * k - 2) * g:
             raise SliceDimensionError(f"ad h does not preserve the slice directions at degree {k}")
     blocks = []
@@ -391,8 +385,8 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     M'_k step k over B' A'.  The Pfaffian, c_0 of A, has derivative
     -tr(M_q dA), M_q = M'_q / d^(q - 1) the last step over A'.  Each row
     reads its gradient ((0, A M_k), (M_k B, 0)), or ((0, 0), (M_q, 0)),
-    against the slice directions, as integers over d^(2q - 1) l, l of
-    `_scales`; structurally zero invariants keep zero rows.
+    against the basis terms of `_support`, as integers over d^(2q - 1) l;
+    structurally zero invariants keep zero rows.
     """
     pair, (num, den) = slc.pair, integer_rows(slice_point(slc, coords))
     p, q, n = pair.p, pair.q, pair.n
@@ -405,13 +399,12 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     if invariant_length(pair) > n:
         *_, (_, mq) = faddeev_leverrier(a)
         grads.append((n, [[0] * q] * p, mq, q - 1))
-    lcm, weights = slc._scales
-    directions = tuple(zip(slc._terms[1:], weights[1:]))
+    lcm, terms = slc._support
     rows = [[0] * slc.dim] * invariant_length(pair)
     for m, upper, lower, e in grads:
         g = [[0] * p + row for row in upper] + [row + [0] * q for row in lower]
         s = den ** (2 * q - 1 - e)
-        rows[m] = [-s * w * sum(g[j][i] * v for i, j, v in t) for t, w in directions]
+        rows[m] = [-s * sum(g[j][i] * v for i, j, v in t) for t in terms[1:]]
     return RatMatrix.from_ints(rows, cols=slc.dim, den=den ** (2 * q - 1) * lcm)
 
 

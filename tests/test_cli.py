@@ -701,21 +701,28 @@ def test_runs_with_only_the_standard_library(tmp_path):
 
 
 def test_ks_log_is_read_on_every_in_process_call(monkeypatch):
-    root = logging.getLogger()
-    level, handlers = root.level, list(root.handlers)
+    # KS_LOG sets the package logger; an embedding program's root logger,
+    # here at INFO, keeps its level
+    root, package = logging.getLogger(), logging.getLogger("symslice")
+    level, handlers, package_level = root.level, list(root.handlers), package.level
     argv = ["verify", "--family", "sp", "--p", "3", "--q", "2"]
     try:
+        root.setLevel(logging.INFO)
         monkeypatch.setenv("KS_LOG", "error")
         assert run_cli(argv)[0] == 2
-        assert root.level == logging.ERROR
+        assert package.level == logging.ERROR
+        assert root.level == logging.INFO
+        assert logging.getLogger("host").isEnabledFor(logging.INFO)
         installed = list(root.handlers)
         monkeypatch.setenv("KS_LOG", "debug")
         assert run_cli(argv)[0] == 2
-        assert root.level == logging.DEBUG
+        assert package.level == logging.DEBUG
+        assert root.level == logging.INFO
         assert root.handlers == installed
     finally:
         root.setLevel(level)
         root.handlers[:] = handlers
+        package.setLevel(package_level)
 
 
 def test_argparse_exit_leaves_the_next_call_unchanged(tmp_path):

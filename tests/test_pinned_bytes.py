@@ -1,6 +1,6 @@
 """Pinned output bytes: certificates, random group elements, the set-up
 of every grid case, the benchmark's certify digest, and the stdout of
-`slice-rep` and `canonicalize`.
+`slice-rep`, `canonicalize` and the full-grid `report`.
 
 Any change in how a matrix is stored, multiplied or inverted, or in how
 slice inversion solves for its coordinates, must leave these digests as
@@ -49,6 +49,10 @@ SETUP = "a1b460ba9deb199b3761fd13af3537cb552656d32583df787091019538522323"
 # certificate_sha256: one pass over its 105 requests
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 CERTIFY = "27c5cd5c463fd6234844a07c648bbf65ef2e58ac12eae89a75ba93246b9bf2c7"
+
+# sha256 of the stdout of `report --gl-max 8 --o-max 16 --sp-max 8`,
+# which exits 1 because o(1, 1) has no sl2 triple
+REPORT = "01d1114018331f6af38d890ba77b5858e0af471c29b26a29f977dd40036a19f7"
 
 # sha256 over seeds 0-9 of matrix_to_text(g) + matrix_to_text(g_inv)
 GROUP_ELEMENTS = {
@@ -155,6 +159,13 @@ def test_setup_bytes_of_the_full_grid_are_pinned():
             h.update(f"{list(block.invariants)}\n".encode())
             h.update(matrix_to_text(block.step).encode())
     assert h.hexdigest() == SETUP
+
+
+def test_report_bytes_of_the_full_grid_are_pinned():
+    out = io.StringIO()
+    argv = ["report", "--gl-max", "8", "--o-max", "16", "--sp-max", "8"]
+    assert main(argv, out=out, err=io.StringIO()) == 1
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REPORT
 
 
 def test_benchmark_certify_digest_is_pinned(monkeypatch):

@@ -390,6 +390,31 @@ def test_graded_tables_match_system_by_system_reference(case):
     assert slc._blocks == _reference_blocks(slc)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "case",
+    [("gl", 3, 2), ("o", 2, 2), ("o", 3, 3), ("o", 4, 3), ("sp", 4, 2), ("sp", 4, 4)],
+    ids=lambda c: "%s%d%d" % c,
+)
+def test_slices_at_a_conjugated_nilpotent(case, seed):
+    # at g e g^-1 the denominators of f and of the basis matrices differ
+    # (o(4,3), seed 1: 1545, 500580, 35226, 792585), so the slice's terms
+    # only combine right over their common denominator
+    pair = make_pair(*case)
+    g = random_group_element(pair, seed, height=3)
+    slc = make_slice(pair, complete_triple(pair, act(pair, g, regular_nilpotent(pair))))
+    n, d = pair.n, slc.dim
+    rng = random.Random(repr((case, seed)))
+    points = [[Fraction(0)] * d, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]]
+    points += [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for coords in points:
+        x = slice_point(slc, coords)
+        assert x == lincomb((1, *coords), (slc.triple.f, *slc.slice_basis), n, n)
+        assert invert_on_slice(slc, invariants(pair, x)) == coords
+        assert _jacobian(slc, coords) == _sampled_jacobian(slc, coords)
+    assert slc._blocks == _reference_blocks(slc)
+
+
 @pytest.mark.parametrize("case", GRID_UP_TO_10, ids=lambda c: "%s%d%d" % c)
 def test_invariants_are_weighted_homogeneous_on_the_slice(case):
     # with [h, G_j] = w_j G_j, scaling each graded u_j by t^((w_j + 2) / 2)
