@@ -117,7 +117,7 @@ class KostantSlice:
         mats = [integer_rows(b) for b in (self.triple.f, *self.slice_basis)]
         lcm = math.lcm(*(d for _, d in mats))
         return lcm, tuple(
-            tuple((i, j, v * (lcm // d)) for i, row in enumerate(num) for j, v in enumerate(row) if v)
+            tuple((i, j, v * (lcm // d)) for i, r in enumerate(num) for j, v in enumerate(r) if v)
             for num, d in mats
         )
 

@@ -405,8 +405,11 @@ def test_slices_at_a_conjugated_nilpotent(case, seed):
     slc = make_slice(pair, complete_triple(pair, act(pair, g, regular_nilpotent(pair))))
     n, d = pair.n, slc.dim
     rng = random.Random(repr((case, seed)))
-    points = [[Fraction(0)] * d, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]]
-    points += [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    points = [
+        [Fraction(0)] * d,
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)],
+        *([Fraction(int(i == j)) for j in range(d)] for i in range(d)),
+    ]
     for coords in points:
         x = slice_point(slc, coords)
         assert x == lincomb((1, *coords), (slc.triple.f, *slc.slice_basis), n, n)
