@@ -33,7 +33,7 @@ from functools import lru_cache
 from . import __version__
 from .exact import RatMatrix, matrix_from_text, matrix_to_text, spans_equal, unlimited_int_text
 from .exact import integer_rows
-from .matspace import act, act_mpq, random_group_element, to_matrix_space
+from .matspace import act, act_mpq, random_group_element
 from .nilpotent import (
     NilpotentWitness,
     closed_form_centralizer,
@@ -125,8 +125,8 @@ def _mat_json(m: RatMatrix | None):
 
 
 def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
-    """g x g^-1 against (g1, g2) . A = g1 A g2^-1 on the upper-right
-    block; on gl, whose lower-left block B is free, also against g2 B g1^-1."""
+    """g x g^-1 in g(-1), with upper-right block (g1, g2) . A = g1 A g2^-1;
+    on gl, whose lower-left block B is free, also g2 B g1^-1 there."""
     p, n = pair.p, pair.n
     for _ in range(_EQUIVARIANCE_DRAWS):
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
@@ -134,7 +134,9 @@ def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
         # x, combined over the g(-1) basis, lies in g(-1): only g x g^-1 is checked
         x = combine(pair.n, pair.minus_support, coeffs)
         y = act(pair, g, x)
-        if to_matrix_space(pair, y) != act_mpq(pair, g, x.submatrix(0, p, p, n)):
+        if not in_eigenspace(pair, y, -1):
+            return False
+        if y.submatrix(0, p, p, n) != act_mpq(pair, g, x.submatrix(0, p, p, n)):
             return False
         if pair.family is Family.GL:
             g2, g1_inv = g.g.submatrix(p, n, p, n), g.g_inv.submatrix(0, p, 0, p)
@@ -170,7 +172,7 @@ def _check_invariant_conjugation(
         # x lies in g(-1) by construction; only g x g^-1 is checked for membership
         y = act(pair, g, x)
         if not in_eigenspace(pair, y, -1):
-            raise MembershipError("element is not in g(-1)")
+            return False
         inv_x = _invariants_of_rows(pair, *integer_rows(x), indices)
         inv_y = _invariants_of_rows(pair, *integer_rows(y), indices)
         # pairs c / d cross-multiplied; equal coordinates decide the inversion
@@ -314,10 +316,6 @@ def report_cases(gl_max: int, o_max: int, sp_max: int) -> list[tuple[str, int, i
     return cases
 
 
-def _report_worker(task):
-    return make_certificate(*task)
-
-
 def cmd_report(args, out, err) -> int:
     _check_trials(args)
     # a maximum above MAX_SIZE + 1 already yields a case with p + q > MAX_SIZE
@@ -330,12 +328,12 @@ def cmd_report(args, out, err) -> int:
     if jobs > 1:
         try:
             with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                certs = list(pool.map(_report_worker, tasks))
+                certs = list(pool.map(make_certificate, *zip(*tasks)))
         except OSError as exc:
             err.write(f"process pool unavailable ({exc}); running sequentially\n")
-            certs = [_report_worker(t) for t in tasks]
+            certs = [make_certificate(*t) for t in tasks]
     else:
-        certs = [_report_worker(t) for t in tasks]
+        certs = [make_certificate(*t) for t in tasks]
     failed = [[c["family"], c["p"], c["q"]] for c in certs if not c["passing"]]
     summary = {
         "total": len(certs),

@@ -28,21 +28,21 @@ monomial of I on the slice has weighted degree 2k, u_j counting
 w_j + 2 >= 2.  An invariant of degree (w + 2) / 2 is therefore
 linear in the weight-w coordinates, free of the heavier ones, and
 otherwise a polynomial in the lighter ones.  With the class and every
-heavier one set to 0 it is that polynomial, so `graded_solve` finds the
-coordinates class by class, lightest first, from one small linear solve
-and the class's own invariants at that partial point, for which the
-recurrence runs to the class's own step only.  A final exact evaluation
-of every invariant decides the answer: a mismatch means no slice point
-has the target invariants.  Before any slice work, a target off the
-image of the slice in the quotient's coordinates is refused by naming
-the relation it breaks.
+heavier one set to 0 it is that polynomial, so `_graded_solve_pairs`
+finds the coordinates class by class, lightest first, from one small
+linear solve and the class's own invariants at that partial point, for
+which the recurrence runs to the class's own step only.  A final exact
+evaluation of every invariant decides the answer: a mismatch means no
+slice point has the target invariants.  Before any slice work, a target
+off the image of the slice in the quotient's coordinates is refused by
+naming the relation it breaks.
 
 All of this runs on integers.  A slice point is built as integer rows
 over one denominator, each invariant comes off the recurrence as an
 integer pair (c, d) for c / d, and the final check cross-multiplies.
 Fractions are made only for what leaves the module: the coordinates
-that `graded_solve` and `invert_on_slice` return and the values of
-`invariants` and `invariant_values`.
+that `invert_on_slice` returns and the values of `invariants` and
+`invariant_values`.
 """
 
 from __future__ import annotations
@@ -277,12 +277,6 @@ def _graded_blocks(slc: KostantSlice) -> tuple:
     return tuple(blocks)
 
 
-def graded_solve(slc: KostantSlice, target: InvariantVector) -> list[Fraction]:
-    """The one candidate for `invert_on_slice`, unchecked, as Fractions."""
-    num, den = _graded_solve_pairs(slc, [(v.numerator, v.denominator) for v in target.values])
-    return [Fraction(x, den) if x else _ZERO for x in num]
-
-
 def _graded_solve_pairs(slc: KostantSlice, target) -> tuple[list[int], int]:
     """(num, den), the candidate coordinates num / den in lowest terms, for
     a target given as one pair (c, d), d > 0, per invariant, the value
@@ -334,7 +328,7 @@ def _broken_relation(pair: SymmetricPair, values) -> str | None:
     With det(tI - X) = t^(p - q) P(t^2), P monic of degree q: c_m is 0
     unless m = p - q + 2j; on o(q,q), c_0 = (-1)^q Pf^2; on sp, P = R^2
     for a monic R, whose coefficients follow from P's top down.  A
-    target of the wrong length is left to `graded_solve` to refuse.
+    target of the wrong length is left to `_graded_solve_pairs` to refuse.
     """
     p, q, n = pair.p, pair.q, pair.n
     if len(values) != invariant_length(pair):
@@ -360,7 +354,7 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
 
     A target off the quotient's image raises NotFound naming the first
     relation it breaks (`_broken_relation`), before any slice work.
-    Otherwise takes the candidate of `graded_solve` and checks every
+    Otherwise takes the candidate of `_graded_solve_pairs` and checks every
     invariant exactly; a mismatch raises NotFound too.
     """
     broken = _broken_relation(slc.pair, target.values)

@@ -4,11 +4,11 @@ Dense Fraction-per-entry constructions, which no library path needs:
 row-major flattening (`vec`), linear combinations entry by entry
 (`lincomb`, what `pairs.combine` forms from integer supports), block
 stacking and shift matrices, all read through `RatMatrix.row`.  Also
-the Fraction-per-entry graded solve that `slice.graded_solve` replaced
-with integer rows over one denominator: every coordinate is a Fraction,
-each partial point is f + sum_k a_k b_k built by `lincomb`, and its
-invariants are the full n x n characteristic polynomial (with the
-Pfaffian of X J on o(q,q)), not the recurrence over B A.
+the Fraction-per-entry graded solve that `slice._graded_solve_pairs`
+replaced with integer rows over one denominator: every coordinate is a
+Fraction, each partial point is f + sum_k a_k b_k built by `lincomb`,
+and its invariants are the full n x n characteristic polynomial (with
+the Pfaffian of X J on o(q,q)), not the recurrence over B A.
 """
 
 from fractions import Fraction

@@ -222,7 +222,7 @@ def test_the_inversion_checks_agree_with_their_fraction_versions(seed, miss, mon
 
 def test_certificate_fails_when_the_block_action_is_broken(monkeypatch):
     # g1 A without the g2^-1 keeps the rank of A, so only the identity
-    # to_matrix_space(g x g^-1) = g1 A g2^-1 sees it, on every family
+    # (upper-right block of g x g^-1) = g1 A g2^-1 sees it, on every family
     def broken(pair, ge, a):
         return ge.g.submatrix(0, pair.p, 0, pair.p) * a
 
@@ -234,8 +234,8 @@ def test_certificate_fails_when_the_block_action_is_broken(monkeypatch):
 
 
 def test_gl_equivariance_sees_the_lower_left_block(monkeypatch):
-    # on gl the lower-left block B is free and to_matrix_space drops it,
-    # so only the check g2 B g1^-1 sees a broken B
+    # on gl the lower-left block B is free and the upper-right identity
+    # drops it, so only the check g2 B g1^-1 sees a broken B
     real = cli.act
 
     def broken(pair, ge, x):
@@ -247,6 +247,29 @@ def test_gl_equivariance_sees_the_lower_left_block(monkeypatch):
     for case in [("gl", 3, 2), ("gl", 4, 4)]:
         checks = dict(make_certificate(*case, seed=1, trials=2)["checks"])
         assert not checks["equivariance"], case
+
+
+def test_a_conjugate_outside_g_minus_is_a_failed_check(monkeypatch):
+    # g x g^-1 + I is in no g(-1): both conjugation checks read False,
+    # and verify and report still write their JSON, exiting 1
+    real = cli.act
+
+    def shifted(pair, ge, x):
+        return real(pair, ge, x) + RatMatrix.identity(pair.n)
+
+    monkeypatch.setattr(cli, "act", shifted)
+    for case in [("gl", 3, 2), ("o", 3, 3), ("sp", 4, 2)]:
+        cert = make_certificate(*case, seed=1, trials=2)
+        checks = dict(cert["checks"])
+        assert not checks.pop("equivariance") and not checks.pop("invariant_conjugation")
+        assert all(checks.values()), case
+        assert not cert["passing"]
+    code, out, _ = run_cli(["verify", "--family", "gl", "--p", "2", "--q", "1", "--trials", "1"])
+    assert code == 1
+    assert json.loads(out)["passing"] is False
+    code, out, _ = run_cli(["report", "--gl-max", "2", "--trials", "1"])
+    assert code == 1
+    assert json.loads(out)["failed"] == [["gl", 1, 1], ["gl", 2, 1], ["gl", 2, 2]]
 
 
 def test_certificate_fails_when_the_centralizer_has_the_wrong_span(monkeypatch):
@@ -301,8 +324,8 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class _PoolUnavailable:

@@ -1,8 +1,10 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script, and the README's library quick start, runs to
+completion against the source tree."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,12 @@ def test_demo_exits_0(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["invert_on_slice"](scope["slc"], scope["v"]) == [1, Fraction(-2, 5), 3]

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from symslice.exact import (
     rational_from_text,
     solve,
     spans_equal,
+    unlimited_int_text,
 )
 
 
@@ -191,6 +193,30 @@ def test_matrix_text_rows_are_bounded_by_the_text():
     assert matrix_from_text("0 7").shape == (0, 7)
     with pytest.raises(ValueError, match="shorter than its row count"):
         matrix_from_text("9" * 4000 + " 0")
+    # at the edge: as many rows as characters, and one more
+    assert matrix_from_text("4 0\n").shape == (4, 0)
+    with pytest.raises(ValueError, match="shorter than its row count"):
+        matrix_from_text("5 0\n")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter without the limit"
+)
+def test_the_int_text_limit_comes_back():
+    # the limit is process-wide: lifted for a writer or a block only,
+    # and restored on the way out, an exception included
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert matrix_to_text(RatMatrix([[10**5000]])) == "1 1\n1" + "0" * 5000 + "\n"
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(RuntimeError):
+            with unlimited_int_text():
+                assert sys.get_int_max_str_digits() == 0
+                raise RuntimeError
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_matrix_text_entries_are_exact_literals():

@@ -18,7 +18,6 @@ from symslice.nilpotent import closed_form_centralizer, is_relatively_regular, m
 from symslice.pairs import make_pair
 from symslice.sl2 import complete_triple, verify_triple
 from symslice.slice import (
-    graded_solve,
     invariants,
     invert_on_slice,
     jacobian_rank_at,
@@ -50,7 +49,6 @@ def test_the_pipeline_reads_no_entry_as_a_fraction(case, monkeypatch):
     coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(slc.dim)]
     x = slice_point(slc, coords)
     target = invariants(pair, x)
-    assert graded_solve(slc, target) == coords
     assert invert_on_slice(slc, target) == coords
     assert jacobian_rank_at(slc, coords) == slc.dim
 

@@ -225,8 +225,11 @@ def test_group_element_validation():
     # the exchange block is a legitimate group element
     ge = group_element(pair, RatMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     assert ge.g * ge.g_inv == RatMatrix.identity(3)
-    # a carried inverse that is not the inverse
+    # on gl only the block-diagonal scan refuses an invertible matrix
     gl = make_pair(Family.GL, 2, 1)
+    with pytest.raises(ValueError, match="block diagonal"):
+        group_element(gl, RatMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+    # a carried inverse that is not the inverse
     g = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="g g_inv = I"):
         _check_group_element(gl, GroupElement(g=g, g_inv=g))

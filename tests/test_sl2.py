@@ -8,6 +8,7 @@ from symslice.exact import RatMatrix, kernel_basis, solve
 from symslice.matspace import act, random_group_element
 from symslice.nilpotent import is_relatively_regular, regular_nilpotent
 from symslice.pairs import Family, MembershipError, bracket, make_pair
+from symslice import sl2
 from symslice.sl2 import NoTriple, Sl2Triple, complete_triple, verify_triple
 
 
@@ -27,6 +28,20 @@ def test_zero_is_rejected():
 def test_degenerate_orthogonal_pair_has_no_triple():
     pair = make_pair(Family.ORTH, 1, 1)
     with pytest.raises(NoTriple):
+        complete_triple(pair, regular_nilpotent(pair))
+
+
+def test_an_unverified_completion_is_refused(monkeypatch):
+    # a solution off by one gives an h and f that fail the relations
+    real = sl2.solve
+
+    def off_by_one(*args):
+        first, *rest = real(*args)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(sl2, "solve", off_by_one)
+    pair = make_pair(Family.GL, 3, 2)
+    with pytest.raises(NoTriple, match="^completion failed exact verification$"):
         complete_triple(pair, regular_nilpotent(pair))
 
 
