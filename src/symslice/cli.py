@@ -126,7 +126,7 @@ def _mat_json(m: RatMatrix | None):
 
 def _check_equivariance(pair: SymmetricPair, rng: random.Random) -> bool:
     """g x g^-1 in g(-1), with upper-right block (g1, g2) . A = g1 A g2^-1;
-    on gl, whose lower-left block B is free, also g2 B g1^-1 there."""
+    on gl, whose lower-left block B is free, also lower-left block g2 B g1^-1."""
     p, n = pair.p, pair.n
     for _ in range(_EQUIVARIANCE_DRAWS):
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
