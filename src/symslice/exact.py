@@ -523,8 +523,9 @@ def nilpotency_index(m: RatMatrix) -> int | None:
 @contextmanager
 def unlimited_int_text():
     """Lift CPython's int-to-str digit limit (PYTHONINTMAXSTRDIGITS) for
-    a block or, as a decorator, a writer: an exact answer is written out
-    whatever its length.  Input stays bounded by MAX_DIGITS."""
+    a block or, as a decorator, a writer or a reader: an exact answer is
+    written out whatever its length, and input is bounded by MAX_DIGITS
+    alone."""
     old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if old:
         sys.set_int_max_str_digits(0)
@@ -537,11 +538,19 @@ def unlimited_int_text():
 
 @unlimited_int_text()
 def matrix_to_text(m: RatMatrix) -> str:
-    """Serialize in the plain text exchange format: 'rows cols' then entries."""
+    """Serialize in the plain text exchange format: 'rows cols' then entries,
+    each written as a Fraction would be, from the stored integer rows."""
+    den = m._den
     lines = [f"{m.rows} {m.cols}"]
-    for row in m._num if m._den == 1 else map(m.row, range(m.rows)):
-        lines.append(" ".join(map(str, row)))
+    for row in m._num:
+        lines.append(" ".join(map(str, row) if den == 1 else (_ratio_text(x, den) for x in row)))
     return "\n".join(lines) + "\n"
+
+
+def _ratio_text(x: int, den: int) -> str:
+    """x / den in lowest terms, as str of the Fraction: 'a' or 'a/b'."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def rational_from_text(token: str) -> Fraction:
@@ -563,7 +572,34 @@ def rational_from_text(token: str) -> Fraction:
     return Fraction(token)
 
 
+def _ratio(token: str) -> tuple[int, int]:
+    """(a, b) with token = a / b in lowest terms, b > 0.  A token 'a' or
+    'a/b' of decimal digits (a signed), at most MAX_DIGITS long and with
+    b nonzero, is read straight to integers and reduced by one gcd; any
+    other token goes through `rational_from_text`, bounds and errors
+    included."""
+    a, slash, b = token.partition("/")
+    if (
+        len(token) <= MAX_DIGITS
+        and (a[1:] if a[:1] in "+-" else a).isdecimal()
+        and (b.isdecimal() or not slash)
+    ):
+        n, d = int(a), int(b) if slash else 1
+        if d == 1:
+            return n, 1
+        if d:
+            g = math.gcd(n, d)
+            return n // g, d // g
+    x = rational_from_text(token)
+    return x.numerator, x.denominator
+
+
+@unlimited_int_text()
 def matrix_from_text(text: str) -> RatMatrix:
+    """Parse the plain text exchange format into integer rows over the
+    least common denominator of the entries.  Every number is bounded by
+    MAX_DIGITS before it is built, so CPython's int-from-text limit is
+    lifted for the parse."""
     toks = text.split()
     if len(toks) < 2:
         raise ValueError("matrix text must start with 'rows cols'")
@@ -583,7 +619,9 @@ def matrix_from_text(text: str) -> RatMatrix:
     if len(entries) != r * c:
         raise ValueError(f"expected {r * c} entries, found {len(entries)}")
     try:
-        vals = [rational_from_text(t) for t in entries]
+        pairs = [_ratio(t) for t in entries]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational entry in matrix text: {exc}") from exc
-    return RatMatrix([vals[i * c : (i + 1) * c] for i in range(r)], cols=c)
+    den = math.lcm(*(d for _, d in pairs))
+    nums = [n * (den // d) for n, d in pairs]
+    return RatMatrix.from_ints([nums[i * c : (i + 1) * c] for i in range(r)], c, den)

@@ -215,8 +215,11 @@ def invariants_to_json(v: InvariantVector) -> str:
     return json.dumps([str(x) for x in v.values])
 
 
+@unlimited_int_text()
 def invariants_from_json(text: str) -> InvariantVector:
-    """Parse a JSON array of rationals; bare numbers are read exactly, not as floats."""
+    """Parse a JSON array of rationals; bare numbers are read exactly, not as
+    floats.  Every number is bounded by MAX_DIGITS before it is built, so
+    CPython's int-from-text limit is lifted for the parse."""
     try:
         data = json.loads(text, parse_float=rational_from_text, parse_int=rational_from_text)
     except RecursionError:

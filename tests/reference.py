@@ -8,13 +8,25 @@ the Fraction-per-entry graded solve that `slice._graded_solve_pairs`
 replaced with integer rows over one denominator: every coordinate is a
 Fraction, each partial point is f + sum_k a_k b_k built by `lincomb`,
 and its invariants are the full n x n characteristic polynomial (with
-the Pfaffian of X J on o(q,q)), not the recurrence over B A.
+the Pfaffian of X J on o(q,q)), not the recurrence over B A.  And the
+Fraction-per-entry text reader and writer that `exact.matrix_from_text`
+and `exact.matrix_to_text` replaced with integer rows: every entry parsed
+by `rational_from_text` into its own Fraction, every entry of a matrix
+with a denominator written through `RatMatrix.row`.
 """
 
 from fractions import Fraction
 from itertools import chain
 
-from symslice.exact import RatMatrix, charpoly, pfaffian
+from symslice.exact import (
+    MAX_DIGITS,
+    RatMatrix,
+    charpoly,
+    integer_rows,
+    pfaffian,
+    rational_from_text,
+    unlimited_int_text,
+)
 from symslice.slice import NotFound, invariant_length
 
 
@@ -89,3 +101,36 @@ def invert(slc, target) -> list:
     if invariant_list(slc.pair, point(slc, coords)) != list(target.values):
         raise NotFound("no slice point has these invariants")
     return coords
+
+
+@unlimited_int_text()
+def matrix_to_text(m: RatMatrix) -> str:
+    lines = [f"{m.rows} {m.cols}"]
+    num, den = integer_rows(m)
+    for row in num if den == 1 else map(m.row, range(m.rows)):
+        lines.append(" ".join(map(str, row)))
+    return "\n".join(lines) + "\n"
+
+
+def matrix_from_text(text: str) -> RatMatrix:
+    toks = text.split()
+    if len(toks) < 2:
+        raise ValueError("matrix text must start with 'rows cols'")
+    if any(len(t) > MAX_DIGITS for t in toks[:2]):
+        raise ValueError(f"matrix dimensions of more than {MAX_DIGITS} digits")
+    try:
+        r, c = int(toks[0]), int(toks[1])
+    except ValueError as exc:
+        raise ValueError("matrix text must start with integer 'rows cols'") from exc
+    if r < 0 or c < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    if r > len(text):
+        raise ValueError("matrix text is shorter than its row count")
+    entries = toks[2:]
+    if len(entries) != r * c:
+        raise ValueError(f"expected {r * c} entries, found {len(entries)}")
+    try:
+        vals = [rational_from_text(t) for t in entries]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational entry in matrix text: {exc}") from exc
+    return RatMatrix([vals[i * c : (i + 1) * c] for i in range(r)], cols=c)

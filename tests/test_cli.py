@@ -629,6 +629,40 @@ def test_outputs_beyond_the_interpreter_limit_are_written(tmp_path):
     assert proc.stdout == f'["{big}"]\n2 2\n0 {big}\n1 0\n'
 
 
+@pytest.mark.parametrize(
+    "command, flag, text, code",
+    [
+        ("slice-rep", "--invariants", json.dumps(["0", "0", "1" + "0" * 999, "0"]), 0),
+        ("canonicalize", "--matrix", "4 4\n0 0 1" + "0" * 999 + " 0\n" + "0 0 0 0\n" * 3, 4),
+    ],
+    ids=["slice-rep", "canonicalize"],
+)
+def test_input_outcome_does_not_depend_on_the_interpreter_limit(
+    tmp_path, command, flag, text, code
+):
+    # 1000 digits: within MAX_DIGITS, beyond PYTHONINTMAXSTRDIGITS=640
+    path = tmp_path / "input"
+    path.write_text(text)
+    procs = []
+    for limit in (None, "640"):
+        env = child_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        procs.append(
+            subprocess.run(
+                [sys.executable, "-m", "symslice", command, "--family", "gl", "--p", "2",
+                 "--q", "2", flag, str(path)],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                env=env,
+            )
+        )
+    assert [proc.returncode for proc in procs] == [code, code], procs[1].stdout
+    assert procs[0].stdout == procs[1].stdout
+
+
 def test_canonicalize_rejects_non_member(tmp_path):
     mat = tmp_path / "id.txt"
     mat.write_text(matrix_to_text(RatMatrix.identity(3)))

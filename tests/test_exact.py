@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,20 @@ def test_matrix_text_rejects_bad_input():
             matrix_from_text(f"1 1 {bad}")
 
 
+def test_unreduced_entries_are_reduced_one_by_one():
+    # 3m/2m with a different 1000-digit m per entry: over the lcm of the
+    # unreduced denominators the rows would have some 256000 digits each
+    rng = random.Random(30)
+    ms = [rng.randrange(10**999, 10**1000) for _ in range(256)]
+    rows = [" ".join(f"{3 * m}/{2 * m}" for m in ms[16 * i : 16 * i + 16]) for i in range(16)]
+    text = "16 16\n" + "\n".join(rows) + "\n"
+    start = time.perf_counter()
+    m = matrix_from_text(text)
+    elapsed = time.perf_counter() - start
+    assert m == RatMatrix.from_ints([[3] * 16 for _ in range(16)], den=2)
+    assert elapsed < 1.0
+
+
 def test_matrix_text_rows_are_bounded_by_the_text():
     # a matrix without columns still has a line per row, so a row count
     # beyond the text's length is refused before any row is built
@@ -209,6 +224,8 @@ def test_the_int_text_limit_comes_back():
     try:
         sys.set_int_max_str_digits(4300)
         assert matrix_to_text(RatMatrix([[10**5000]])) == "1 1\n1" + "0" * 5000 + "\n"
+        big = RatMatrix.from_ints([[10**5000, 1]], den=3)
+        assert matrix_to_text(big) == "1 2\n1" + "0" * 5000 + "/3 1/3\n"
         assert sys.get_int_max_str_digits() == 4300
         with pytest.raises(RuntimeError):
             with unlimited_int_text():

@@ -4,13 +4,16 @@ import math
 from fractions import Fraction
 from itertools import chain, islice
 
+import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import reference
 from reference import hstack, vec, vstack
 from symslice.exact import (
+    MAX_DIGITS,
     RatMatrix,
     block_diag,
     charpoly,
@@ -18,6 +21,8 @@ from symslice.exact import (
     integer_rows,
     inverse,
     kernel_basis,
+    matrix_from_text,
+    matrix_to_text,
     pfaffian,
     rank,
     solve,
@@ -448,3 +453,68 @@ def test_pfaffian_matches_sympy(n, data):
     pf = pfaffian(m)
     assert pf == from_sympy(_pfaffian_by_expansion(s))
     assert pf * pf == from_sympy(s.det())
+
+
+# every shape of token the integer reader takes, and neighbours of them
+# that go to Fraction's parser: signs, leading zeros, underscores, Unicode
+# digits (Arabic-Indic, Devanagari; a superscript is no decimal digit),
+# decimals, exponents, malformed ratios and tokens at the digit bound
+_EDGE_TOKENS = [
+    "1/-2", "1/+2", "1/0", "0/0", "/3", "3/", "+", "-", "1__0", "_1", "1_", "nan", "inf",
+    "-0", "+007", "007/010", "1_000/3_0", "\u0663/\u096a", "-\u0661\u0660", "\u00b2",
+    "0.5", "-2.5e-3", "1E+2", ".5", "5.", "1/2/3", "--1", "+-1", "0x10", "1/ 2", "1e10001",
+    "9" * MAX_DIGITS, "-" + "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1),
+    "1/" + "9" * MAX_DIGITS, "1/" + "9" * (MAX_DIGITS + 1), "1_" + "0" * (MAX_DIGITS - 1),
+]
+_TOKENS = st.one_of(
+    st.integers(-(10**40), 10**40).map(str),
+    st.tuples(st.integers(-(10**40), 10**40), st.integers(0, 10**40)).map("%d/%d".__mod__),
+    st.sampled_from(_EDGE_TOKENS),
+    st.text(alphabet="0123456789+-/_.eE\u0663\u096a\u00b2", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def matrix_tokens(draw):
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return r, c, draw(st.lists(_TOKENS, min_size=r * c, max_size=r * c))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(matrix_tokens())
+# unreduced entries over different denominators
+@example((2, 2, ["6/4", "-10/15", "0/7", "+14/7"]))
+def test_matrix_text_reads_as_the_fraction_parser(shape):
+    r, c, toks = shape
+    text = f"{r} {c}\n" + "".join(" ".join(toks[i * c : (i + 1) * c]) + "\n" for i in range(r))
+    try:
+        expected = reference.matrix_from_text(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            matrix_from_text(text)
+        assert str(refused.value) == str(exc)
+        return
+    got = matrix_from_text(text)
+    assert_lowest_terms(got)
+    assert got == expected
+
+
+@st.composite
+def fractional_matrices(draw):
+    """Integer rows over a denominator d >= 2 that stays d in lowest terms."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    den = draw(st.integers(2, 10**30))
+    value = st.one_of(st.just(0), st.integers(-(10**40), 10**40))
+    rows = [[draw(value) for _ in range(c)] for _ in range(r)]
+    assume(math.gcd(den, *chain.from_iterable(rows)) == 1)
+    return RatMatrix.from_ints(rows, c, den)
+
+
+@SETTINGS
+@given(fractional_matrices())
+@example(RatMatrix([[Fraction(-7, 3), 0], [Fraction(6, 4), -1]]))
+def test_matrix_text_writes_as_the_fraction_writer(m):
+    assert integer_rows(m)[1] != 1
+    text = matrix_to_text(m)
+    assert text == reference.matrix_to_text(m)
+    assert matrix_from_text(text) == m

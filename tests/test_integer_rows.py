@@ -2,9 +2,9 @@
 
 `RatMatrix.row` and `m[i, j]` make Fractions for the API edge.  With both
 patched to raise, the whole pipeline is built from scratch (not through
-the `build_case` cache) and every step of the certificate and of slice
-inversion is run on it, so a library path that reads entries as
-Fractions fails here.
+the `build_case` cache), every step of the certificate and of slice
+inversion is run on it and a slice point goes through the text format,
+so a library path that reads entries as Fractions fails here.
 """
 
 import random
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from symslice.exact import RatMatrix, spans_equal
+from symslice.exact import RatMatrix, integer_rows, matrix_from_text, matrix_to_text, spans_equal
 from symslice.matspace import act, random_group_element
 from symslice.nilpotent import closed_form_centralizer, is_relatively_regular, make_witness
 from symslice.pairs import make_pair
@@ -48,6 +48,9 @@ def test_the_pipeline_reads_no_entry_as_a_fraction(case, monkeypatch):
     rng = random.Random(repr(case))
     coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(slc.dim)]
     x = slice_point(slc, coords)
+    # the text exchange format is written and read on the integer rows too
+    assert integer_rows(x)[1] != 1
+    assert matrix_from_text(matrix_to_text(x)) == x
     target = invariants(pair, x)
     assert invert_on_slice(slc, target) == coords
     assert jacobian_rank_at(slc, coords) == slc.dim
