@@ -8,6 +8,9 @@ stacking run on those integers.  Kernels, particular and unique solves,
 inverses, ranks and `spans_equal` share one elimination on integer rows
 that divides each changed row by its content: ranks and `spans_equal`
 stop after its forward pass, the solves run its back-substitution too.
+Dense integer rows go in and come back out; inside the elimination a
+row is sparse, {column: nonzero int}, and rows are bucketed by leading
+column, so a step touches only the rows that have its pivot column.
 Characteristic polynomial coefficients and the adjugate matrices that
 differentiate them come from one integer Faddeev-LeVerrier recurrence,
 one step at a time so that callers stop early.  The integer rows are a
@@ -25,7 +28,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, count
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -203,7 +206,8 @@ class RatMatrix:
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"RatMatrix.zeros({self.rows}, {self.cols})"
-        body = ", ".join("[" + ", ".join(map(str, self.row(i))) + "]" for i in range(self.rows))
+        with unlimited_int_text():
+            body = ", ".join("[" + ", ".join(map(str, self.row(i))) + "]" for i in range(self.rows))
         return f"RatMatrix([{body}])"
 
 
@@ -244,59 +248,79 @@ def block_antidiag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def _forward(rows, ncols: int):
-    """(rows, pivots): the forward pass of the elimination of integer rows
-    in their first ncols columns, which is all a rank needs.  The input
-    rows are not mutated.
+    """(rows, pivots): the forward pass of the elimination of dense
+    integer rows in their first ncols columns, which is all a rank
+    needs.  The input rows are not mutated.
 
-    A step with pivot p = r_k[c] replaces each later row r_i with a
-    nonzero f = r_i[c] by (p/g) r_i - (f/g) r_k, g = gcd(p, f), and
-    divides it by its content; zero rows are dropped as they appear.
-    The first len(pivots) rows are in echelon form; the rows after them
+    Inside the kernel a row is sparse, {column: nonzero int}, and rows
+    wait in buckets by leading column.  The step at column c takes the
+    first row of bucket c as pivot row r_k (pivot p = r_k[c]) and
+    replaces every other row r_i of the bucket, f = r_i[c], by (p/g) r_i
+    - (f/g) r_k, g = gcd(p, f), divided by its content (`_combine`); the
+    result moves to the bucket of its new leading column, or is dropped
+    if nothing is left.  No other row is touched.  The rows come out
+    sparse: the first len(pivots) in echelon form, then the rows that
     are zero in the first ncols columns.
     """
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        row = {j: row[j] for j in compress(count(), row)}
+        if row:
+            buckets.setdefault(min(row), []).append(row)
     done, pivots = [], []
-    rest = [r for r in rows if any(r)]
     for c in range(ncols):
-        if not rest:
-            break
-        k = next((i for i, r in enumerate(rest) if r[c]), None)
-        if k is None:
+        if c not in buckets:
             continue
-        prow = rest.pop(k)
+        prow, *others = buckets.pop(c)
         p = prow[c]
-        rest = [r for r in (_combine(r, prow, p, c) for r in rest) if r]
+        for row in others:
+            row = _combine(row, prow, p, c)
+            if row:
+                buckets.setdefault(min(row), []).append(row)
         done.append(prow)
         pivots.append(c)
-    return done + rest, pivots
+    return done + [row for bucket in buckets.values() for row in bucket], pivots
 
 
 def _echelon(rows, ncols: int):
     """(rows, pivots): Gauss-Jordan elimination, the forward pass
     (`_forward`) and then back-substitution, which clears each pivot
-    column in the rows above it by the same step.  The first
-    len(pivots) rows come out as nonzero multiples of the rows of the
-    reduced echelon form, so canonical outputs are read off them
-    exactly."""
+    column, last first, by the same step in just the rows above that
+    have it.  The first len(pivots) rows come out as sparse nonzero
+    multiples of the rows of the reduced echelon form, so canonical
+    outputs are read off them exactly (an absent column is zero)."""
     rows, pivots = _forward(rows, ncols)
-    for k, c in enumerate(pivots):
-        prow = rows[k]
-        rows[:k] = [_combine(r, prow, prow[c], c) for r in rows[:k]]
+    # clearing column c against a reduced pivot row adds no pivot column,
+    # so the rows that have c are known from the forward pass
+    having = {c: [] for c in pivots}
+    for i, row in enumerate(rows[: len(pivots)]):
+        for j in row:
+            if j in having:
+                having[j].append(i)
+    for k in reversed(range(len(pivots))):
+        c, prow = pivots[k], rows[k]
+        p = prow[c]
+        for i in having[c]:
+            if i < k:
+                rows[i] = _combine(rows[i], prow, p, c)
     return rows, pivots
 
 
-def _combine(row, prow, p: int, c: int) -> list[int]:
-    """row with column c cleared against the pivot row prow (pivot p),
-    over its content; [] if nothing is left."""
+def _combine(row, prow, p: int, c: int) -> dict[int, int]:
+    """The sparse row with its nonzero column c cleared against the
+    pivot row prow (pivot p), over its content; {} if nothing is left."""
     f = row[c]
-    if not f:
-        return row
     g = math.gcd(p, f)
     a, b = p // g, f // g
-    out = [a * x - b * y for x, y in zip(row, prow)]
-    g = math.gcd(*out)
-    if g == 0:
-        return []
-    return out if g == 1 else [x // g for x in out]
+    out = row.copy() if a == 1 else {j: a * x for j, x in row.items()}
+    for j, y in prow.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    return out if g <= 1 else {j: x // g for j, x in out.items()}
 
 
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
@@ -313,14 +337,14 @@ def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     for fc in range(m.cols):
         if fc in pivot_set:
             continue
-        # v[fc] = 1 and v[pc] = -rows[r][fc] / rows[r][pc], over their lcm
-        den = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots) if rows[r][fc]))
+        # v[fc] = 1 and v[pc] = -row[fc] / row[pc], over their lcm
+        terms = [(pc, row[fc], row[pc]) for row, pc in zip(rows, pivots) if fc in row]
+        den = math.lcm(*(p for _, _, p in terms))
         v = [0] * m.cols
         v[fc] = den
-        for r, pc in enumerate(pivots):
-            if rows[r][fc]:
-                v[pc] = -rows[r][fc] * (den // rows[r][pc])
-        basis.append(RatMatrix.from_ints([[x] for x in v], cols=1, den=den))
+        for pc, x, p in terms:
+            v[pc] = -x * (den // p)
+        basis.append(RatMatrix._reduced([[x] for x in v], den, 1))
     return basis
 
 
@@ -343,8 +367,8 @@ def solve(a: RatMatrix, b) -> list[Fraction] | None:
     if len(rows) > len(pivots):
         return None
     x = [_ZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[r][a.cols], rows[r][pc])
+    for row, pc in zip(rows, pivots):
+        x[pc] = Fraction(row.get(a.cols, 0), row[pc])
     return x
 
 
@@ -377,7 +401,9 @@ def _unique_solution(rows, n: int, cols: int) -> RatMatrix | None:
         return None
     den = math.lcm(*(row[r] for r, row in enumerate(rows)))
     return RatMatrix._reduced(
-        [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(rows)], den, cols
+        [[row.get(j, 0) * (den // row[r]) for j in range(n, n + cols)] for r, row in enumerate(rows)],
+        den,
+        cols,
     )
 
 

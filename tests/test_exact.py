@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symslice import exact
 from symslice.exact import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -23,6 +24,10 @@ from symslice.exact import (
     spans_equal,
     unlimited_int_text,
 )
+from symslice.matspace import cayley
+from symslice.nilpotent import centralizer, regular_nilpotent
+from symslice.pairs import Family, combine, make_pair
+from symslice.sl2 import complete_triple
 
 
 def F(a, b=1):
@@ -236,6 +241,20 @@ def test_the_int_text_limit_comes_back():
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter without the limit"
+)
+def test_repr_writes_entries_beyond_the_int_text_limit():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        m = RatMatrix([[F(-(10**5000), 3), 0], [0, 1]])
+        assert repr(m) == "RatMatrix([[-1" + "0" * 5000 + "/3, 0], [0, 1]])"
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_matrix_text_entries_are_exact_literals():
     m = matrix_from_text("2 2\n3 -1/3\n0.1 2.5e-3\n")
     assert m == RatMatrix([[F(3), F(-1, 3)], [F(1, 10), F(1, 400)]])
@@ -319,3 +338,26 @@ def test_spans_equal():
     assert spans_equal(a, b)
     assert not spans_equal(a, c)
     assert spans_equal([], [])
+
+
+def test_every_elimination_step_changes_its_row(monkeypatch):
+    # the elimination hands the row step only rows that have the pivot
+    # column: on the sparse systems of the slice construction and of a
+    # Cayley draw, no call may return its row as it was
+    changed = []
+    step = exact._combine
+
+    def counted(row, prow, p, c):
+        out = step(row, prow, p, c)
+        changed.append(out != row)
+        return out
+
+    monkeypatch.setattr(exact, "_combine", counted)
+    gl = make_pair(Family.GL, 8, 8)
+    e = regular_nilpotent(gl)
+    o33 = make_pair(Family.ORTH, 3, 3)
+    s = combine(o33.n, o33.plus_support, [(-1) ** i * (i % 4 + 2) for i in range(6)])
+    for run in (lambda: centralizer(gl, e), lambda: complete_triple(gl, e), lambda: cayley(o33, s)):
+        changed.clear()
+        run()
+        assert changed and all(changed)

@@ -45,6 +45,20 @@ def matrices(draw, rows=None, cols=None):
 
 
 @st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """Up to 24 x 24 with at most 15 % of the entries nonzero, as sparse
+    as the ad systems of the slice construction."""
+    r = draw(st.integers(1, 24)) if rows is None else rows
+    c = draw(st.integers(1, 24)) if cols is None else cols
+    k = draw(st.integers(0, 15 * r * c // 100))
+    cells = st.tuples(st.integers(0, r - 1), st.integers(0, c - 1))
+    m = [[0] * c for _ in range(r)]
+    for i, j in draw(st.sets(cells, min_size=k, max_size=k)):
+        m[i][j] = draw(entries.filter(bool))
+    return RatMatrix(m, cols=c)
+
+
+@st.composite
 def square_matrices(draw, max_n=5):
     return draw(matrices(rows=(n := draw(st.integers(1, max_n))), cols=n))
 
@@ -217,8 +231,9 @@ def test_product_matches_sympy(r, k, c, data):
     )
 
 
-@SETTINGS
-@given(matrices())
+# half the draws sparse, so twice the examples
+@settings(SETTINGS, max_examples=120)
+@given(st.one_of(matrices(), sparse_matrices()))
 # zero, no rows, no columns
 @example(RatMatrix.zeros(2, 3))
 @example(RatMatrix.zeros(0, 3))
@@ -238,6 +253,13 @@ def test_product_matches_sympy(r, k, c, data):
 # entries above 2**64, integral and in a denominator
 @example(RatMatrix([[2**70 + 1, 3, 2**65], [2**66, Fraction(5, 2**67 + 3), 1], [1, 1, 1]]))
 @example(RatMatrix([[2**64 + 1, 2**65 + 2, 7], [2**64 + 3, 2**65 + 6, 2**80]]))
+# duplicate rows, and zero rows between the others
+@example(RatMatrix([[0, 2, 0, 1], [3, 0, 0, 0], [0, 2, 0, 1], [0, 2, 0, 1]]))
+@example(RatMatrix([[0, 0, 0], [1, 0, 2], [0, 0, 0], [0, 3, 0], [0, 0, 0]]))
+# the first pivot after four empty columns, the second after one more
+@example(RatMatrix([[0, 0, 0, 0, 5, 0, 1], [0, 0, 0, 0, 0, 0, 2], [0, 0, 0, 0, 3, 0, 0]]))
+# a leading column whose other rows all cancel against its pivot row
+@example(RatMatrix([[2, 0, 4, 0], [1, 0, 2, 0], [0, 1, 0, 1], [-3, 0, -6, 0]]))
 def test_rank_and_kernel_match_sympy(m):
     s = to_sympy(m)
     assert rank(m) == s.rank()
@@ -247,10 +269,10 @@ def test_rank_and_kernel_match_sympy(m):
 
 
 @st.composite
-def vector_systems(draw):
-    """(a, b) for a x = b with one right-hand column, half of them
-    consistent by construction."""
-    a = draw(matrices())
+def vector_systems(draw, kind=matrices):
+    """(a, b) for a x = b, a drawn from kind, with one right-hand column,
+    half of them consistent by construction."""
+    a = draw(kind())
     if draw(st.booleans()):
         x0 = [draw(entries) for _ in range(a.cols)]
         b = [sum(a[i, j] * x0[j] for j in range(a.cols)) for i in range(a.rows)]
@@ -259,8 +281,9 @@ def vector_systems(draw):
     return a, b
 
 
-@SETTINGS
-@given(vector_systems())
+# half the draws sparse, so twice the examples
+@settings(SETTINGS, max_examples=120)
+@given(st.one_of(vector_systems(), vector_systems(sparse_matrices)))
 # rows with a common content factor, consistent and not
 @example((RatMatrix([[6, 4, 2], [9, 6, 3], [3, 9, 6]]), [2, 3, 1]))
 @example((RatMatrix([[6, 4, 2], [9, 6, 3], [3, 9, 6]]), [2, 4, 1]))
@@ -275,6 +298,18 @@ def vector_systems(draw):
         [2**65, Fraction(1, 2**64 + 1)],
     )
 )
+# a row nonzero only in the right-hand column
+@example((RatMatrix([[0, 1, 0], [0, 0, 0], [2, 0, 1]]), [1, 3, 1]))
+# duplicate rows and zero rows, consistent and not
+@example((RatMatrix([[0, 2, 1], [0, 0, 0], [0, 2, 1], [3, 0, 0]]), [1, 0, 1, 2]))
+@example((RatMatrix([[0, 2, 1], [0, 0, 0], [0, 2, 1], [3, 0, 0]]), [1, 0, 2, 2]))
+# the first pivot after three empty columns
+@example((RatMatrix([[0, 0, 0, 4, 1], [0, 0, 0, 0, 3]]), [5, Fraction(1, 2)]))
+# a leading column whose other rows all cancel, with their right-hand sides
+@example((RatMatrix([[2, 4, 0], [1, 2, 0], [-3, -6, 0], [0, 0, 1]]), [2, 1, -3, 7]))
+# no columns, against zero and nonzero right-hand sides
+@example((RatMatrix.zeros(2, 0), [0, 0]))
+@example((RatMatrix.zeros(2, 0), [0, 1]))
 def test_solve_matches_sympy(system):
     a, b = system
     got = solve(a, b)
@@ -291,20 +326,21 @@ def test_solve_matches_sympy(system):
 
 
 @st.composite
-def systems(draw):
-    """(a, b) for a x = b with 1 to 3 right-hand columns, half of them
-    consistent by construction."""
-    a = draw(matrices())
+def systems(draw, kind=matrices):
+    """(a, b) for a x = b, a and b drawn from kind, with 1 to 3
+    right-hand columns, half of them consistent by construction."""
+    a = draw(kind())
     k = draw(st.integers(1, 3))
     if draw(st.booleans()):
-        b = a * draw(matrices(rows=a.cols, cols=k))
+        b = a * draw(kind(rows=a.cols, cols=k))
     else:
-        b = draw(matrices(rows=a.rows, cols=k))
+        b = draw(kind(rows=a.rows, cols=k))
     return a, b
 
 
-@SETTINGS
-@given(systems())
+# half the draws sparse, so twice the examples
+@settings(SETTINGS, max_examples=120)
+@given(st.one_of(systems(), systems(sparse_matrices)))
 # a unique solution, a rank-deficient a, and an inconsistent second column
 @example((RatMatrix([[1, 2], [0, 1], [1, 0]]), RatMatrix([[3, 1], [1, 0], [1, 1]])))
 @example((RatMatrix([[1, 2], [2, 4], [0, 0]]), RatMatrix([[1], [2], [0]])))
@@ -326,6 +362,12 @@ def systems(draw):
 @example((RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 2)))
 @example((RatMatrix.zeros(2, 0), RatMatrix.zeros(2, 1)))
 @example((RatMatrix.zeros(2, 0), RatMatrix([[0], [1]])))
+# a row nonzero only in a right-hand column
+@example((RatMatrix([[1, 0], [0, 0], [0, 1]]), RatMatrix([[1, 0], [0, 2], [3, 0]])))
+# duplicate rows and a zero row, consistent
+@example((RatMatrix([[0, 2], [0, 2], [0, 0], [3, 0]]), RatMatrix([[1], [1], [0], [2]])))
+# a leading column whose other rows all cancel, one column's rows with it
+@example((RatMatrix([[2, 0], [-4, 0], [0, 5]]), RatMatrix([[1, 2], [-2, -4], [0, 1]])))
 def test_solve_unique_matches_sympy(system):
     a, b = system
     got = solve_unique(a, b)
