@@ -254,32 +254,36 @@ def _forward(rows, ncols: int):
 
     Inside the kernel a row is sparse, {column: nonzero int}, and rows
     wait in buckets by leading column.  The step at column c takes the
-    first row of bucket c as pivot row r_k (pivot p = r_k[c]) and
-    replaces every other row r_i of the bucket, f = r_i[c], by (p/g) r_i
-    - (f/g) r_k, g = gcd(p, f), divided by its content (`_combine`); the
-    result moves to the bucket of its new leading column, or is dropped
-    if nothing is left.  No other row is touched.  The rows come out
-    sparse: the first len(pivots) in echelon form, then the rows that
-    are zero in the first ncols columns.
+    row of bucket c that came first in the input as pivot row r_k
+    (pivot p = r_k[c]) and replaces every other row r_i of the bucket,
+    f = r_i[c], by (p/g) r_i - (f/g) r_k, g = gcd(p, f), divided by its
+    content (`_combine`); the result moves to the bucket of its new
+    leading column, or is dropped if nothing is left.  No other row is
+    touched.  The pivot rows and the integers are those of a dense pass
+    over the rows in input order; only the zero entries are skipped.
+    The rows come out sparse: the first len(pivots) in echelon form,
+    then the rows that are zero in the first ncols columns.
     """
-    buckets: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
+    # bucket c maps the input index of each row to the row
+    buckets: dict[int, dict[int, dict[int, int]]] = {}
+    for i, row in enumerate(rows):
         row = {j: row[j] for j in compress(count(), row)}
         if row:
-            buckets.setdefault(min(row), []).append(row)
+            buckets.setdefault(min(row), {})[i] = row
     done, pivots = [], []
     for c in range(ncols):
         if c not in buckets:
             continue
-        prow, *others = buckets.pop(c)
+        bucket = buckets.pop(c)
+        prow = bucket.pop(min(bucket))
         p = prow[c]
-        for row in others:
+        for i, row in bucket.items():
             row = _combine(row, prow, p, c)
             if row:
-                buckets.setdefault(min(row), []).append(row)
+                buckets.setdefault(min(row), {})[i] = row
         done.append(prow)
         pivots.append(c)
-    return done + [row for bucket in buckets.values() for row in bucket], pivots
+    return done + [row for bucket in buckets.values() for row in bucket.values()], pivots
 
 
 def _echelon(rows, ncols: int):

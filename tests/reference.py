@@ -12,9 +12,12 @@ the Pfaffian of X J on o(q,q)), not the recurrence over B A.  And the
 Fraction-per-entry text reader and writer that `exact.matrix_from_text`
 and `exact.matrix_to_text` replaced with integer rows: every entry parsed
 by `rational_from_text` into its own Fraction, every entry of a matrix
-with a denominator written through `RatMatrix.row`.
+with a denominator written through `RatMatrix.row`.  And the forward
+pass of the integer elimination on dense rows, which `exact._forward`
+runs on sparse rows bucketed by leading column.
 """
 
+import math
 from fractions import Fraction
 from itertools import chain
 
@@ -134,3 +137,31 @@ def matrix_from_text(text: str) -> RatMatrix:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational entry in matrix text: {exc}") from exc
     return RatMatrix([vals[i * c : (i + 1) * c] for i in range(r)], cols=c)
+
+
+def dense_forward(rows, ncols: int):
+    """(rows, pivots): the forward pass on dense integer rows.  At column
+    c the first remaining row with a nonzero entry there is the pivot
+    row r_k, and every later row r_i is replaced by (p/g) r_i - (f/g) r_k
+    over its content, p = r_k[c], f = r_i[c], g = gcd(p, f)."""
+    done, pivots = [], []
+    rest = [r for r in rows if any(r)]
+    for c in range(ncols):
+        k = next((i for i, r in enumerate(rest) if r[c]), None)
+        if k is None:
+            continue
+        prow = rest.pop(k)
+        p = prow[c]
+        out = []
+        for r in rest:
+            if r[c]:
+                g = math.gcd(p, r[c])
+                r = [p // g * x - r[c] // g * y for x, y in zip(r, prow)]
+                g = math.gcd(*r)
+                r = [x // g for x in r] if g else []
+            if r:
+                out.append(r)
+        rest = out
+        done.append(prow)
+        pivots.append(c)
+    return done + rest, pivots

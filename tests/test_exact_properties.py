@@ -14,6 +14,7 @@ import reference
 from reference import hstack, vec, vstack
 from symslice.exact import (
     MAX_DIGITS,
+    _forward,
     RatMatrix,
     block_diag,
     charpoly,
@@ -267,6 +268,20 @@ def test_rank_and_kernel_match_sympy(m):
     expected = [[from_sympy(x) for x in v] for v in s.nullspace()]
     assert [[v[i, 0] for i in range(m.cols)] for v in kernel_basis(m)] == expected
 
+
+
+@SETTINGS
+@given(st.one_of(matrices(), sparse_matrices()))
+# entries above 2**64, where the choice of pivot rows sets their growth
+@example(RatMatrix([[0, 2**70 + 1, 3], [2**66, 5, 1], [2**65, 2**64 + 1, 7], [1, 0, 0]]))
+def test_forward_pass_is_the_dense_one(m):
+    # the same pivot rows and the same integers, only zeros skipped
+    rows, pivots = _forward(m._num, m.cols)
+    dense, dense_pivots = reference.dense_forward(m._num, m.cols)
+    assert pivots == dense_pivots and len(rows) == len(dense)
+    assert [[row.get(j, 0) for j in range(m.cols)] for row in rows[: len(pivots)]] == dense[
+        : len(pivots)
+    ]
 
 @st.composite
 def vector_systems(draw, kind=matrices):
