@@ -404,11 +404,11 @@ def _unique_solution(rows, n: int, cols: int) -> RatMatrix | None:
     if len(pivots) < n or len(rows) > n:
         return None
     den = math.lcm(*(row[r] for r, row in enumerate(rows)))
-    return RatMatrix._reduced(
-        [[row.get(j, 0) * (den // row[r]) for j in range(n, n + cols)] for r, row in enumerate(rows)],
-        den,
-        cols,
-    )
+    out = []
+    for r, row in enumerate(rows):
+        k = den // row[r]
+        out.append([row.get(j, 0) * k for j in range(n, n + cols)])
+    return RatMatrix._reduced(out, den, cols)
 
 
 def inverse(m: RatMatrix) -> RatMatrix:

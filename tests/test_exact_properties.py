@@ -279,9 +279,8 @@ def test_forward_pass_is_the_dense_one(m):
     rows, pivots = _forward(m._num, m.cols)
     dense, dense_pivots = reference.dense_forward(m._num, m.cols)
     assert pivots == dense_pivots and len(rows) == len(dense)
-    assert [[row.get(j, 0) for j in range(m.cols)] for row in rows[: len(pivots)]] == dense[
-        : len(pivots)
-    ]
+    echelon = [[row.get(j, 0) for j in range(m.cols)] for row in rows[: len(pivots)]]
+    assert echelon == dense[: len(pivots)]
 
 @st.composite
 def vector_systems(draw, kind=matrices):
