@@ -56,6 +56,7 @@ from .slice import (
     InvariantVector,
     KostantSlice,
     NotFound,
+    SliceDimensionError,
     _graded_solve_pairs,
     _invariants_of_rows,
     _point_rows,
@@ -97,7 +98,7 @@ def _case(family_value: str, p: int, q: int) -> Case:
     closed_form = tuple(closed_form_centralizer(pair))
     try:
         triple = complete_triple(pair, witness.e)
-        slc = make_slice(pair, triple)
+        slc = make_slice(pair, triple, witness.centralizer_basis)
         return Case(pair, witness, closed_form, triple=triple, slc=slc, triple_error=None)
     except NoTriple as exc:
         log.info("no sl2 completion for (%s, %d, %d): %s", family_value, p, q, exc)
@@ -153,8 +154,13 @@ def _random_coords(rng: random.Random, dim: int) -> tuple[list[int], int]:
 
 
 def _solves_back(slc: KostantSlice, pairs, num, den: int) -> bool:
-    """Whether the graded solve of the invariant pairs gives back num / den."""
-    got, gden = _graded_solve_pairs(slc, pairs)
+    """Whether the graded solve of the invariant pairs gives back num / den;
+    False on a slice whose invariants do not solve for its coordinates,
+    as on a wrong z(e) basis that the closed-form check refuses."""
+    try:
+        got, gden = _graded_solve_pairs(slc, pairs)
+    except SliceDimensionError:
+        return False
     return all(a * gden == b * den for a, b in zip(num, got))
 
 

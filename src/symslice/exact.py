@@ -13,7 +13,13 @@ row is sparse, {column: nonzero int}, and rows are bucketed by leading
 column, so a step touches only the rows that have its pivot column.
 Characteristic polynomial coefficients and the adjugate matrices that
 differentiate them come from one integer Faddeev-LeVerrier recurrence,
-one step at a time so that callers stop early.  The integer rows are a
+one step at a time so that callers stop early; `charpoly` and the
+Jacobian of the slice invariants read it, and so does any evaluation
+of the invariants at a dense matrix.  At an upper Hessenberg matrix,
+such as B A at a slice point, the coefficients come off the
+division-free Hessenberg recurrence instead (`hessenberg_charpoly`),
+O(r^3) instead of O(r^4), which the slice uses whenever the zero pattern
+holds.  The integer rows are a
 matrix's only representation: entries leave as `fractions.Fraction`,
 made per call, only at the API edge (`RatMatrix.row`, `m[i, j]`,
 `solve`, `charpoly`, `pfaffian`); the rest of the library reads
@@ -475,6 +481,40 @@ def faddeev_leverrier(a):
         if rem:
             raise AssertionError("Faddeev-LeVerrier division not exact")
         yield c, mk
+
+
+def hessenberg_charpoly(h, last: int):
+    """[c_(r-1), ..., c_(r-last)] of det(tI - h) for square integer rows h,
+    r x r, by the division-free recurrence for upper Hessenberg matrices
+    (Cohen 1993, 2.2.4); None unless h is upper Hessenberg, checked first.
+
+    With p_k the characteristic polynomial of the leading k x k block,
+    p_k = (t - h_kk) p_(k-1) - sum_(i<k) h_ik (prod_(j=i+1..k) h_(j,j-1))
+    p_(i-1), 1-based; a zero subdiagonal entry ends the sum.  Each p_k
+    is kept to its top last + 1 coefficients, all the top ones of p_r
+    need, so the cost is O(r^2 last) integer operations."""
+    r = len(h)
+    if any(any(h[i][: i - 1]) for i in range(2, r)):
+        return None
+    polys = [[1]]  # p_k, highest coefficient first, truncated
+    for k in range(r):
+        prev = polys[k]
+        hkk = h[k][k]
+        pk = [*prev, 0]
+        if hkk:
+            pk[1:] = [x - hkk * y for x, y in zip(pk[1:], prev)]
+        prod = 1
+        # p_i, of degree i, enters p_(k+1) at its coefficient s = k + 1 - i
+        for i in range(k - 1, max(k + 1 - last, 0) - 1, -1):
+            prod *= h[i + 1][i]
+            if not prod:
+                break
+            g = h[i][k] * prod
+            if g:
+                for j, c in enumerate(polys[i][: last + i - k], start=k + 1 - i):
+                    pk[j] -= g * c
+        polys.append(pk[: last + 1])
+    return polys[r][1:]
 
 
 def charpoly(m: RatMatrix) -> tuple[Fraction, ...]:

@@ -12,8 +12,10 @@ Rational group elements are generated exactly, each with its inverse
 and no elimination for it: products of elementary matrices for GL, with
 the inverse operations applied as column operations, and Cayley
 transforms of form-skew block-diagonal elements otherwise, whose inverse
-is the form adjoint.  Every element is checked by one exact product
-g g^{-1} = I, which for o and sp is also the form condition.
+is the form adjoint.  Every element is checked by exact products: a GL
+draw by g1 g1^{-1} = I_p and g2 g2^{-1} = I_q on the integer rows of its
+blocks, any other element by one product g g^{-1} = I, which for o and
+sp is also the form condition.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .exact import (
     _matmul,
     _unique_solution,
     block_antidiag,
-    block_diag,
     integer_rows,
     inverse,
 )
@@ -164,9 +165,9 @@ def cayley(pair: SymmetricPair, s: RatMatrix) -> RatMatrix:
     return out
 
 
-def _unimodular(rng: random.Random, n: int, height: int) -> tuple[RatMatrix, RatMatrix]:
-    """Product of elementary row operations and its inverse: determinant
-    is +-1 exactly.
+def _unimodular(rng: random.Random, n: int, height: int) -> tuple[list, list]:
+    """Product of elementary row operations and its inverse, as integer
+    rows: determinant is +-1 exactly.
 
     The inverse takes the inverse of each row operation as a column
     operation on the right, so it needs no elimination.  The operation
@@ -193,7 +194,7 @@ def _unimodular(rng: random.Random, n: int, height: int) -> tuple[RatMatrix, Rat
             m[i] = [-a for a in m[i]]
             for row in m_inv:
                 row[i] = -row[i]
-    return RatMatrix.from_ints(m, cols=n), RatMatrix.from_ints(m_inv, cols=n)
+    return m, m_inv
 
 
 def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> GroupElement:
@@ -213,23 +214,28 @@ def random_group_element(pair: SymmetricPair, seed: int, height: int = 5) -> Gro
         raise ValueError("height must be at least 2")
     rng = random.Random(seed)
     if pair.family is Family.GL:
-        g1, g1_inv = _unimodular(rng, pair.p, height)
-        g2, g2_inv = _unimodular(rng, pair.q, height)
-        ge = GroupElement(g=block_diag(g1, g2), g_inv=block_diag(g1_inv, g2_inv))
-    else:
-        support = pair.plus_support
-        for _ in range(_MAX_RETRIES):
-            coeffs = [rng.randint(-height, height) for _ in support]
-            s = combine(pair.n, support, coeffs)
-            try:
-                g = cayley(pair, s)
-            except ValueError:
-                continue
-            ge = GroupElement(g=g, g_inv=adjoint(pair, g))
-            break
-        else:
-            raise RetryExhausted(
-                f"no invertible I + S found in {_MAX_RETRIES} draws"
-            )
-    _check_group_element(pair, ge)
-    return ge
+        p, q = pair.p, pair.q
+        g1, g1_inv = _unimodular(rng, p, height)
+        g2, g2_inv = _unimodular(rng, q, height)
+        # block diagonal by construction: only the blocks' products are checked
+        for m, m_inv, k in ((g1, g1_inv, p), (g2, g2_inv, q)):
+            if _matmul(m, m_inv, k) != [[int(i == j) for j in range(k)] for i in range(k)]:
+                raise ValueError("group element fails g g_inv = I")
+        zp, zq = [0] * p, [0] * q
+        g, g_inv = (
+            RatMatrix.from_ints([r + zq for r in a] + [zp + r for r in b], cols=pair.n)
+            for a, b in ((g1, g2), (g1_inv, g2_inv))
+        )
+        return GroupElement(g=g, g_inv=g_inv)
+    support = pair.plus_support
+    for _ in range(_MAX_RETRIES):
+        coeffs = [rng.randint(-height, height) for _ in support]
+        s = combine(pair.n, support, coeffs)
+        try:
+            g = cayley(pair, s)
+        except ValueError:
+            continue
+        ge = GroupElement(g=g, g_inv=adjoint(pair, g))
+        _check_group_element(pair, ge)
+        return ge
+    raise RetryExhausted(f"no invertible I + S found in {_MAX_RETRIES} draws")

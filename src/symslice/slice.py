@@ -5,16 +5,20 @@ point, so conjugation invariants restricted to it separate orbits.  The
 invariants used are the full characteristic polynomial coefficients:
 redundant but conjugation-invariant and exact.  An element of g(-1) is
 X = ((0, A), (B, 0)) with A of size p x q, and det(tI - X) =
-t^(p - q) det(t^2 I - B A): an invariant of degree k is step k / 2 of
-the Faddeev-LeVerrier recurrence over the q x q product B A.
+t^(p - q) det(t^2 I - B A): an invariant of degree k is the coefficient
+c_(q - k / 2) of the q x q product B A.  At slice points B A is upper
+Hessenberg (gl, o), or splits into even- and odd-indexed Hessenberg
+blocks (sp), and its coefficients come off the division-free Hessenberg
+recurrence, O(q^3); any other B A, as from dense input or a conjugated
+point, takes the Faddeev-LeVerrier recurrence, O(q^4) (`_leading`).
 For the orthogonal p = q family the characteristic polynomial only sees
 the square of the degree-q product invariant and its fibers on the
 slice are +- pairs, so exactly there one extra coordinate is appended:
 the Pfaffian of X J, invariant under every Cayley-generated (determinant
 one) group element.  X J is block anti-diagonal, so Pf(X J) =
 (-1)^q det A = c_0 of A.  The Jacobian rank check below measures
-separation, with exact derivatives from the same recurrence over B A
-(see `_jacobian`).
+separation, with exact derivatives from the Faddeev-LeVerrier
+recurrence over B A, whose steps are the gradients (see `_jacobian`).
 
 Inversion is exact and direct (Kostant-Rallis).  The slice directions
 have an eigenbasis G_j of ad h, [h, G_j] = w_j G_j with every w_j >= 0
@@ -30,15 +34,15 @@ linear in the weight-w coordinates, free of the heavier ones, and
 otherwise a polynomial in the lighter ones.  With the class and every
 heavier one set to 0 it is that polynomial, so `_graded_solve_pairs`
 finds the coordinates class by class, lightest first, from one small
-linear solve and the class's own invariants at that partial point, for
-which the recurrence runs to the class's own step only.  A final exact
+linear solve and the class's own invariants at that partial point, of
+which only the class's own top coefficients are read.  A final exact
 evaluation of every invariant decides the answer: a mismatch means no
 slice point has the target invariants.  Before any slice work, a target
 off the image of the slice in the quotient's coordinates is refused by
 naming the relation it breaks.
 
 All of this runs on integers.  A slice point is built as integer rows
-over one denominator, each invariant comes off the recurrence as an
+over one denominator, each invariant comes off a recurrence as an
 integer pair (c, d) for c / d, and the final check cross-multiplies.
 Fractions are made only for what leaves the module: the coordinates
 that `invert_on_slice` returns and the values of `invariants` and
@@ -57,6 +61,7 @@ from .exact import (
     RatMatrix,
     _matmul,
     faddeev_leverrier,
+    hessenberg_charpoly,
     integer_rows,
     inverse,
     rank as matrix_rank,
@@ -141,13 +146,16 @@ def invariant_length(pair: SymmetricPair) -> int:
     return pair.n + int(pair.family is Family.ORTH and pair.p == pair.q)
 
 
-def make_slice(pair: SymmetricPair, triple: Sl2Triple) -> KostantSlice:
-    basis = centralizer(pair, triple.e)
+def make_slice(pair: SymmetricPair, triple: Sl2Triple, basis=None) -> KostantSlice:
+    """The slice f + z(e) over the canonical kernel basis of ad e on
+    g(-1): `centralizer(pair, triple.e)`, or the basis passed, which must
+    be that one, such as the `centralizer_basis` of the witness of e."""
+    basis = tuple(centralizer(pair, triple.e) if basis is None else basis)
     if len(basis) != pair.rank_theta:
         raise SliceDimensionError(
             f"centralizer dimension {len(basis)} != rank theta {pair.rank_theta}"
         )
-    return KostantSlice(pair=pair, triple=triple, slice_basis=tuple(basis))
+    return KostantSlice(pair=pair, triple=triple, slice_basis=basis)
 
 
 def slice_point(slc: KostantSlice, coords) -> RatMatrix:
@@ -187,9 +195,9 @@ def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
     their order, read off the integer rows as pairs (c, d), the value
     c / d not reduced.
 
-    c_m, m < n, is 0 when n - m is odd or above 2q, else step (n - m) / 2
-    of the recurrence over B A = (B' A') / den^2, B' and A' the blocks of
-    num, which runs only to the step of the least index named.  Index n,
+    c_m, m < n, is 0 when n - m is odd or above 2q, else c_(q - k), k =
+    (n - m) / 2, of B A = (B' A') / den^2, B' and A' the blocks of num,
+    read off `_leading` only down to the least index named.  Index n,
     Pf(X J) = (-1)^q det A, is c_0 of the upper-right block A.
     """
     p, q, n = pair.p, pair.q, pair.n
@@ -205,9 +213,38 @@ def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
 
 
 def _leading(a, den: int, last: int) -> list:
-    """Steps 1 to `last` of the recurrence over the square integer rows a:
-    c_(r - k) of a / den, r x r, is the pair (c_(r - k) of a, den^k)."""
-    return [(c, den**k) for k, (c, _) in zip(range(1, last + 1), faddeev_leverrier(a))]
+    """c_(r - 1), ..., c_(r - last) of a / den for the square integer rows
+    a, r x r: c_(r - k) is the pair (c_(r - k) of a, den^k).
+
+    The coefficients of a come off `exact.hessenberg_charpoly` when a is
+    upper Hessenberg, as B A is at slice points on gl and o, or else off
+    `_split_charpoly`, as on sp; any other a, such as dense input, takes
+    `exact.faddeev_leverrier`.
+    """
+    top = hessenberg_charpoly(a, last)
+    if top is None:
+        top = _split_charpoly(a, last)
+    if top is None:
+        top = [c for _, (c, _) in zip(range(last), faddeev_leverrier(a))]
+    return [(c, den**k) for k, c in enumerate(top, start=1)]
+
+
+def _split_charpoly(a, last: int):
+    """c_(r - 1), ..., c_(r - last) of the square integer rows a when no
+    entry links an even index with an odd one and the even- and
+    odd-indexed blocks are upper Hessenberg: the product of the blocks'
+    polynomials, exact for any such split.  None otherwise."""
+    if any(any(row[(i + 1) % 2 :: 2]) for i, row in enumerate(a)):
+        return None
+    tops = [hessenberg_charpoly([row[s::2] for row in a[s::2]], last) for s in (0, 1)]
+    if None in tops:
+        return None
+    # highest coefficient first
+    u, v = ([1, *cs] for cs in tops)
+    return [
+        sum(x * v[j - i] for i, x in enumerate(u[: j + 1]) if j - i < len(v))
+        for j in range(1, min(last, len(u) + len(v) - 2) + 1)
+    ]
 
 
 @unlimited_int_text()
@@ -289,7 +326,7 @@ def _graded_solve_pairs(slc: KostantSlice, target) -> tuple[list[int], int]:
     With the class and every heavier one at 0, an invariant of the class
     is its polynomial in the lighter coordinates, so the class's linear
     block is solved against the target minus the class's own invariants
-    at that partial point, read to the class's own step of the recurrence,
+    at that partial point, read down to the class's own coefficient,
     and the block's step adds the solution to the slice coordinates.
     Every slice point with the target invariants has these coordinates;
     when no slice point has them, the candidate has other invariants.
@@ -376,8 +413,8 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
     invariant and one column per slice coordinate, exactly.
 
     c_(n - 2k) is c_(q - k) of B A, with derivative -tr(M_k d(B A)) =
-    -tr(A M_k dB) - tr(M_k B dA), M_k step k of the recurrence over B A
-    that gives the values: over the integer rows A' / d and B' / d of
+    -tr(A M_k dB) - tr(M_k B dA), M_k step k of the Faddeev-LeVerrier
+    recurrence over B A: over the integer rows A' / d and B' / d of
     the point, A M_k and M_k B are A' M'_k and M'_k B' over d^(2k - 1),
     M'_k step k over B' A'.  The Pfaffian, c_0 of A, has derivative
     -tr(M_q dA), M_q = M'_q / d^(q - 1) the last step over A'.  Each row
@@ -408,8 +445,8 @@ def _jacobian(slc: KostantSlice, coords) -> RatMatrix:
 def jacobian_rank_at(slc: KostantSlice, coords) -> int:
     """Exact rank of the Jacobian of the invariant map at the given point.
 
-    The rows are the derivatives of `_jacobian`, read off the recurrence
-    over B A that gives the values, and the graded blocks are read off
+    The rows are the derivatives of `_jacobian`, read off the
+    Faddeev-LeVerrier recurrence over B A, and the graded blocks are read off
     the same Jacobian at f.  The independent check is the sampled
     characteristic polynomial test (`test_jacobian_matches_line_sampling`
     in tests/test_slice.py): it differentiates the full n x n

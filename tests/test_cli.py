@@ -292,6 +292,19 @@ def test_certificate_fails_when_the_centralizer_has_the_wrong_span(monkeypatch):
         assert checks["centralizer_dim_eq_rank"], case
 
 
+def test_a_case_computes_z_e_once(monkeypatch):
+    # the slice takes the witness's centralizer basis, not a second kernel
+    from symslice import slice as slicing
+
+    def second_kernel(pair, x):
+        raise AssertionError("z(e) computed a second time")
+
+    monkeypatch.setattr(slicing, "centralizer", second_kernel)
+    for case in [("gl", 3, 2), ("o", 4, 4), ("sp", 4, 2)]:
+        built = cli._case.__wrapped__(*case)
+        assert built.slc.slice_basis == built.witness.centralizer_basis
+
+
 def test_report_case_enumeration():
     assert len(report_cases(4, 0, 0)) == 10
     assert report_cases(0, 3, 0) == [("o", 1, 1), ("o", 2, 1)]

@@ -19,6 +19,7 @@ from symslice.exact import (
     block_diag,
     charpoly,
     faddeev_leverrier,
+    hessenberg_charpoly,
     integer_rows,
     inverse,
     kernel_basis,
@@ -30,6 +31,7 @@ from symslice.exact import (
     solve_unique,
     spans_equal,
 )
+from symslice.slice import _leading, _split_charpoly
 
 # derandomized, so every tier-1 run draws the same examples
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -191,6 +193,62 @@ def test_faddeev_leverrier_steps_are_the_leading_coefficients(rows):
         assert [c for c, _ in steps] == [cs[n - j] for j in range(1, k + 1)]
         assert [RatMatrix(mk) for _, mk in steps] == adj[:k]
     assert len(list(faddeev_leverrier(rows))) == n
+    assert rows == copy
+
+
+@st.composite
+def shaped_rows(draw):
+    """(kind, rows): square integer rows up to 8 x 8, upper Hessenberg
+    with some zero subdiagonal entries, dense, or split into even- and
+    odd-indexed Hessenberg blocks with nothing between them, as on sp."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["hessenberg", "dense", "split"]))
+    keep = {
+        "hessenberg": lambda i, j: i <= j + 1,
+        "dense": lambda i, j: True,
+        "split": lambda i, j: (i + j) % 2 == 0 and i <= j + 2,
+    }[kind]
+    value = st.integers(-30, 30)
+    rows = [[draw(value) if keep(i, j) else 0 for j in range(n)] for i in range(n)]
+    if kind == "hessenberg" and n > 1:
+        # a zero subdiagonal entry cuts the recurrence's products short
+        for i in draw(st.sets(st.integers(1, n - 1))):
+            rows[i][i - 1] = 0
+    return kind, rows
+
+
+@settings(SETTINGS, max_examples=150)
+@given(shaped_rows(), st.integers(1, 12))
+@example(("hessenberg", [[1, 2, 3], [0, 4, 5], [0, 6, 7]]), 1)
+@example(("hessenberg", [[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 9, 1], [0, 0, 2, 3]]), 2)
+@example(("hessenberg", [[0, 0], [0, 0]]), 1)
+@example(("dense", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 5)
+@example(("dense", [[0, 0, 0], [0, 0, 0], [1, 0, 0]]), 1)
+@example(("split", [[2, 0, 1, 0], [0, 3, 0, 1], [4, 0, 5, 0], [0, 6, 0, 7]]), 3)
+@example(("split", [[7]]), 2)
+def test_slice_evaluator_matches_sympy(shaped, den):
+    # the Hessenberg recurrence on one block or on the two sp blocks, or
+    # the Faddeev-LeVerrier fallback, gives sympy's charpoly of rows / den,
+    # and to any depth the first steps of Faddeev-LeVerrier
+    kind, rows = shaped
+    n, copy = len(rows), [row[:] for row in rows]
+    if kind == "split":
+        assert _split_charpoly(rows, n) is not None
+    elif kind == "hessenberg":
+        assert hessenberg_charpoly(rows, n) is not None
+    elif any(rows[i][j] for i in range(n) for j in range(i - 1)):
+        assert hessenberg_charpoly(rows, n) is None
+    t = sympy.Symbol("t")
+    want = sympy.Matrix(rows).charpoly(t).all_coeffs()[1:]
+    steps = [c for c, _ in faddeev_leverrier(rows)]
+    for last in range(n + 1):
+        got = _leading(rows, den, last)
+        assert [Fraction(c, d) for c, d in got] == [
+            from_sympy(w) / den**k for k, w in enumerate(want[:last], start=1)
+        ]
+        assert [c for c, _ in _leading(rows, 1, last)] == steps[:last]
+        if kind == "split":
+            assert _split_charpoly(rows, last) == steps[:last]
     assert rows == copy
 
 

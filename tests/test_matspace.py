@@ -8,6 +8,7 @@ import sympy
 from reference import shift_power
 from symslice.exact import RatMatrix, block_diag, inverse, rank
 from symslice.cli import report_cases
+from symslice import matspace
 from symslice.matspace import (
     GroupElement,
     _check_group_element,
@@ -173,6 +174,22 @@ def test_random_group_elements_satisfy_group_conditions():
             assert sig * g.g == g.g * sig
             if pair.form is not None:
                 assert pair.form * g.g_inv.transpose() * inverse(pair.form) == g.g
+
+
+@pytest.mark.parametrize("broken", [3, 2], ids=["g1", "g2"])
+def test_a_gl_draw_checks_each_block(monkeypatch, broken):
+    # the GL draw checks g1 g1^-1 = I_p and g2 g2^-1 = I_q on integer rows
+    real = matspace._unimodular
+
+    def wrong_inverse(rng, n, height):
+        m, m_inv = real(rng, n, height)
+        if n == broken:
+            m_inv[0][0] += 1
+        return m, m_inv
+
+    monkeypatch.setattr(matspace, "_unimodular", wrong_inverse)
+    with pytest.raises(ValueError, match="g g_inv = I"):
+        random_group_element(make_pair(Family.GL, 3, 2), seed=1)
 
 
 def test_random_group_element_is_deterministic():

@@ -13,7 +13,10 @@ from symslice.cli import build_case, report_cases
 from symslice.exact import (
     MAX_DIGITS,
     RatMatrix,
+    _matmul,
     charpoly,
+    faddeev_leverrier,
+    hessenberg_charpoly,
     integer_rows,
     inverse,
     kernel_basis,
@@ -22,7 +25,7 @@ from symslice.exact import (
     solve,
 )
 from symslice.matspace import act, random_group_element
-from symslice.nilpotent import regular_nilpotent
+from symslice.nilpotent import make_witness, regular_nilpotent
 from symslice.pairs import Family, MembershipError, bracket, make_pair
 from symslice.sl2 import complete_triple
 from symslice.slice import (
@@ -35,6 +38,8 @@ from symslice.slice import (
     _invariant_degree,
     _invariants_of_rows,
     _jacobian,
+    _leading,
+    _split_charpoly,
     invariant_length,
     invariant_values,
     invariants,
@@ -555,6 +560,49 @@ def test_dependent_slice_directions_are_refused():
     bent = KostantSlice(pair, slc.triple, (e, e3, e3, e3 * e * e))
     with pytest.raises(SliceDimensionError):
         bent._blocks
+
+
+# every grid case with a triple, and the square cases at 12
+FAST_PATH_CASES = [c for c in report_cases(8, 16, 8) if c != ("o", 1, 1)] + [
+    ("gl", 12, 12),
+    ("o", 12, 12),
+    ("sp", 12, 12),
+]
+
+
+@pytest.mark.parametrize("case", FAST_PATH_CASES, ids=lambda c: f"{c[0]}{c[1]}_{c[2]}")
+def test_slice_points_take_the_hessenberg_recurrence(case):
+    # B A at a slice point is one Hessenberg block on gl and o and two on
+    # sp, and A is Hessenberg on o(q,q): a basis order that sent these to
+    # the Faddeev-LeVerrier fallback would otherwise show only as time
+    slc = build_case(*case).slc
+    pair = slc.pair
+    p, q = pair.p, pair.q
+    rng = random.Random(f"{case}")
+    for _ in range(3):
+        coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(slc.dim)]
+        num, _ = integer_rows(slice_point(slc, coords))
+        a = [row[p:] for row in num[:p]]
+        ba = _matmul([row[:p] for row in num[p:]], a, q)
+        if pair.family is Family.SP:
+            assert _split_charpoly(ba, q) is not None
+        else:
+            assert hessenberg_charpoly(ba, q) is not None
+        assert [c for c, _ in _leading(ba, 1, q)] == [c for c, _ in faddeev_leverrier(ba)]
+        if invariant_length(pair) > pair.n:
+            assert hessenberg_charpoly(a, q) is not None
+
+
+def test_make_slice_takes_the_witness_basis():
+    for case in [("gl", 3, 2), ("o", 3, 3), ("sp", 4, 2)]:
+        pair = make_pair(*case)
+        witness = make_witness(pair)
+        triple = complete_triple(pair, witness.e)
+        slc = make_slice(pair, triple, witness.centralizer_basis)
+        assert slc == make_slice(pair, triple)
+        short = witness.centralizer_basis[:-1]
+        with pytest.raises(SliceDimensionError, match=f"dimension {len(short)} != rank theta"):
+            make_slice(pair, triple, short)
 
 
 def test_slice_dimension_is_the_number_of_directions():
