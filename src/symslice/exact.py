@@ -504,7 +504,8 @@ def hessenberg_charpoly(h, last: int):
         if hkk:
             pk[1:] = [x - hkk * y for x, y in zip(pk[1:], prev)]
         prod = 1
-        # p_i, of degree i, enters p_(k+1) at its coefficient s = k + 1 - i
+        # p_i, of degree i, enters p_(k+1) k + 1 - i places below the top,
+        # so only i >= k + 1 - last reaches the kept coefficients
         for i in range(k - 1, max(k + 1 - last, 0) - 1, -1):
             prod *= h[i + 1][i]
             if not prod:
