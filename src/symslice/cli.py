@@ -60,6 +60,7 @@ from .slice import (
     _graded_solve_pairs,
     _invariants_of_rows,
     _point_rows,
+    _slice_invariants,
     invariant_length,
     invariant_values,
     invariants_from_json,
@@ -179,7 +180,8 @@ def _check_invariant_conjugation(
         y = act(pair, g, x)
         if not in_eigenspace(pair, y, -1):
             return False
-        inv_x = _invariants_of_rows(pair, *integer_rows(x), indices)
+        # x's off the slice's kernel, y's off the generic rows path
+        inv_x = _slice_invariants(slc, num, den, indices)
         inv_y = _invariants_of_rows(pair, *integer_rows(y), indices)
         # pairs c / d cross-multiplied; equal coordinates decide the inversion
         same = all(c * e == b * d for (c, d), (b, e) in zip(inv_x, inv_y))
@@ -204,7 +206,7 @@ def _roundtrip(slc: KostantSlice | None, trials: int, rng: random.Random) -> int
     for _ in range(trials):
         num, den = _random_coords(rng, slc.dim)
         # a slice point lies in g(-1) by construction: no membership check
-        target = _invariants_of_rows(slc.pair, *_point_rows(slc, num, den), indices)
+        target = _slice_invariants(slc, num, den, indices)
         passes += _solves_back(slc, target, num, den)
     return passes
 

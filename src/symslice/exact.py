@@ -294,12 +294,18 @@ def _forward(rows, ncols: int):
 
 def _echelon(rows, ncols: int):
     """(rows, pivots): Gauss-Jordan elimination, the forward pass
-    (`_forward`) and then back-substitution, which clears each pivot
-    column, last first, by the same step in just the rows above that
-    have it.  The first len(pivots) rows come out as sparse nonzero
-    multiples of the rows of the reduced echelon form, so canonical
-    outputs are read off them exactly (an absent column is zero)."""
+    (`_forward`) and then `_back_substitute`.  The first len(pivots)
+    rows come out as sparse nonzero multiples of the rows of the reduced
+    echelon form, so canonical outputs are read off them exactly (an
+    absent column is zero)."""
     rows, pivots = _forward(rows, ncols)
+    _back_substitute(rows, pivots)
+    return rows, pivots
+
+
+def _back_substitute(rows, pivots) -> None:
+    """Clear each pivot column of the forward pass's rows, last first, in
+    place, by the step of `_forward` in just the rows above that have it."""
     # clearing column c against a reduced pivot row adds no pivot column,
     # so the rows that have c are known from the forward pass
     having = {c: [] for c in pivots}
@@ -313,7 +319,6 @@ def _echelon(rows, ncols: int):
         for i in having[c]:
             if i < k:
                 rows[i] = _combine(rows[i], prow, p, c)
-    return rows, pivots
 
 
 def _combine(row, prow, p: int, c: int) -> dict[int, int]:
@@ -393,9 +398,10 @@ def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     unless it is unique: a of full column rank, every column consistent.
 
     With a = A / da and b = B / db, the rows of [db A | da B] are
-    eliminated in the first n = a.cols columns (`_echelon`).  X is unique
-    exactly when every one of those columns gets a pivot and no other
-    row is left; row r is then a multiple (pivot p_r) of [e_r | X_r].
+    eliminated in the first n = a.cols columns.  X is unique exactly
+    when the forward pass (`_forward`) gives every one of those columns a
+    pivot and leaves no other row; after `_back_substitute`, row r is
+    then a multiple (pivot p_r) of [e_r | X_r].
     """
     if a.rows != b.rows:
         raise ValueError(f"solve_unique: {a.rows} rows but {b.rows} right-hand rows")
@@ -405,10 +411,13 @@ def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
 
 def _unique_solution(rows, n: int, cols: int) -> RatMatrix | None:
     """X with A X = B from the integer rows of [A | B], A with n columns
-    and B with cols, or None unless X is unique (see `solve_unique`)."""
-    rows, pivots = _echelon(rows, n)
+    and B with cols, or None unless X is unique (see `solve_unique`).
+    The forward pass decides that, so a singular or inconsistent system
+    is refused before the back-substitution."""
+    rows, pivots = _forward(rows, n)
     if len(pivots) < n or len(rows) > n:
         return None
+    _back_substitute(rows, pivots)
     den = math.lcm(*(row[r] for r, row in enumerate(rows)))
     out = []
     for r, row in enumerate(rows):
@@ -481,6 +490,32 @@ def faddeev_leverrier(a):
         if rem:
             raise AssertionError("Faddeev-LeVerrier division not exact")
         yield c, mk
+
+
+def bareiss_det(a) -> int:
+    """det of the square integer rows a by fraction-free elimination
+    (Bareiss 1968), O(r^3): step k replaces each entry below and right
+    of the pivot by (p m_ij - m_ik m_kj) / p_prev, an exact division,
+    and a zero pivot is swapped with the first row below that has a
+    nonzero entry in its column, flipping the sign.  The rows are not
+    mutated."""
+    m = [row[:] for row in a]
+    r, sign, prev = len(m), 1, 1
+    for k in range(r - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, r) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        mk = m[k]
+        p = mk[k]
+        for mi in m[k + 1 :]:
+            f = mi[k]
+            for j in range(k + 1, r):
+                mi[j] = (p * mi[j] - f * mk[j]) // prev
+        prev = p
+    return sign * m[-1][-1] if r else 1
 
 
 def hessenberg_charpoly(h, last: int):

@@ -52,6 +52,7 @@ that `invert_on_slice` returns and the values of `invariants` and
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,7 @@ from functools import cached_property
 from .exact import (
     RatMatrix,
     _matmul,
+    bareiss_det,
     faddeev_leverrier,
     hessenberg_charpoly,
     integer_rows,
@@ -71,6 +73,8 @@ from .exact import (
 from .nilpotent import centralizer
 from .pairs import Family, MembershipError, SymmetricPair, bracket, combine_rows, in_eigenspace
 from .sl2 import Sl2Triple
+
+log = logging.getLogger(__name__)
 
 _ZERO = Fraction(0)
 
@@ -126,6 +130,20 @@ class KostantSlice:
             for num, d in mats
         )
 
+    @cached_property
+    def _kernel(self) -> tuple:
+        """(l, products, uppers): the terms of `_support` as the bilinear
+        form of B' A' in w = (den, num_1, ..., num_d), for the point over
+        den l (`_slice_invariants`).  With A_t the upper-right p x q and
+        B_t the lower-left q x p block of term t, B' A' is the sum over
+        t <= s of w_t w_s M_ts, M_ts = B_t A_s + B_s A_t (B_t A_t when
+        t = s); products holds (t, s, entries) for each nonzero M_ts,
+        entries its (i, j, v) nonzero integer entries, and uppers[t]
+        the (i, j, v) of A_t, for the o(q,q) Pfaffian.  Built on the
+        first evaluation, so a slice that is never evaluated never pays
+        for it."""
+        return _build_kernel(self)
+
 
 @dataclass(frozen=True)
 class InvariantVector:
@@ -169,9 +187,71 @@ def slice_point(slc: KostantSlice, coords) -> RatMatrix:
 
 def _point_rows(slc: KostantSlice, num, den: int) -> tuple:
     """(rows, d) with rows / d = f + sum_k (num[k] / den) b_k, not reduced:
-    the terms of `_support` combined with (den, *num) over den l."""
+    the terms of `_support` combined with (den, *num) over den l.  Only
+    what needs the n x n point builds it; the invariants of a slice point
+    come off `_slice_invariants`."""
     lcm, terms = slc._support
     return combine_rows(slc.pair.n, terms, [den, *num])[0], den * lcm
+
+
+def _build_kernel(slc: KostantSlice) -> tuple:
+    """`KostantSlice._kernel`; a support term in a diagonal block raises
+    AssertionError, since f and every slice direction lie in g(-1)."""
+    pair = slc.pair
+    p, q = pair.p, pair.q
+    lcm, terms = slc._support
+    uppers, lowers = [], []
+    for t in terms:
+        upper, lower = [], []
+        for i, j, v in t:
+            if i < p <= j:
+                upper.append((i, j - p, v))
+            elif j < p <= i:
+                lower.append((i - p, j, v))
+            else:
+                raise AssertionError(f"slice support entry ({i}, {j}) outside g(-1)")
+        uppers.append(tuple(upper))
+        lowers.append(lower)
+    # the rows of each A_t, for the products B_t A_s
+    by_row = []
+    for upper in uppers:
+        rows = {}
+        for k, j, v in upper:
+            rows.setdefault(k, []).append((j, v))
+        by_row.append(rows)
+    products = []
+    for t in range(len(terms)):
+        for s in range(t, len(terms)):
+            m = {}
+            # B_t A_s, plus B_s A_t unless s = t
+            for b, a in {(t, s), (s, t)}:
+                rows = by_row[a]
+                for i, k, v in lowers[b]:
+                    for j, u in rows.get(k, ()):
+                        m[i, j] = m.get((i, j), 0) + v * u
+            entries = tuple((i, j, v) for (i, j), v in sorted(m.items()) if v)
+            if entries:
+                products.append((t, s, entries))
+    pattern = [[0] * q for _ in range(q)]
+    for _, _, entries in products:
+        for i, j, _ in entries:
+            pattern[i][j] = 1
+    if hessenberg_charpoly(pattern, 0) is not None:
+        recurrence = "Hessenberg"
+    elif _split_charpoly(pattern, 0) is not None:
+        recurrence = "even/odd split Hessenberg"
+    else:
+        recurrence = "Faddeev-LeVerrier"
+    log.debug(
+        "slice kernel for (%s, %d, %d): %d monomials, %d terms, B A by the %s recurrence",
+        pair.family.value,
+        p,
+        q,
+        len(products),
+        len(terms),
+        recurrence,
+    )
+    return lcm, tuple(products), tuple(uppers)
 
 
 def invariants(pair: SymmetricPair, x: RatMatrix) -> InvariantVector:
@@ -193,22 +273,67 @@ def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
 def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
     """The invariants of x = num / den in g(-1) at the given indices, in
     their order, read off the integer rows as pairs (c, d), the value
-    c / d not reduced.
+    c / d not reduced: B' A' and A' from the blocks of num, then
+    `_read_invariants`.  A slice point takes `_slice_invariants`."""
+    p, q = pair.p, pair.q
+    a = [row[p:] for row in num[:p]]
+    ba = _matmul([row[:p] for row in num[p:]], a, q) if _depth(pair, indices) else None
+    return _read_invariants(pair, ba, a, den, indices)
+
+
+def _slice_invariants(slc: KostantSlice, num, den: int, indices) -> tuple:
+    """The pairs `_invariants_of_rows` gives at the slice point with
+    coordinates num / den, without the n x n point: B' A' is summed from
+    the slice's `_kernel` in w = (den, *num), and A' from its upper
+    blocks only when index n is named."""
+    pair = slc.pair
+    p, q = pair.p, pair.q
+    lcm, products, uppers = slc._kernel
+    w = [den, *num]
+    ba = a = None
+    if _depth(pair, indices):
+        ba = [[0] * q for _ in range(q)]
+        for t, s, entries in products:
+            c = w[t] * w[s]
+            if c:
+                for i, j, v in entries:
+                    ba[i][j] += c * v
+    if pair.n in indices:
+        a = [[0] * q for _ in range(p)]
+        for c, entries in zip(w, uppers):
+            if c:
+                for i, j, v in entries:
+                    a[i][j] += c * v
+    return _read_invariants(pair, ba, a, den * lcm, indices)
+
+
+def _depth(pair: SymmetricPair, indices) -> int:
+    """How many top coefficients of B A the indices read: index m < n
+    reads down to c_(q - k), k = (n - m) / 2."""
+    return min(pair.q, (pair.n - min(indices, default=pair.n)) // 2)
+
+
+def _read_invariants(pair: SymmetricPair, ba, a, den: int, indices) -> tuple:
+    """The invariants at the given indices, in their order, as pairs
+    (c, d), the value c / d not reduced, of x in g(-1) whose blocks give
+    B A = ba / den^2 and A = a / den for the integer rows ba and a; ba
+    is read only when `_depth` is nonzero, a only when index n is named.
 
     c_m, m < n, is 0 when n - m is odd or above 2q, else c_(q - k), k =
-    (n - m) / 2, of B A = (B' A') / den^2, B' and A' the blocks of num,
-    read off `_leading` only down to the least index named.  Index n,
-    Pf(X J) = (-1)^q det A, is c_0 of the upper-right block A.
+    (n - m) / 2, of B A, read off `_leading` only down to the least
+    index named.  Index n, Pf(X J) = (-1)^q det A, is c_0 of A: off the
+    Hessenberg recurrence when A is upper Hessenberg, as at slice points,
+    else off `exact.bareiss_det`, O(q^3) against the O(q^4) of all q
+    Faddeev-LeVerrier steps.
     """
-    p, q, n = pair.p, pair.q, pair.n
+    n, q = pair.n, pair.q
     vals = [(0, 1)] * n
-    a = [row[p:] for row in num[:p]]
-    last = min(q, (n - min(indices, default=n)) // 2)
+    last = _depth(pair, indices)
     if last:
-        ba = _matmul([row[:p] for row in num[p:]], a, q)
         vals[n - 2 * last :: 2] = reversed(_leading(ba, den * den, last))
     if n in indices:
-        vals.append(_leading(a, den, q)[-1])
+        top = hessenberg_charpoly(a, q)
+        vals.append((top[-1] if top is not None else (-1) ** q * bareiss_det(a), den**q))
     return tuple(map(vals.__getitem__, indices))
 
 
@@ -345,7 +470,7 @@ def _graded_solve_pairs(slc: KostantSlice, target) -> tuple[list[int], int]:
         rhs = [c * (rden // d) for c, d in map(target.__getitem__, block.invariants)]
         if any(num):
             # at coordinates 0 the point is the nilpotent f, where each invariant is 0
-            at = _invariants_of_rows(slc.pair, *_point_rows(slc, num, den), block.invariants)
+            at = _slice_invariants(slc, num, den, block.invariants)
             aden = math.lcm(*(d for _, d in at))
             rhs = [t * aden - c * (aden // d) * rden for t, (c, d) in zip(rhs, at)]
             rden *= aden
@@ -401,7 +526,7 @@ def invert_on_slice(slc: KostantSlice, target: InvariantVector) -> list[Fraction
     if broken is not None:
         raise NotFound(f"no slice point has these invariants: {broken}")
     num, den = _graded_solve_pairs(slc, [(v.numerator, v.denominator) for v in target.values])
-    at = _invariants_of_rows(slc.pair, *_point_rows(slc, num, den), range(len(target.values)))
+    at = _slice_invariants(slc, num, den, range(len(target.values)))
     # t = c / d, decided on the integers
     if any(t.numerator * d != c * t.denominator for t, (c, d) in zip(target.values, at)):
         raise NotFound("no slice point has these invariants")

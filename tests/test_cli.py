@@ -723,6 +723,31 @@ def test_debug_log_names_the_regularity_path_and_leaves_certificates_unchanged()
     assert runs["error"].stderr == b""
 
 
+def test_output_bytes_are_the_same_at_every_log_level(tmp_path):
+    # the kernel's debug line names the case, its size and the recurrence;
+    # no level changes stdout or the certificate file
+    argv = [sys.executable, "-m", "symslice", "verify", "--family", "sp",
+            "--p", "4", "--q", "4", "--trials", "2"]
+    outs, files, errs = set(), set(), {}
+    for level in ("error", "info", "debug"):
+        env = child_env(KS_LOG=level)
+        run = subprocess.run(argv, capture_output=True, timeout=300, env=env)
+        assert run.returncode == 0, run.stderr
+        path = tmp_path / f"{level}.json"
+        saved = subprocess.run([*argv, "--out", str(path)], capture_output=True, timeout=300, env=env)
+        assert saved.returncode == 0 and saved.stdout == b""
+        outs.add(run.stdout)
+        files.add(path.read_bytes())
+        errs[level] = run.stderr.decode()
+    assert len(outs) == 1 and files == outs
+    assert errs["error"] == errs["info"] == ""
+    kernel = [line for line in errs["debug"].splitlines() if "slice kernel" in line]
+    assert kernel == [
+        "DEBUG:symslice.slice:slice kernel for (sp, 4, 4): 4 monomials, 3 terms, "
+        "B A by the even/odd split Hessenberg recurrence"
+    ]
+
+
 def test_negative_trials_exit_2():
     for argv in (
         ["verify", "--family", "gl", "--p", "1", "--q", "1", "--trials", "-1"],

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import chain, islice
+from unittest import mock
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from symslice.exact import (
     MAX_DIGITS,
     _forward,
     RatMatrix,
+    bareiss_det,
     block_diag,
     charpoly,
     faddeev_leverrier,
@@ -31,6 +33,8 @@ from symslice.exact import (
     solve_unique,
     spans_equal,
 )
+from symslice.matspace import cayley
+from symslice.pairs import make_pair
 from symslice.slice import _leading, _split_charpoly
 
 # derandomized, so every tier-1 run draws the same examples
@@ -249,6 +253,38 @@ def test_slice_evaluator_matches_sympy(shaped, den):
         assert [c for c, _ in _leading(rows, 1, last)] == steps[:last]
         if kind == "split":
             assert _split_charpoly(rows, last) == steps[:last]
+    assert rows == copy
+
+
+@st.composite
+def det_rows(draw):
+    """Square integer rows up to 8 x 8, often sparse, and often singular
+    by one row drawn as a combination of two others."""
+    n = draw(st.integers(1, 8))
+    value = st.one_of(st.just(0), st.integers(-30, 30))
+    rows = [[draw(value) for _ in range(n)] for _ in range(n)]
+    if n > 2 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(SETTINGS, max_examples=150)
+@given(det_rows())
+# a zero leading pivot that a row swap fixes, one that appears after a
+# step, a zero column, a singular pair of rows, 1 x 1 and 0 x 0
+@example([[0, 2, 3], [0, 4, 5], [6, 7, 8]])
+@example([[1, 2, 3], [2, 4, 5], [3, 7, 1]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [0, 1]])
+@example([[1, 2], [2, 4]])
+@example([[0]])
+@example([[-7]])
+@example([])
+def test_bareiss_det_matches_sympy(rows):
+    copy = [row[:] for row in rows]
+    assert bareiss_det(rows) == (sympy.Matrix(rows).det() if rows else 1)
     assert rows == copy
 
 
@@ -484,6 +520,33 @@ def test_inverse_matches_sympy(m):
     assert_lowest_terms(inverse(m))
     assert inverse(m) == RatMatrix(
         [[from_sympy(expected[i, j]) for j in range(m.cols)] for i in range(m.rows)], cols=m.cols
+    )
+
+
+def test_a_singular_system_is_refused_before_back_substitution():
+    # the forward pass alone decides that X is not unique; a unique X
+    # still runs the back-substitution (the sympy properties above check
+    # its values)
+    singular = [
+        (RatMatrix([[1, 2], [2, 4]]), RatMatrix.identity(2)),
+        (RatMatrix([[0, 0], [0, 0]]), RatMatrix([[1], [0]])),
+        # full column rank, but an extra row left over: inconsistent
+        (RatMatrix([[1, 0], [0, 1], [1, 1]]), RatMatrix([[1], [1], [3]])),
+        (RatMatrix([[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]), RatMatrix.identity(3)),
+    ]
+    pair = make_pair("o", 1, 1)
+    with mock.patch("symslice.exact._back_substitute", side_effect=AssertionError):
+        for a, b in singular:
+            assert solve_unique(a, b) is None
+        with pytest.raises(ValueError, match="singular"):
+            inverse(singular[0][0])
+        # I + S = 0
+        with pytest.raises(ValueError, match="singular"):
+            cayley(pair, -RatMatrix.identity(2))
+        with pytest.raises(AssertionError):
+            inverse(RatMatrix([[1, 2], [3, 4]]))
+    assert inverse(RatMatrix([[1, 2], [3, 4]])) == RatMatrix(
+        [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from reference import lincomb, vec
+from symslice import cli
 from symslice.cli import build_case, report_cases
 from symslice.exact import (
     MAX_DIGITS,
@@ -39,6 +40,8 @@ from symslice.slice import (
     _invariants_of_rows,
     _jacobian,
     _leading,
+    _point_rows,
+    _slice_invariants,
     _split_charpoly,
     invariant_length,
     invariant_values,
@@ -591,6 +594,77 @@ def test_slice_points_take_the_hessenberg_recurrence(case):
         assert [c for c, _ in _leading(ba, 1, q)] == [c for c, _ in faddeev_leverrier(ba)]
         if invariant_length(pair) > pair.n:
             assert hessenberg_charpoly(a, q) is not None
+    # the kernel's support has that zero pattern too, so every B A it sums has
+    _, products, uppers = slc._kernel
+    assert products and all(t <= s and entries for t, s, entries in products)
+    ba = [[0] * q for _ in range(q)]
+    for _, _, entries in products:
+        for i, j, _ in entries:
+            ba[i][j] = 1
+    if pair.family is Family.SP:
+        assert _split_charpoly(ba, 0) is not None
+    else:
+        assert hessenberg_charpoly(ba, 0) is not None
+    if invariant_length(pair) > pair.n:
+        a = [[0] * q for _ in range(p)]
+        for entries in uppers:
+            for i, j, _ in entries:
+                a[i][j] = 1
+        assert hessenberg_charpoly(a, 0) is not None
+
+
+KERNEL_CASES = FAST_PATH_CASES + [("gl", 16, 16), ("o", 16, 16), ("sp", 16, 16)]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"{c[0]}{c[1]}_{c[2]}")
+def test_slice_invariants_are_the_pairs_of_the_rows_path(case):
+    # the kernel's sum against B' A' of the assembled n x n point, pair
+    # for pair: heights 1, 10 and 10^30, zero coordinates, every index
+    # alone, each weight class's indices and the whole vector
+    slc = build_case(*case).slc
+    pair = slc.pair
+    length = invariant_length(pair)
+    named = [range(length), *([m] for m in range(length))]
+    named += [list(block.invariants) for block in slc._blocks]
+    rng = random.Random(f"{case}")
+    points = [([0] * slc.dim, 1), ([0] * slc.dim, 7)]
+    for height in (1, 10, 10**30):
+        for _ in range(2):
+            num = [rng.choice((0, rng.randint(-height, height))) for _ in range(slc.dim)]
+            points.append((num, rng.randint(1, height)))
+    for num, den in points:
+        rows, rden = _point_rows(slc, num, den)
+        for idx in named:
+            assert _slice_invariants(slc, num, den, idx) == _invariants_of_rows(
+                pair, rows, rden, idx
+            )
+
+
+def test_a_support_term_in_a_diagonal_block_raises():
+    pair, slc = build(Family.GL, 2, 2)
+    # h lies in the diagonal blocks, outside g(-1)
+    bent = KostantSlice(pair, slc.triple, (*slc.slice_basis[:-1], slc.triple.h))
+    with pytest.raises(AssertionError, match="outside g"):
+        bent._kernel
+
+
+def test_slice_paths_do_not_build_the_point():
+    # the graded solve, its final check and the certificate's round trip
+    # evaluate slice points from the kernel alone
+    for case in [("gl", 3, 3), ("o", 4, 4), ("sp", 4, 2), ("gl", 4, 2)]:
+        slc = build_case(*case).slc
+        indices = range(invariant_length(slc.pair))
+        rng = random.Random(f"{case}")
+        coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(slc.dim)]
+        target = invariants(slc.pair, slice_point(slc, coords))
+        num, den = integer_rows(slice_point(slc, coords))
+        pairs = [v.as_integer_ratio() for v in target.values]
+        with mock.patch("symslice.slice._point_rows", side_effect=AssertionError), \
+                mock.patch("symslice.cli._point_rows", side_effect=AssertionError):
+            got, gden = _graded_solve_pairs(slc, pairs)
+            assert [Fraction(x, gden) for x in got] == coords
+            assert invert_on_slice(slc, target) == coords
+            assert cli._roundtrip(slc, 5, random.Random(1)) == 5
 
 
 def test_make_slice_takes_the_witness_basis():
