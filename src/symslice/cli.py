@@ -180,7 +180,8 @@ def _check_invariant_conjugation(
         y = act(pair, g, x)
         if not in_eigenspace(pair, y, -1):
             return False
-        # x's off the slice's kernel, y's off the generic rows path
+        # x's off the slice's kernel and y's off the rows path: every draw
+        # also checks the kernel against the generic evaluation
         inv_x = _slice_invariants(slc, num, den, indices)
         inv_y = _invariants_of_rows(pair, *integer_rows(y), indices)
         # pairs c / d cross-multiplied; equal coordinates decide the inversion

@@ -7,7 +7,9 @@ positive common denominator, in lowest terms; products, sums and
 stacking run on those integers.  Kernels, particular and unique solves,
 inverses, ranks and `spans_equal` share one elimination on integer rows
 that divides each changed row by its content: ranks and `spans_equal`
-stop after its forward pass, the solves run its back-substitution too.
+stop after its forward pass, the solves run its back-substitution too,
+and a unique solve only once the forward pass has found the solution
+unique.
 Dense integer rows go in and come back out; inside the elimination a
 row is sparse, {column: nonzero int}, and rows are bucketed by leading
 column, so a step touches only the rows that have its pivot column.
@@ -19,7 +21,8 @@ of the invariants at a dense matrix.  At an upper Hessenberg matrix,
 such as B A at a slice point, the coefficients come off the
 division-free Hessenberg recurrence instead (`hessenberg_charpoly`),
 O(r^3) instead of O(r^4), which the slice uses whenever the zero pattern
-holds.  The integer rows are a
+holds.  A determinant of integer rows comes off fraction-free (Bareiss)
+elimination, O(r^3) (`bareiss_det`).  The integer rows are a
 matrix's only representation: entries leave as `fractions.Fraction`,
 made per call, only at the API edge (`RatMatrix.row`, `m[i, j]`,
 `solve`, `charpoly`, `pfaffian`); the rest of the library reads

@@ -11,12 +11,19 @@ Hessenberg (gl, o), or splits into even- and odd-indexed Hessenberg
 blocks (sp), and its coefficients come off the division-free Hessenberg
 recurrence, O(q^3); any other B A, as from dense input or a conjugated
 point, takes the Faddeev-LeVerrier recurrence, O(q^4) (`_leading`).
+At a slice point B A is never formed from the n x n point: B' A' is a
+quadratic form in the point's integer coordinates w = (den, num), and
+each slice caches its coefficients, one sparse q x q integer matrix per
+pair of support terms (`KostantSlice._kernel`), so an evaluation sums
+w_t w_s M_ts (`_slice_invariants`).
 For the orthogonal p = q family the characteristic polynomial only sees
 the square of the degree-q product invariant and its fibers on the
 slice are +- pairs, so exactly there one extra coordinate is appended:
 the Pfaffian of X J, invariant under every Cayley-generated (determinant
 one) group element.  X J is block anti-diagonal, so Pf(X J) =
-(-1)^q det A = c_0 of A.  The Jacobian rank check below measures
+(-1)^q det A = c_0 of A: off the Hessenberg recurrence at slice points,
+where A is upper Hessenberg, and off a Bareiss determinant, O(q^3),
+elsewhere.  The Jacobian rank check below measures
 separation, with exact derivatives from the Faddeev-LeVerrier
 recurrence over B A, whose steps are the gradients (see `_jacobian`).
 
@@ -41,9 +48,12 @@ slice point has the target invariants.  Before any slice work, a target
 off the image of the slice in the quotient's coordinates is refused by
 naming the relation it breaks.
 
-All of this runs on integers.  A slice point is built as integer rows
-over one denominator, each invariant comes off a recurrence as an
-integer pair (c, d) for c / d, and the final check cross-multiplies.
+All of this runs on integers.  A slice point's coordinates are integer
+numerators over one denominator, B' A' (and A' for the Pfaffian) is
+summed from the kernel over that denominator times the support's, each
+invariant comes off a recurrence as an integer pair (c, d) for c / d,
+and the final check cross-multiplies; only `slice_point` and the
+certificate's conjugation check assemble the n x n point.
 Fractions are made only for what leaves the module: the coordinates
 that `invert_on_slice` returns and the values of `invariants` and
 `invariant_values`.
