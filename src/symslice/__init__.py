@@ -67,7 +67,6 @@ from .matspace import (
     from_matrix_space,
     group_element,
     random_group_element,
-    to_matrix_space,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -242,13 +242,6 @@ def _common(blocks):
     return [_scale(b._num, den // b._den) for b in blocks], den
 
 
-def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Assemble ((a, 0), (0, b)) from the integer rows of both blocks."""
-    (an, bn), den = _common((a, b))
-    za, zb = [0] * a.cols, [0] * b.cols
-    return RatMatrix._raw([r + zb for r in an] + [za + r for r in bn], den, a.cols + b.cols)
-
-
 def block_antidiag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Assemble ((0, a), (b, 0)) from an upper-right and lower-left block."""
     (an, bn), den = _common((a, b))

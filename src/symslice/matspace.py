@@ -31,14 +31,7 @@ from .exact import (
     integer_rows,
     inverse,
 )
-from .pairs import (
-    Family,
-    MembershipError,
-    SymmetricPair,
-    adjoint,
-    combine,
-    in_eigenspace,
-)
+from .pairs import Family, SymmetricPair, adjoint, combine
 
 # Singular Cayley draws before random_group_element gives up.
 _MAX_RETRIES = 64
@@ -85,13 +78,6 @@ def _check_group_element(pair: SymmetricPair, ge: GroupElement):
     if _matmul(num, inv_num, n) != [[scale * (i == j) for j in range(n)] for i in range(n)]:
         what = "the form condition" if pair.form_entries is not None else "g g_inv = I"
         raise ValueError(f"group element fails {what}")
-
-
-def to_matrix_space(pair: SymmetricPair, x: RatMatrix) -> RatMatrix:
-    """Project an element of g(-1) to its upper-right p x q block."""
-    if not in_eigenspace(pair, x, -1):
-        raise MembershipError("element is not in g(-1)")
-    return x.submatrix(0, pair.p, pair.p, pair.n)
 
 
 def from_matrix_space(

@@ -5,8 +5,8 @@ the module that defines the form J and the involution theta; both act
 on matrix entries as signed permutations.  theta negates the two
 off-diagonal blocks, and J is defined by its index map
 (`SymmetricPair.form_entries`, integer formulas in (family, p, q)), from
-which `adjoint` and the membership conditions are evaluated entrywise
-and the dense `pair.form` is built on first access.  The same maps give
+which `adjoint` and the membership conditions are evaluated entrywise;
+no library path builds J as a dense matrix.  The same maps give
 the eigenspaces g(1) and g(-1) directly, by one rule for every family:
 theta keeps the positions of one block parity, and the form condition
 pairs position (i, j) with (kappa(j), kappa(i)).  Each basis is built
@@ -66,14 +66,6 @@ class SymmetricPair:
     plus_support: tuple
     minus_support: tuple
     rank_theta: int
-
-    @cached_property
-    def form(self) -> RatMatrix | None:
-        """J from `form_entries`, J[i, kappa(i)] = v_i; None for gl."""
-        if self.form_entries is None:
-            return None
-        rows = [[v * (j == k) for j in range(self.n)] for k, v in self.form_entries]
-        return RatMatrix.from_ints(rows, cols=self.n)
 
     @cached_property
     def basis_plus(self) -> tuple:

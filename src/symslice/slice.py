@@ -7,10 +7,10 @@ redundant but conjugation-invariant and exact.  An element of g(-1) is
 X = ((0, A), (B, 0)) with A of size p x q, and det(tI - X) =
 t^(p - q) det(t^2 I - B A): an invariant of degree k is the coefficient
 c_(q - k / 2) of the q x q product B A.  At slice points B A is upper
-Hessenberg (gl, o), or splits into even- and odd-indexed Hessenberg
-blocks (sp), and its coefficients come off the division-free Hessenberg
-recurrence, O(q^3); any other B A, as from dense input or a conjugated
-point, takes the Faddeev-LeVerrier recurrence, O(q^4) (`_leading`).
+Hessenberg, on sp once its indices are listed even first (`_order`),
+and its coefficients come off the division-free Hessenberg recurrence,
+O(q^3); any other B A, as from dense input or a conjugated point,
+takes the Faddeev-LeVerrier recurrence, O(q^4) (`_leading`).
 At a slice point B A is never formed from the n x n point: B' A' is a
 quadratic form in the point's integer coordinates w = (den, num), and
 each slice caches its coefficients, one sparse q x q integer matrix per
@@ -148,8 +148,9 @@ class KostantSlice:
         B_t the lower-left q x p block of term t, B' A' is the sum over
         t <= s of w_t w_s M_ts, M_ts = B_t A_s + B_s A_t (B_t A_t when
         t = s); products holds (t, s, entries) for each nonzero M_ts,
-        entries its (i, j, v) nonzero integer entries, and uppers[t]
-        the (i, j, v) of A_t, for the o(q,q) Pfaffian.  Built on the
+        entries its (i, j, v) nonzero integer entries with i and j
+        relabeled by `_order`, and uppers[t] the (i, j, v) of A_t, in
+        its own order, for the o(q,q) Pfaffian.  Built on the
         first evaluation, so a slice that is never evaluated never pays
         for it."""
         return _build_kernel(self)
@@ -204,6 +205,17 @@ def _point_rows(slc: KostantSlice, num, den: int) -> tuple:
     return combine_rows(slc.pair.n, terms, [den, *num])[0], den * lcm
 
 
+def _order(pair: SymmetricPair):
+    """The order in which B A lists its q indices: on sp the even ones
+    first, then the odd ones, else their own order.  On sp no entry of
+    B A at a slice point links an even index with an odd one, so in this
+    order it is block diagonal with upper Hessenberg blocks, which is
+    upper Hessenberg; conjugating by a permutation keeps its
+    characteristic polynomial."""
+    q = pair.q
+    return [*range(0, q, 2), *range(1, q, 2)] if pair.family is Family.SP else range(q)
+
+
 def _build_kernel(slc: KostantSlice) -> tuple:
     """`KostantSlice._kernel`; a support term in a diagonal block raises
     AssertionError, since f and every slice direction lie in g(-1)."""
@@ -229,6 +241,7 @@ def _build_kernel(slc: KostantSlice) -> tuple:
         for k, j, v in upper:
             rows.setdefault(k, []).append((j, v))
         by_row.append(rows)
+    label = {k: i for i, k in enumerate(_order(pair))}
     products = []
     for t in range(len(terms)):
         for s in range(t, len(terms)):
@@ -238,7 +251,8 @@ def _build_kernel(slc: KostantSlice) -> tuple:
                 rows = by_row[a]
                 for i, k, v in lowers[b]:
                     for j, u in rows.get(k, ()):
-                        m[i, j] = m.get((i, j), 0) + v * u
+                        ij = label[i], label[j]
+                        m[ij] = m.get(ij, 0) + v * u
             entries = tuple((i, j, v) for (i, j), v in sorted(m.items()) if v)
             if entries:
                 products.append((t, s, entries))
@@ -246,12 +260,7 @@ def _build_kernel(slc: KostantSlice) -> tuple:
     for _, _, entries in products:
         for i, j, _ in entries:
             pattern[i][j] = 1
-    if hessenberg_charpoly(pattern, 0) is not None:
-        recurrence = "Hessenberg"
-    elif _split_charpoly(pattern, 0) is not None:
-        recurrence = "even/odd split Hessenberg"
-    else:
-        recurrence = "Faddeev-LeVerrier"
+    recurrence = "Faddeev-LeVerrier" if hessenberg_charpoly(pattern, 0) is None else "Hessenberg"
     log.debug(
         "slice kernel for (%s, %d, %d): %d monomials, %d terms, B A by the %s recurrence",
         pair.family.value,
@@ -283,11 +292,16 @@ def invariant_values(pair: SymmetricPair, x: RatMatrix) -> tuple:
 def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
     """The invariants of x = num / den in g(-1) at the given indices, in
     their order, read off the integer rows as pairs (c, d), the value
-    c / d not reduced: B' A' and A' from the blocks of num, then
-    `_read_invariants`.  A slice point takes `_slice_invariants`."""
+    c / d not reduced: B' A' with its indices in `_order` and A' from
+    the blocks of num, then `_read_invariants`.  A slice point takes
+    `_slice_invariants`."""
     p, q = pair.p, pair.q
     a = [row[p:] for row in num[:p]]
-    ba = _matmul([row[:p] for row in num[p:]], a, q) if _depth(pair, indices) else None
+    ba = None
+    if _depth(pair, indices):
+        order = _order(pair)
+        b = [num[p + i][:p] for i in order]
+        ba = _matmul(b, [[row[j] for j in order] for row in a], q)
     return _read_invariants(pair, ba, a, den, indices)
 
 
@@ -352,34 +366,14 @@ def _leading(a, den: int, last: int) -> list:
     a, r x r: c_(r - k) is the pair (c_(r - k) of a, den^k).
 
     The coefficients of a come off `exact.hessenberg_charpoly` when a is
-    upper Hessenberg, as B A is at slice points on gl and o, or else off
-    `_split_charpoly`, as on sp; any other a, such as dense input, takes
+    upper Hessenberg, as B A is at slice points with its indices in
+    `_order`; any other a, such as dense input, takes
     `exact.faddeev_leverrier`.
     """
     top = hessenberg_charpoly(a, last)
     if top is None:
-        top = _split_charpoly(a, last)
-    if top is None:
         top = [c for _, (c, _) in zip(range(last), faddeev_leverrier(a))]
     return [(c, den**k) for k, c in enumerate(top, start=1)]
-
-
-def _split_charpoly(a, last: int):
-    """c_(r - 1), ..., c_(r - last) of the square integer rows a when no
-    entry links an even index with an odd one and the even- and
-    odd-indexed blocks are upper Hessenberg: the product of the blocks'
-    polynomials, exact for any such split.  None otherwise."""
-    if any(any(row[(i + 1) % 2 :: 2]) for i, row in enumerate(a)):
-        return None
-    tops = [hessenberg_charpoly([row[s::2] for row in a[s::2]], last) for s in (0, 1)]
-    if None in tops:
-        return None
-    # highest coefficient first
-    u, v = ([1, *cs] for cs in tops)
-    return [
-        sum(x * v[j - i] for i, x in enumerate(u[: j + 1]) if j - i < len(v))
-        for j in range(1, min(last, len(u) + len(v) - 2) + 1)
-    ]
 
 
 @unlimited_int_text()

@@ -14,7 +14,10 @@ and `exact.matrix_to_text` replaced with integer rows: every entry parsed
 by `rational_from_text` into its own Fraction, every entry of a matrix
 with a denominator written through `RatMatrix.row`.  And the forward
 pass of the integer elimination on dense rows, which `exact._forward`
-runs on sparse rows bucketed by leading column.
+runs on sparse rows bucketed by leading column.  And the dense forms
+of what the library keeps as index maps or reads off integer rows: the
+form J of a pair from its `form_entries` (`form`), and block-diagonal
+assembly (`block_diag`).
 """
 
 import math
@@ -65,6 +68,25 @@ def vstack(blocks) -> RatMatrix:
     return RatMatrix([b.row(i) for b in blocks for i in range(b.rows)], cols=cols)
 
 
+def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """((a, 0), (0, b))."""
+    return vstack(
+        [
+            hstack([a, RatMatrix.zeros(a.rows, b.cols)]),
+            hstack([RatMatrix.zeros(b.rows, a.cols), b]),
+        ]
+    )
+
+
+def form(pair) -> RatMatrix | None:
+    """The dense form J of the pair, J[i, kappa(i)] = v_i for (kappa(i),
+    v_i) in `form_entries`; None for gl, which has no form."""
+    if pair.form_entries is None:
+        return None
+    n = pair.n
+    return RatMatrix([[v * (j == k) for j in range(n)] for k, v in pair.form_entries], cols=n)
+
+
 def shift_power(n: int, m: int) -> RatMatrix:
     """n x n matrix with ones on the m-th superdiagonal (m=0 gives the identity)."""
     return RatMatrix.from_ints([[int(j == i + m) for j in range(n)] for i in range(n)], cols=n)
@@ -78,7 +100,7 @@ def point(slc, coords) -> RatMatrix:
 def invariant_list(pair, x) -> list:
     values = list(charpoly(x)[:-1])
     if invariant_length(pair) > pair.n:
-        values.append(pfaffian(x * pair.form))
+        values.append(pfaffian(x * form(pair)))
     return values
 
 

@@ -744,7 +744,7 @@ def test_output_bytes_are_the_same_at_every_log_level(tmp_path):
     kernel = [line for line in errs["debug"].splitlines() if "slice kernel" in line]
     assert kernel == [
         "DEBUG:symslice.slice:slice kernel for (sp, 4, 4): 4 monomials, 3 terms, "
-        "B A by the even/odd split Hessenberg recurrence"
+        "B A by the Hessenberg recurrence"
     ]
 
 

@@ -4,6 +4,7 @@ benchmark's tracer wraps, so that a deletion cannot silently break either."""
 import functools
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import symslice
@@ -69,7 +70,6 @@ PUBLIC = [
     "solve",
     "solve_unique",
     "spans_equal",
-    "to_matrix_space",
     "verify_triple",
 ]
 
@@ -93,3 +93,30 @@ def test_every_traced_function_resolves():
         for name in names:
             obj = functools.reduce(getattr, name.split("."), module)
             assert callable(obj), f"symslice.{layer}.{name}"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _symslice_name(head):
+    """The symslice attribute or submodule called head, or None."""
+    if hasattr(symslice, head):
+        return getattr(symslice, head)
+    if importlib.util.find_spec(f"symslice.{head}") is not None:
+        return importlib.import_module(f"symslice.{head}")
+    return None
+
+
+def test_every_symslice_name_the_readme_quotes_resolves():
+    # a backticked dotted name whose first part is a symslice attribute or
+    # module, such as `exact.hessenberg_charpoly`, `slice._leading`,
+    # `symslice.pairs` or `KostantSlice._kernel`, names something that exists
+    quoted = re.findall(r"`((?:symslice\.)?[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text())
+    checked = 0
+    for name in quoted:
+        head, *rest = name.removeprefix("symslice.").split(".")
+        obj = _symslice_name(head)
+        if obj is not None:
+            assert functools.reduce(lambda o, a: getattr(o, a, None), rest, obj) is not None, name
+            checked += 1
+    assert checked >= 10

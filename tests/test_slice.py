@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,15 @@ from symslice.exact import (
 )
 from symslice.matspace import act, random_group_element
 from symslice.nilpotent import make_witness, regular_nilpotent
-from symslice.pairs import Family, MembershipError, bracket, make_pair
+from symslice.pairs import (
+    MAX_SIZE,
+    ConstraintViolation,
+    Family,
+    MembershipError,
+    bracket,
+    check_constraints,
+    make_pair,
+)
 from symslice.sl2 import complete_triple
 from symslice.slice import (
     InvariantVector,
@@ -40,9 +49,9 @@ from symslice.slice import (
     _invariants_of_rows,
     _jacobian,
     _leading,
+    _order,
     _point_rows,
     _slice_invariants,
-    _split_charpoly,
     invariant_length,
     invariant_values,
     invariants,
@@ -208,7 +217,7 @@ def test_pfaffian_value_is_c0_of_the_upper_block():
             slc = build_case("o", q, q).slc
             points.append(slice_point(slc, [0] * slc.dim))
         for x in points:
-            assert invariant_values(pair, x)[-1] == pfaffian(x * pair.form)
+            assert invariant_values(pair, x)[-1] == pfaffian(x * reference.form(pair))
 
 
 # every family, p > q included, with p + q <= 10
@@ -239,7 +248,7 @@ def test_invariant_values_match_charpoly(point):
     pair = make_pair(*case)
     want = charpoly(x)[:-1]
     if case[0] == "o" and case[1] == case[2]:
-        want += (pfaffian(x * pair.form),)
+        want += (pfaffian(x * reference.form(pair)),)
     assert invariant_values(pair, x) == want
 
 
@@ -282,7 +291,7 @@ def _sampled_values(pair, x):
     polynomial and, on o(q,q), the congruence-elimination Pfaffian of X J."""
     values = charpoly(x)[: pair.n]
     if invariant_length(pair) > pair.n:
-        values += (pfaffian(x * pair.form),)
+        values += (pfaffian(x * reference.form(pair)),)
     return values
 
 
@@ -573,44 +582,91 @@ FAST_PATH_CASES = [c for c in report_cases(8, 16, 8) if c != ("o", 1, 1)] + [
 ]
 
 
-@pytest.mark.parametrize("case", FAST_PATH_CASES, ids=lambda c: f"{c[0]}{c[1]}_{c[2]}")
-def test_slice_points_take_the_hessenberg_recurrence(case):
-    # B A at a slice point is one Hessenberg block on gl and o and two on
-    # sp, and A is Hessenberg on o(q,q): a basis order that sent these to
-    # the Faddeev-LeVerrier fallback would otherwise show only as time
-    slc = build_case(*case).slc
+def ordered_ba(slc, coords):
+    """B A at the slice point, assembled from its n x n integer rows
+    with its indices in `_order`, and the upper-right block A in its own
+    order."""
     pair = slc.pair
     p, q = pair.p, pair.q
+    num, _ = integer_rows(slice_point(slc, coords))
+    a = [row[p:] for row in num[:p]]
+    order = _order(pair)
+    b = [num[p + i][:p] for i in order]
+    return _matmul(b, [[row[j] for j in order] for row in a], q), a
+
+
+@pytest.mark.parametrize("case", FAST_PATH_CASES, ids=lambda c: f"{c[0]}{c[1]}_{c[2]}")
+def test_slice_points_take_the_hessenberg_recurrence(case):
+    # B A at a slice point, its indices in `_order`, is upper Hessenberg,
+    # and A is on o(q,q): a basis order that sent these to the
+    # Faddeev-LeVerrier fallback would otherwise show only as time
+    slc = build_case(*case).slc
+    pair = slc.pair
+    q = pair.q
     rng = random.Random(f"{case}")
     for _ in range(3):
         coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(slc.dim)]
-        num, _ = integer_rows(slice_point(slc, coords))
-        a = [row[p:] for row in num[:p]]
-        ba = _matmul([row[:p] for row in num[p:]], a, q)
-        if pair.family is Family.SP:
-            assert _split_charpoly(ba, q) is not None
-        else:
-            assert hessenberg_charpoly(ba, q) is not None
+        ba, a = ordered_ba(slc, coords)
+        assert hessenberg_charpoly(ba, q) is not None
         assert [c for c, _ in _leading(ba, 1, q)] == [c for c, _ in faddeev_leverrier(ba)]
         if invariant_length(pair) > pair.n:
             assert hessenberg_charpoly(a, q) is not None
-    # the kernel's support has that zero pattern too, so every B A it sums has
+    # the kernel's A_t have that zero pattern too, so every A it sums has
     _, products, uppers = slc._kernel
     assert products and all(t <= s and entries for t, s, entries in products)
-    ba = [[0] * q for _ in range(q)]
-    for _, _, entries in products:
-        for i, j, _ in entries:
-            ba[i][j] = 1
-    if pair.family is Family.SP:
-        assert _split_charpoly(ba, 0) is not None
-    else:
-        assert hessenberg_charpoly(ba, 0) is not None
     if invariant_length(pair) > pair.n:
-        a = [[0] * q for _ in range(p)]
+        a = [[0] * q for _ in range(pair.p)]
         for entries in uppers:
             for i, j, _ in entries:
                 a[i][j] = 1
         assert hessenberg_charpoly(a, 0) is not None
+
+
+def admitted_cases():
+    """Every (family, p, q) that `check_constraints` admits, p + q <= MAX_SIZE."""
+    cases = []
+    for fam in Family:
+        for p in range(1, MAX_SIZE):
+            for q in range(1, min(p, MAX_SIZE - p) + 1):
+                try:
+                    check_constraints(fam, p, q)
+                except ConstraintViolation:
+                    continue
+                cases.append((fam, p, q))
+    return cases
+
+
+# o(1,1) has no sl2 completion, so no slice
+SLICE_CASES = [c for c in admitted_cases() if c != (Family.ORTH, 1, 1)]
+
+
+def test_every_admitted_case_is_counted():
+    counts = {fam: sum(c[0] is fam for c in SLICE_CASES) for fam in Family}
+    assert counts == {Family.GL: 256, Family.ORTH: 30, Family.SP: 64}
+
+
+@pytest.mark.parametrize("case", SLICE_CASES, ids=lambda c: f"{c[0].value}{c[1]}_{c[2]}")
+def test_every_slice_sums_a_hessenberg_kernel(case, caplog):
+    # the kernel's support, and B A assembled at a seeded slice point,
+    # are upper Hessenberg with the indices in `_order`, so no admitted
+    # slice point takes the Faddeev-LeVerrier fallback; the kernel's
+    # debug line says so
+    pair, slc = build(*case)
+    q = pair.q
+    with caplog.at_level(logging.DEBUG, logger="symslice.slice"):
+        _, products, _ = slc._kernel
+    assert [r.getMessage().rsplit(", ", 1)[-1] for r in caplog.records] == [
+        "B A by the Hessenberg recurrence"
+    ]
+    pattern = [[0] * q for _ in range(q)]
+    for _, _, entries in products:
+        for i, j, _ in entries:
+            pattern[i][j] = 1
+    assert hessenberg_charpoly(pattern, 0) is not None
+    rng = random.Random(f"{case}")
+    coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(slc.dim)]
+    ba, _ = ordered_ba(slc, coords)
+    assert hessenberg_charpoly(ba, 0) is not None
 
 
 KERNEL_CASES = FAST_PATH_CASES + [("gl", 16, 16), ("o", 16, 16), ("sp", 16, 16)]
