@@ -59,7 +59,6 @@ from .slice import (
     SliceDimensionError,
     _graded_solve_pairs,
     _invariants_of_rows,
-    _point_rows,
     _slice_invariants,
     invariant_length,
     invariant_values,
@@ -173,8 +172,7 @@ def _check_invariant_conjugation(
     indices = range(invariant_length(pair))
     for _ in range(_CONJUGATION_DRAWS):
         num, den = _random_coords(rng, slc.dim)
-        rows, rden = _point_rows(slc, num, den)
-        x = RatMatrix.from_ints(rows, cols=pair.n, den=rden)
+        x = slice_point(slc, [Fraction(a, den) for a in num])
         g = random_group_element(pair, seed=rng.randrange(2**63), height=_DRAW_HEIGHT)
         # x lies in g(-1) by construction; only g x g^-1 is checked for membership
         y = act(pair, g, x)

@@ -52,8 +52,9 @@ All of this runs on integers.  A slice point's coordinates are integer
 numerators over one denominator, B' A' (and A' for the Pfaffian) is
 summed from the kernel over that denominator times the support's, each
 invariant comes off a recurrence as an integer pair (c, d) for c / d,
-and the final check cross-multiplies; only `slice_point` and the
-certificate's conjugation check assemble the n x n point.
+and the final check cross-multiplies; only `slice_point` assembles the
+n x n point, for the CLI's output, the certificate's conjugation check
+and `_jacobian`.
 Fractions are made only for what leaves the module: the coordinates
 that `invert_on_slice` returns and the values of `invariants` and
 `invariant_values`.
@@ -149,10 +150,11 @@ class KostantSlice:
         t <= s of w_t w_s M_ts, M_ts = B_t A_s + B_s A_t (B_t A_t when
         t = s); products holds (t, s, entries) for each nonzero M_ts,
         entries its (i, j, v) nonzero integer entries with i and j
-        relabeled by `_order`, and uppers[t] the (i, j, v) of A_t, in
-        its own order, for the o(q,q) Pfaffian.  Built on the
-        first evaluation, so a slice that is never evaluated never pays
-        for it."""
+        relabeled by `_order` (B_t's rows and A_t's columns, as each term
+        is split into its blocks), and uppers[t] the (i, j, v) of A_t, in
+        its own order, for the o(q,q) Pfaffian.  Built on the first
+        evaluation, so a slice that is never evaluated never pays for
+        it."""
         return _build_kernel(self)
 
 
@@ -188,21 +190,17 @@ def make_slice(pair: SymmetricPair, triple: Sl2Triple, basis=None) -> KostantSli
 
 
 def slice_point(slc: KostantSlice, coords) -> RatMatrix:
+    """f + sum_k coords[k] b_k, the only n x n assembly of a slice point:
+    the terms of `_support` combined with (1, *coords) over their lcm.
+    Only what needs the point builds it (output, the certificate's
+    conjugation check and `_jacobian`); the invariants of a slice point
+    come off `_slice_invariants`."""
     coords = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
     if len(coords) != slc.dim:
         raise ValueError(f"expected {slc.dim} coordinates, got {len(coords)}")
-    den = math.lcm(*(x.denominator for x in coords))
-    rows, den = _point_rows(slc, [x.numerator * (den // x.denominator) for x in coords], den)
-    return RatMatrix.from_ints(rows, cols=slc.pair.n, den=den)
-
-
-def _point_rows(slc: KostantSlice, num, den: int) -> tuple:
-    """(rows, d) with rows / d = f + sum_k (num[k] / den) b_k, not reduced:
-    the terms of `_support` combined with (den, *num) over den l.  Only
-    what needs the n x n point builds it; the invariants of a slice point
-    come off `_slice_invariants`."""
     lcm, terms = slc._support
-    return combine_rows(slc.pair.n, terms, [den, *num])[0], den * lcm
+    rows, den = combine_rows(slc.pair.n, terms, [1, *coords])
+    return RatMatrix.from_ints(rows, cols=slc.pair.n, den=den * lcm)
 
 
 def _order(pair: SymmetricPair):
@@ -222,26 +220,23 @@ def _build_kernel(slc: KostantSlice) -> tuple:
     pair = slc.pair
     p, q = pair.p, pair.q
     lcm, terms = slc._support
-    uppers, lowers = [], []
+    label = {k: i for i, k in enumerate(_order(pair))}
+    # per term: A_t in its own order, A_t's rows with columns relabeled,
+    # and B_t with rows relabeled, so the products come out in `_order`
+    uppers, by_row, lowers = [], [], []
     for t in terms:
-        upper, lower = [], []
+        upper, rows, lower = [], {}, []
         for i, j, v in t:
             if i < p <= j:
                 upper.append((i, j - p, v))
+                rows.setdefault(i, []).append((label[j - p], v))
             elif j < p <= i:
-                lower.append((i - p, j, v))
+                lower.append((label[i - p], j, v))
             else:
                 raise AssertionError(f"slice support entry ({i}, {j}) outside g(-1)")
         uppers.append(tuple(upper))
-        lowers.append(lower)
-    # the rows of each A_t, for the products B_t A_s
-    by_row = []
-    for upper in uppers:
-        rows = {}
-        for k, j, v in upper:
-            rows.setdefault(k, []).append((j, v))
         by_row.append(rows)
-    label = {k: i for i, k in enumerate(_order(pair))}
+        lowers.append(lower)
     products = []
     for t in range(len(terms)):
         for s in range(t, len(terms)):
@@ -251,7 +246,7 @@ def _build_kernel(slc: KostantSlice) -> tuple:
                 rows = by_row[a]
                 for i, k, v in lowers[b]:
                     for j, u in rows.get(k, ()):
-                        ij = label[i], label[j]
+                        ij = i, j
                         m[ij] = m.get(ij, 0) + v * u
             entries = tuple((i, j, v) for (i, j), v in sorted(m.items()) if v)
             if entries:
@@ -307,9 +302,9 @@ def _invariants_of_rows(pair: SymmetricPair, num, den: int, indices) -> tuple:
 
 def _slice_invariants(slc: KostantSlice, num, den: int, indices) -> tuple:
     """The pairs `_invariants_of_rows` gives at the slice point with
-    coordinates num / den, without the n x n point: B' A' is summed from
-    the slice's `_kernel` in w = (den, *num), and A' from its upper
-    blocks only when index n is named."""
+    coordinates num / den, without assembling it (`slice_point`): B' A'
+    is summed from the slice's `_kernel` in w = (den, *num), and A' from
+    its upper blocks only when index n is named."""
     pair = slc.pair
     p, q = pair.p, pair.q
     lcm, products, uppers = slc._kernel

@@ -16,8 +16,9 @@ with a denominator written through `RatMatrix.row`.  And the forward
 pass of the integer elimination on dense rows, which `exact._forward`
 runs on sparse rows bucketed by leading column.  And the dense forms
 of what the library keeps as index maps or reads off integer rows: the
-form J of a pair from its `form_entries` (`form`), and block-diagonal
-assembly (`block_diag`).
+form J of a pair from its `form_entries` (`form`), block-diagonal
+assembly (`block_diag`), and a slice's B' A' kernel formed entry by
+entry from dense blocks (`kernel`).
 """
 
 import math
@@ -187,3 +188,41 @@ def dense_forward(rows, ncols: int):
         done.append(prow)
         pivots.append(c)
     return done + rest, pivots
+
+
+def kernel(slc, order) -> tuple:
+    """`KostantSlice._kernel` from dense blocks: l the lcm of the
+    denominators of f and the slice basis matrices, and for each term X_t of
+    (l f, l b_1, ..., l b_d) the dense p x q A_t and q x p B_t.  M_ts =
+    B_t A_s + B_s A_t (B_t A_t when t = s) is formed entry by entry with
+    its rows and columns listed in `order`; products holds (t, s, its
+    nonzero (i, j, v)) for each nonzero M_ts, t <= s, and uppers the
+    nonzero (i, j, v) of each A_t in its own order."""
+    pair = slc.pair
+    p, q = pair.p, pair.q
+    mats = [integer_rows(m) for m in (slc.triple.f, *slc.slice_basis)]
+    lcm = math.lcm(*(d for _, d in mats))
+    a_blocks, b_blocks = [], []
+    for num, d in mats:
+        x = [[v * (lcm // d) for v in row] for row in num]
+        a_blocks.append([[x[i][p + j] for j in range(q)] for i in range(p)])
+        b_blocks.append([[x[p + i][j] for j in range(p)] for i in range(q)])
+    terms = range(len(mats))
+    products = []
+    for t in terms:
+        for s in terms[t:]:
+            m = [[0] * q for _ in range(q)]
+            for b, a in [(t, s)] if s == t else [(t, s), (s, t)]:
+                for i in range(q):
+                    for k in range(p):
+                        v = b_blocks[b][order[i]][k]
+                        if v:
+                            for j in range(q):
+                                m[i][j] += v * a_blocks[a][k][order[j]]
+            entries = tuple((i, j, v) for i in range(q) for j in range(q) if (v := m[i][j]))
+            if entries:
+                products.append((t, s, entries))
+    uppers = tuple(
+        tuple((i, j, a[i][j]) for i in range(p) for j in range(q) if a[i][j]) for a in a_blocks
+    )
+    return lcm, tuple(products), uppers

@@ -1,6 +1,9 @@
 """The public surface: the names `symslice` exports and the functions the
-benchmark's tracer wraps, so that a deletion cannot silently break either."""
+benchmark's tracer wraps, so that a deletion cannot silently break either;
+and the private names one `symslice` module imports from another, so that
+a new reach-in is a deliberate edit."""
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -120,3 +123,36 @@ def test_every_symslice_name_the_readme_quotes_resolves():
             assert functools.reduce(lambda o, a: getattr(o, a, None), rest, obj) is not None, name
             checked += 1
     assert checked >= 10
+
+
+PACKAGE = Path(symslice.__file__).resolve().parent
+
+# (importing module, source module, name) for every private name one
+# symslice module imports from another
+PRIVATE_IMPORTS = [
+    ("cli", "slice", "_graded_solve_pairs"),
+    ("cli", "slice", "_invariants_of_rows"),
+    ("cli", "slice", "_slice_invariants"),
+    ("matspace", "exact", "_matmul"),
+    ("matspace", "exact", "_unique_solution"),
+    ("slice", "exact", "_matmul"),
+]
+
+
+def test_private_names_imported_across_modules_are_pinned():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                source = node.module or ""
+            elif (node.module or "").startswith("symslice."):
+                source = node.module.removeprefix("symslice.")
+            else:
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not name.endswith("__"):
+                    found.append((path.stem, source, name))
+    assert sorted(found) == PRIVATE_IMPORTS

@@ -35,6 +35,7 @@ from symslice.pairs import (
     MembershipError,
     bracket,
     check_constraints,
+    combine_rows,
     make_pair,
 )
 from symslice.sl2 import complete_triple
@@ -50,7 +51,6 @@ from symslice.slice import (
     _jacobian,
     _leading,
     _order,
-    _point_rows,
     _slice_invariants,
     invariant_length,
     invariant_values,
@@ -655,6 +655,10 @@ def test_every_slice_sums_a_hessenberg_kernel(case, caplog):
     q = pair.q
     with caplog.at_level(logging.DEBUG, logger="symslice.slice"):
         _, products, _ = slc._kernel
+    # the kernel is the dense-block reference's, B A's indices listed
+    # even first on sp
+    order = [*range(0, q, 2), *range(1, q, 2)] if pair.family is Family.SP else list(range(q))
+    assert slc._kernel == reference.kernel(slc, order)
     assert [r.getMessage().rsplit(", ", 1)[-1] for r in caplog.records] == [
         "B A by the Hessenberg recurrence"
     ]
@@ -688,8 +692,10 @@ def test_slice_invariants_are_the_pairs_of_the_rows_path(case):
         for _ in range(2):
             num = [rng.choice((0, rng.randint(-height, height))) for _ in range(slc.dim)]
             points.append((num, rng.randint(1, height)))
+    lcm, terms = slc._support
     for num, den in points:
-        rows, rden = _point_rows(slc, num, den)
+        # the unreduced rows of the point over den l
+        rows, rden = combine_rows(pair.n, terms, [den, *num])[0], den * lcm
         for idx in named:
             assert _slice_invariants(slc, num, den, idx) == _invariants_of_rows(
                 pair, rows, rden, idx
@@ -706,17 +712,17 @@ def test_a_support_term_in_a_diagonal_block_raises():
 
 def test_slice_paths_do_not_build_the_point():
     # the graded solve, its final check and the certificate's round trip
-    # evaluate slice points from the kernel alone
+    # evaluate slice points from the kernel alone; only the graded blocks,
+    # built once per slice from the Jacobian at f, assemble f
     for case in [("gl", 3, 3), ("o", 4, 4), ("sp", 4, 2), ("gl", 4, 2)]:
         slc = build_case(*case).slc
-        indices = range(invariant_length(slc.pair))
         rng = random.Random(f"{case}")
         coords = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(slc.dim)]
         target = invariants(slc.pair, slice_point(slc, coords))
-        num, den = integer_rows(slice_point(slc, coords))
         pairs = [v.as_integer_ratio() for v in target.values]
-        with mock.patch("symslice.slice._point_rows", side_effect=AssertionError), \
-                mock.patch("symslice.cli._point_rows", side_effect=AssertionError):
+        assert slc._blocks
+        with mock.patch("symslice.slice.slice_point", side_effect=AssertionError), \
+                mock.patch("symslice.cli.slice_point", side_effect=AssertionError):
             got, gden = _graded_solve_pairs(slc, pairs)
             assert [Fraction(x, gden) for x in got] == coords
             assert invert_on_slice(slc, target) == coords
